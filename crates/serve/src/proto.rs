@@ -7,6 +7,15 @@
 //! one connection per in-flight job (see
 //! [`run_grid_via`](crate::client::run_grid_via)).
 //!
+//! # Framing
+//!
+//! A frame leaves in one `write` (see [`write_frame`]) and both ends
+//! set `TCP_NODELAY`. A frame split over two writes lets Nagle hold the
+//! second segment until the peer's delayed ACK, which costs ~40 ms per
+//! request on Linux. Request frames are capped at
+//! [`MAX_REQUEST_BYTES`]; responses are not (a report with obs series
+//! reaches hundreds of KB).
+//!
 //! # Cache key
 //!
 //! A job's identity is the FNV-1a 64 hash of its *canonical JSON*: the
@@ -278,15 +287,19 @@ impl StatsSnapshot {
     }
 }
 
-/// Write one message as a JSON line and flush it.
+/// Largest request frame, terminator included, that the server reads:
+/// 1 MiB. `JobSpec`, `Probe` and `Fetch` frames are a few KB.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Write one message as a JSON line, in a single `write_all`, and
+/// flush it.
 ///
 /// Fault site `serve.proto.write_frame`: an injected `Torn` fault
 /// writes only the first half of the line (simulating a connection cut
 /// mid-frame — the peer sees an unterminated line) and then fails;
 /// any other injected fault fails before writing a byte.
 pub fn write_frame<T: Serialize, W: Write>(w: &mut W, msg: &T) -> io::Result<()> {
-    let line = serde_json::to_string(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let mut line = serde_json::to_string(msg).map_err(invalid_data)?;
     if let Some(fault) = nomad_faults::inject("serve.proto.write_frame") {
         if matches!(fault, nomad_faults::Fault::Torn) {
             let bytes = line.as_bytes();
@@ -301,8 +314,8 @@ pub fn write_frame<T: Serialize, W: Write>(w: &mut W, msg: &T) -> io::Result<()>
             ),
         ));
     }
+    line.push('\n');
     w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
     w.flush()
 }
 
@@ -312,14 +325,41 @@ pub fn write_frame<T: Serialize, W: Write>(w: &mut W, msg: &T) -> io::Result<()>
 /// Fault site `serve.proto.read_frame`: any injected fault surfaces as
 /// a `ConnectionReset` error before the read (as if the peer vanished).
 pub fn read_frame<T: Deserialize, R: BufRead>(r: &mut R) -> io::Result<Option<T>> {
+    read_frame_capped(r, usize::MAX)
+}
+
+/// [`read_frame`] for the server's side of the wire: a request line
+/// longer than [`MAX_REQUEST_BYTES`] fails with
+/// [`io::ErrorKind::FileTooLarge`] after consuming that many bytes.
+/// The stream is then mid-line and cannot resync, so the caller must
+/// drop the connection.
+pub(crate) fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
+    read_frame_capped(r, MAX_REQUEST_BYTES)
+}
+
+fn read_frame_capped<T: Deserialize, R: BufRead>(
+    r: &mut R,
+    max_bytes: usize,
+) -> io::Result<Option<T>> {
     nomad_faults::fail_point("serve.proto.read_frame")?;
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let mut line = Vec::new();
+    if io::Read::take(&mut *r, max_bytes as u64).read_until(b'\n', &mut line)? == 0 {
         return Ok(None);
     }
+    if line.len() == max_bytes && line.last() != Some(&b'\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::FileTooLarge,
+            format!("request frame exceeds {max_bytes} bytes"),
+        ));
+    }
+    let line = std::str::from_utf8(&line).map_err(invalid_data)?;
     serde_json::from_str(line.trim_end())
         .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(invalid_data)
+}
+
+fn invalid_data(e: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
 #[cfg(test)]
@@ -337,9 +377,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip_the_wire() {
-        let reqs = vec![
+    /// One of each request variant.
+    fn every_request() -> Vec<Request> {
+        vec![
             Request::Submit(demo_job()),
             Request::SubmitDeadline {
                 job: demo_job(),
@@ -356,24 +396,16 @@ mod tests {
             Request::Stats,
             Request::Ping,
             Request::Shutdown,
-        ];
-        let mut buf = Vec::new();
-        for r in &reqs {
-            write_frame(&mut buf, r).expect("write");
-        }
-        let mut cursor = std::io::Cursor::new(buf);
-        for want in &reqs {
-            let got: Request = read_frame(&mut cursor).expect("read").expect("present");
-            assert_eq!(&got, want);
-        }
-        assert!(read_frame::<Request, _>(&mut cursor)
-            .expect("eof")
-            .is_none());
+        ]
     }
 
-    #[test]
-    fn responses_round_trip_the_wire() {
-        let resps = vec![
+    /// One of each response variant, led by a real report.
+    fn every_response() -> Vec<Response> {
+        vec![
+            Response::Report {
+                cached: true,
+                report: demo_job().run_local(),
+            },
             Response::Overloaded { retry_after_ms: 25 },
             Response::Expired {
                 error: "deadline expired after 12 ms in queue".into(),
@@ -385,10 +417,50 @@ mod tests {
             Response::ProbeResult { hit: true },
             Response::ProbeResult { hit: false },
             Response::NotCached,
+            Response::Stats(StatsSnapshot {
+                queue_depth: 1,
+                queue_capacity: 64,
+                queue_oldest_ms: 3,
+                workers: 2,
+                jobs_submitted: 9,
+                jobs_completed: 7,
+                jobs_failed: 1,
+                jobs_rejected: 1,
+                cache_hits: 4,
+                cache_misses: 5,
+                cache_entries: 5,
+                worker_utilization: vec![0.25, 0.5],
+                latency_p50_ms: 16,
+                latency_p99_ms: 64,
+                counters: vec![MetricRow {
+                    name: "serve.jobs.submitted".into(),
+                    value: 9,
+                }],
+            }),
             Response::Pong,
             Response::ShuttingDown,
             Response::Error("bad request".into()),
-        ];
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip_the_wire() {
+        let reqs = every_request();
+        let mut buf = Vec::new();
+        for r in &reqs {
+            write_frame(&mut buf, r).expect("write");
+        }
+        let mut cursor = std::io::Cursor::new(buf);
+        for want in &reqs {
+            let got = read_request(&mut cursor).expect("read").expect("present");
+            assert_eq!(&got, want);
+        }
+        assert!(read_request(&mut cursor).expect("eof").is_none());
+    }
+
+    #[test]
+    fn responses_round_trip_the_wire() {
+        let resps = every_response();
         let mut buf = Vec::new();
         for r in &resps {
             write_frame(&mut buf, r).expect("write");
@@ -404,6 +476,81 @@ mod tests {
                 serde_json::to_string(want).expect("json"),
             );
         }
+    }
+
+    /// A `Write` that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct WriteCalls(Vec<Vec<u8>>);
+
+    impl Write for WriteCalls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The frame `msg` goes out as: exactly one `write` call, holding
+    /// exactly one `\n`, at its end. Returns the frame's length.
+    fn assert_one_write<T: Serialize>(msg: &T) -> usize {
+        let mut calls = WriteCalls::default();
+        write_frame(&mut calls, msg).expect("write");
+        assert_eq!(
+            calls.0.len(),
+            1,
+            "a frame split over two writes waits on Nagle and delayed ACK"
+        );
+        let frame = &calls.0[0];
+        assert_eq!(frame.iter().filter(|&&b| b == b'\n').count(), 1);
+        assert_eq!(frame.last(), Some(&b'\n'));
+        frame.len()
+    }
+
+    #[test]
+    fn every_frame_is_one_write_ending_in_one_newline() {
+        for req in &every_request() {
+            assert_one_write(req);
+        }
+        let resps = every_response();
+        let report_len = assert_one_write(&resps[0]);
+        assert!(report_len > 1024, "report frame is {report_len} bytes");
+        for resp in &resps[1..] {
+            assert_one_write(resp);
+        }
+    }
+
+    #[test]
+    fn request_frames_are_capped_and_responses_are_not() {
+        let probe = |len: usize| Request::Probe {
+            key: 1,
+            canonical: "x".repeat(len),
+        };
+        let framing = serde_json::to_string(&probe(0)).expect("json").len() + 1;
+        let frame = |len: usize| {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &probe(len)).expect("write");
+            std::io::Cursor::new(buf)
+        };
+
+        let mut at_cap = frame(MAX_REQUEST_BYTES - framing);
+        assert_eq!(at_cap.get_ref().len(), MAX_REQUEST_BYTES);
+        assert!(read_request(&mut at_cap).expect("at the cap").is_some());
+
+        let mut over = frame(MAX_REQUEST_BYTES - framing + 1);
+        let err = read_request(&mut over).expect_err("over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::FileTooLarge);
+        assert_eq!(over.position(), MAX_REQUEST_BYTES as u64);
+
+        let huge = Response::Error("x".repeat(2 * MAX_REQUEST_BYTES));
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &huge).expect("write");
+        let big: Response = read_frame(&mut std::io::Cursor::new(buf))
+            .expect("responses are not capped")
+            .expect("present");
+        assert!(matches!(big, Response::Error(e) if e.len() == 2 * MAX_REQUEST_BYTES));
     }
 
     #[test]

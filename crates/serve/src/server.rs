@@ -23,7 +23,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::stats::ServiceStats;
 use crate::worker::{Job, Resolve, WorkerPool};
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -266,15 +266,24 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     loop {
-        let request = match proto::read_frame::<Request, _>(&mut reader) {
+        let request = match proto::read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) => return Ok(()), // client hung up
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 proto::write_frame(&mut writer, &Response::Error(e.to_string()))?;
                 continue;
+            }
+            Err(e) if e.kind() == io::ErrorKind::FileTooLarge => {
+                // Oversize request: we stopped mid-line and cannot
+                // resync. Send the FIN right after the reply, so the
+                // client reads the error and then EOF even though
+                // closing with its unread bytes resets the socket.
+                proto::write_frame(&mut writer, &Response::Error(e.to_string()))?;
+                return writer.shutdown(Shutdown::Write);
             }
             Err(e) => return Err(e),
         };

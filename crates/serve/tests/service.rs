@@ -1,11 +1,13 @@
 //! End-to-end service tests over localhost TCP (ephemeral ports).
 
-use nomad_serve::proto::{JobSpec, Response};
+use nomad_serve::proto::{self, JobSpec, Response, MAX_REQUEST_BYTES};
 use nomad_serve::{serve, Client, ServerConfig};
 use nomad_sim::runner::{self, Cell};
 use nomad_sim::{SchemeSpec, SystemConfig};
 use nomad_trace::WorkloadProfile;
-use std::time::Duration;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn small_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::scaled(2);
@@ -235,5 +237,71 @@ fn grid_via_service_matches_in_process_grid() {
         assert_eq!(l.scheme, s.scheme);
         assert_eq!(l.to_json(), s.to_json(), "reports must be byte-identical");
     }
+    handle.shutdown();
+}
+
+/// Back-to-back requests on one connection do not wait on the wire.
+/// A response split over two writes, on a socket without
+/// `TCP_NODELAY`, waits ~40 ms for the client's delayed ACK: 50 pings
+/// then take ~2 s instead of a few ms.
+#[test]
+fn back_to_back_requests_do_not_stall_on_the_wire() {
+    let handle = test_server(1, 8);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let spec = job(SchemeSpec::Nomad, WorkloadProfile::tc(), 3);
+    assert!(matches!(
+        client.submit(&spec).expect("priming submit"),
+        Response::Report { cached: false, .. }
+    ));
+
+    let start = Instant::now();
+    for _ in 0..50 {
+        client.ping().expect("ping");
+    }
+    for _ in 0..10 {
+        match client.submit(&spec).expect("submit") {
+            Response::Report { cached: true, .. } => {}
+            other => panic!("expected a cache hit, got {other:?}"),
+        }
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "50 pings + 10 cache hits took {elapsed:?}"
+    );
+    handle.shutdown();
+}
+
+/// A request line over `MAX_REQUEST_BYTES` gets an `Error` and the
+/// connection closes (it cannot resync mid-line); the server keeps
+/// serving new connections.
+#[test]
+fn oversize_request_gets_error_then_eof() {
+    let handle = test_server(1, 8);
+    let addr = handle.local_addr();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+
+    let (first, rest) = std::thread::scope(|scope| {
+        // The server stops reading at the cap, so the tail of this
+        // write may fail with a reset; only the replies matter.
+        scope.spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 2 * MAX_REQUEST_BYTES]);
+        });
+        let first = proto::read_frame::<Response, _>(&mut reader);
+        (first, proto::read_frame::<Response, _>(&mut reader))
+    });
+    match first.expect("read reply") {
+        Some(Response::Error(e)) => assert!(e.contains("exceeds"), "{e}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    assert!(rest.expect("read after reply").is_none(), "expected EOF");
+
+    let mut client = Client::connect(addr).expect("fresh connection");
+    client.ping().expect("server still answers");
     handle.shutdown();
 }
