@@ -114,140 +114,86 @@ pub fn sweep(scale: &Scale, specs: &[SchemeSpec], workloads: &[WorkloadProfile])
     })
 }
 
-/// Like [`sweep`], but submits the whole grid through a running
-/// nomad-serve instance at `addr` (one cell per job, results in the
-/// same `workloads × specs` order). `scale.jobs` bounds the number of
-/// concurrent client connections (the server's own `--workers` count
-/// still decides how many cells actually simulate at once), and the
-/// shared sweep cancellation token makes a serve-side failure — e.g. a
-/// job that blew the server's wall-clock budget — wind down the
-/// remaining submissions instead of pushing the rest of a doomed grid.
-/// Repeated invocations against the same server reuse its
-/// content-addressed result cache, so regenerating a figure after a
-/// partial run only pays for the cells that changed — the service-side
-/// analogue of the local sweep journal, which is why this path does
-/// not journal locally. An unreachable or mid-grid-dying server is
-/// not fatal: the client reconnects with backoff and, past its budget,
-/// degrades to local in-process execution (see
-/// `nomad_serve::ClientConfig`), so the rows still come back
-/// byte-identical.
-pub fn sweep_via_service(
-    addr: &str,
-    scale: &Scale,
-    specs: &[SchemeSpec],
-    workloads: &[WorkloadProfile],
-) -> Vec<Row> {
-    let cells: Vec<nomad_sim::runner::Cell> = workloads
-        .iter()
-        .flat_map(|w| {
-            specs.iter().map(|spec| nomad_sim::runner::Cell {
-                cfg: scale.config(),
-                spec: spec.clone(),
-                profile: w.clone(),
-                instructions: scale.instructions,
-                warmup: scale.warmup,
-                seed: scale.seed,
-            })
-        })
-        .collect();
-    let reports = match nomad_serve::run_grid_via_jobs(addr, cells, scale.jobs, par::sweep_token())
-    {
-        Ok(reports) => reports,
-        Err(e) if par::sweep_token().is_cancelled() => {
-            eprintln!("sweep cancelled during service submission ({e}); discarding partial grid");
-            std::process::exit(130);
-        }
-        Err(e) => panic!("grid submission to nomad-serve at {addr} failed: {e}"),
-    };
-    let mut rows = Vec::new();
-    let mut it = reports.iter();
-    for w in workloads {
-        for spec in specs {
-            let r = it.next().expect("one report per cell");
-            rows.push(Row::from_report(r, w.class.label()));
-            eprintln!(
-                "  [{}/{}] ipc {:.3} (via service)",
-                w.name,
-                spec.label(),
-                r.ipc()
-            );
-        }
-    }
-    rows
-}
-
-/// Like [`sweep_via_service`], but shards the grid across a whole
-/// fleet of nomad-serve nodes via `nomad_fleet::run_grid_via_fleet`:
-/// each cell routes to its consistent-hash owner, any node's cache can
-/// answer it (probe before compute), idle workers steal from
-/// stragglers, and a dead node's arc fails over to the survivors (past
-/// the last node the cells degrade to in-process execution). Same
-/// oracle as every other path: rows come back byte-identical to the
-/// local sweep at any fleet size and any `scale.jobs`.
+/// Like [`sweep`], but runs the grid through the fleet router
+/// (`nomad_fleet::FleetClient::run_grid`) over the nomad-serve nodes at
+/// `addrs`; a single server is a fleet of one. Each cell routes to its
+/// consistent-hash owner, any node's cache can answer it, and dead
+/// nodes fail over (past the last one the cells run in-process).
+/// `scale.jobs` sets the router's worker count. Rows come back
+/// byte-identical to [`sweep`] at any fleet size and width. The nodes'
+/// result caches are what a rerun reuses, so this path does not
+/// journal locally.
 pub fn sweep_via_fleet(
     addrs: &[String],
     scale: &Scale,
     specs: &[SchemeSpec],
     workloads: &[WorkloadProfile],
 ) -> Vec<Row> {
-    let cells: Vec<nomad_sim::runner::Cell> = workloads
+    let pairs: Vec<(&WorkloadProfile, &SchemeSpec)> = workloads
         .iter()
-        .flat_map(|w| {
-            specs.iter().map(|spec| nomad_sim::runner::Cell {
-                cfg: scale.config(),
-                spec: spec.clone(),
-                profile: w.clone(),
-                instructions: scale.instructions,
-                warmup: scale.warmup,
-                seed: scale.seed,
-            })
+        .flat_map(|w| specs.iter().map(move |spec| (w, spec)))
+        .collect();
+    let cells = pairs
+        .iter()
+        .map(|&(w, spec)| nomad_serve::JobSpec {
+            cfg: scale.config(),
+            spec: spec.clone(),
+            profile: w.clone(),
+            instructions: scale.instructions,
+            warmup: scale.warmup,
+            seed: scale.seed,
         })
         .collect();
-    let reports =
-        match nomad_fleet::run_grid_via_fleet(addrs, cells, scale.jobs, par::sweep_token()) {
-            Ok(reports) => reports,
-            Err(e) if par::sweep_token().is_cancelled() => {
-                eprintln!("sweep cancelled during fleet submission ({e}); discarding partial grid");
-                std::process::exit(130);
-            }
-            Err(e) => panic!("grid submission to the fleet {addrs:?} failed: {e}"),
-        };
-    let mut rows = Vec::new();
-    let mut it = reports.iter();
-    for w in workloads {
-        for spec in specs {
-            let r = it.next().expect("one report per cell");
-            rows.push(Row::from_report(r, w.class.label()));
+    let fleet = nomad_fleet::FleetClient::new(addrs);
+    let reports = match fleet.run_grid(cells, scale.jobs, par::sweep_token()) {
+        Ok(reports) => reports,
+        Err(e) if par::sweep_token().is_cancelled() => {
+            eprintln!("sweep cancelled during fleet submission ({e}); discarding partial grid");
+            std::process::exit(130);
+        }
+        Err(e) => panic!("grid submission to the fleet {addrs:?} failed: {e}"),
+    };
+    pairs
+        .iter()
+        .zip(&reports)
+        .map(|(&(w, spec), r)| {
             eprintln!(
                 "  [{}/{}] ipc {:.3} (via fleet)",
                 w.name,
                 spec.label(),
                 r.ipc()
             );
-        }
-    }
-    rows
+            Row::from_report(r, w.class.label())
+        })
+        .collect()
 }
 
-/// `sweep` locally; via a nomad-serve fleet when `NOMAD_FLEET_ADDRS`
-/// is set (comma/whitespace-separated addresses — the line the
-/// `nomad-fleet local N` coordinator prints); or via a single
-/// nomad-serve instance when only `NOMAD_SERVE_ADDR` is set. The fleet
-/// takes precedence over the single server.
+/// The nodes an off-process sweep goes to, from the values of
+/// `NOMAD_FLEET_ADDRS` and `NOMAD_SERVE_ADDR`: the fleet list when it
+/// names any address, else `NOMAD_SERVE_ADDR` parsed the same way (one
+/// address is a fleet of one), else `None` for the in-process sweep.
+fn service_addrs(fleet: Option<&str>, serve: Option<&str>) -> Option<Vec<String>> {
+    [fleet, serve]
+        .into_iter()
+        .flatten()
+        .map(nomad_fleet::parse_addrs)
+        .find(|addrs| !addrs.is_empty())
+}
+
+/// `sweep` locally, or via [`sweep_via_fleet`] when
+/// `NOMAD_FLEET_ADDRS` (the line `nomad-fleet local N` prints) or
+/// `NOMAD_SERVE_ADDR` (the line `nomad-serve` prints) names a node;
+/// the fleet takes precedence.
 pub fn sweep_maybe_serviced(
     scale: &Scale,
     specs: &[SchemeSpec],
     workloads: &[WorkloadProfile],
 ) -> Vec<Row> {
-    if let Ok(raw) = std::env::var("NOMAD_FLEET_ADDRS") {
-        let addrs = nomad_fleet::parse_addrs(&raw);
-        if !addrs.is_empty() {
-            return sweep_via_fleet(&addrs, scale, specs, workloads);
-        }
-    }
-    match std::env::var("NOMAD_SERVE_ADDR") {
-        Ok(addr) if !addr.is_empty() => sweep_via_service(&addr, scale, specs, workloads),
-        _ => sweep(scale, specs, workloads),
+    let fleet = std::env::var("NOMAD_FLEET_ADDRS").ok();
+    let serve = std::env::var("NOMAD_SERVE_ADDR").ok();
+    match service_addrs(fleet.as_deref(), serve.as_deref()) {
+        Some(addrs) => sweep_via_fleet(&addrs, scale, specs, workloads),
+        None => sweep(scale, specs, workloads),
     }
 }
 
@@ -467,8 +413,8 @@ pub mod fig02 {
 pub mod fig09 {
     use super::*;
 
-    /// Run the full cross product — in-process, or through a running
-    /// nomad-serve instance when `NOMAD_SERVE_ADDR` is set.
+    /// Run the full cross product — in-process, or through the fleet
+    /// router when `NOMAD_FLEET_ADDRS` or `NOMAD_SERVE_ADDR` is set.
     pub fn run(scale: &Scale) -> Vec<Row> {
         sweep_maybe_serviced(scale, &SchemeSpec::fig9_set(), &WorkloadProfile::all())
     }
@@ -1188,5 +1134,40 @@ pub mod fig16 {
         hr(64);
         println!("(paper: the two organizations perform similarly — FIFO frame");
         println!(" allocation spreads page copies uniformly across back-ends)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::service_addrs;
+
+    #[test]
+    fn service_addrs_prefers_fleet_then_serve_then_local() {
+        let addrs = |list: &[&str]| Some(list.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let serve = "127.0.0.1:7979";
+        let cases = [
+            // The fleet list wins when both are set.
+            (
+                Some("10.0.0.1:1,10.0.0.2:2"),
+                Some(serve),
+                addrs(&["10.0.0.1:1", "10.0.0.2:2"]),
+            ),
+            // NOMAD_SERVE_ADDR alone is a fleet of one.
+            (None, Some(serve), addrs(&[serve])),
+            // A comma list there parses like NOMAD_FLEET_ADDRS.
+            (
+                None,
+                Some(" 10.0.0.1:1, 10.0.0.2:2 ,,\n"),
+                addrs(&["10.0.0.1:1", "10.0.0.2:2"]),
+            ),
+            // Empty or blank values fall through, to NOMAD_SERVE_ADDR
+            // and then to the in-process sweep.
+            (Some(" , "), Some(serve), addrs(&[serve])),
+            (Some(""), Some(" \t"), None),
+            (None, None, None),
+        ];
+        for (fleet, serve, want) in cases {
+            assert_eq!(service_addrs(fleet, serve), want, "{fleet:?}, {serve:?}");
+        }
     }
 }

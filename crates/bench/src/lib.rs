@@ -12,7 +12,8 @@
 //!
 //! * `NOMAD_INSTR` — measured instructions per core (default 150 000);
 //! * `NOMAD_WARMUP` — warm-up instructions per core (default 120 000);
-//! * `NOMAD_CORES` — CPU cores (default 8, the paper's count);
+//! * `NOMAD_CORES` — CPU cores (default 8, the paper's count; clamped
+//!   to `1..=`[`nomad_sim::MAX_CORES`], what the timing wheel fits);
 //! * `NOMAD_SEED` — RNG seed (default 42);
 //! * `NOMAD_JOBS` — sweep worker threads (default: the host's
 //!   available parallelism; 0 or garbage clamp to 1). Results are
@@ -21,9 +22,11 @@
 //! * `NOMAD_ARENA=0` — disable per-thread [`System`](nomad_sim::System)
 //!   reuse and build every sweep cell from scratch (default: recycle;
 //!   see [`arena`]);
-//! * `NOMAD_LOCAL_CACHE=1` — memoize finished cells in
-//!   `results/cache/` keyed by their serve-tier content address
-//!   (default: off; see [`localcache`]).
+//! * `NOMAD_FLEET_ADDRS` — run the harness grids through the fleet
+//!   router over these `nomad-serve` nodes instead of in-process (see
+//!   [`figs::sweep_maybe_serviced`]); `NOMAD_SERVE_ADDR` alone is a
+//!   fleet of one. A node's `results/cache/` spill is what memoizes
+//!   finished cells across runs.
 //!
 //! Resilience knobs (see DESIGN.md §12):
 //!
@@ -34,14 +37,13 @@
 //!   completed cells from it;
 //! * `NOMAD_FAULTS` — arm a deterministic fault-injection plan
 //!   (`nomad_faults`; chaos testing only, unset = zero overhead);
-//! * `NOMAD_SERVE_*` — serve-client recovery budgets, documented on
-//!   `nomad_serve::ClientConfig`.
+//! * `NOMAD_SERVE_*` — the fleet router's per-node recovery budgets,
+//!   documented on `nomad_serve::ClientConfig`.
 
 pub mod arena;
 pub mod figs;
 pub mod journal;
 pub mod loadgen;
-pub mod localcache;
 pub mod measure;
 pub mod par;
 pub mod signal;
@@ -90,7 +92,7 @@ impl Scale {
         Scale {
             instructions: env::u64_or("NOMAD_INSTR", d.instructions),
             warmup: env::u64_or("NOMAD_WARMUP", d.warmup),
-            cores: env::usize_clamped("NOMAD_CORES", d.cores, 1, 4096),
+            cores: env::usize_clamped("NOMAD_CORES", d.cores, 1, nomad_sim::MAX_CORES),
             seed: env::u64_or("NOMAD_SEED", d.seed),
             jobs: par::jobs_from_env(),
         }
@@ -230,38 +232,8 @@ pub fn run_cell(
 /// [`run_with_cfg`] with cooperative cancellation. When the arena is
 /// enabled (default; see [`arena`]) the cell recycles this worker
 /// thread's parked [`System`](nomad_sim::System) instead of building
-/// one from scratch — behaviourally identical either way. With
-/// `NOMAD_LOCAL_CACHE` set (see [`localcache`]) the cell is served
-/// from (and stored to) the local content-addressed cache.
+/// one from scratch — behaviourally identical either way.
 pub fn run_with_cfg_cell(
-    cfg: &SystemConfig,
-    scale: &Scale,
-    spec: &SchemeSpec,
-    profile: &WorkloadProfile,
-    cancel: &CancelToken,
-) -> Option<RunReport> {
-    if localcache::dir().is_some() {
-        let job = nomad_serve::JobSpec {
-            cfg: cfg.clone(),
-            spec: spec.clone(),
-            profile: profile.clone(),
-            instructions: scale.instructions,
-            warmup: scale.warmup,
-            seed: scale.seed,
-        };
-        if let Some(hit) = localcache::lookup(&job) {
-            return Some(hit);
-        }
-        let report = execute_cell(cfg, scale, spec, profile, cancel)?;
-        localcache::store(&job, &report);
-        return Some(report);
-    }
-    execute_cell(cfg, scale, spec, profile, cancel)
-}
-
-/// The actual cell body behind [`run_with_cfg_cell`]: arena-pooled when
-/// enabled, fresh otherwise.
-fn execute_cell(
     cfg: &SystemConfig,
     scale: &Scale,
     spec: &SchemeSpec,
@@ -428,6 +400,19 @@ mod tests {
         assert_eq!(d.with_cores(2).cores, 2);
         assert_eq!(d.with_jobs(3).jobs, 3);
         assert_eq!(d.with_jobs(0).jobs, 1, "with_jobs clamps to >= 1");
+    }
+
+    /// `NOMAD_CORES` past what the timing wheel fits clamps to
+    /// `MAX_CORES` instead of panicking every cell. This is the only
+    /// test mutating `NOMAD_CORES`.
+    #[test]
+    fn scale_from_env_clamps_nomad_cores() {
+        std::env::set_var("NOMAD_CORES", (nomad_sim::MAX_CORES + 1).to_string());
+        assert_eq!(Scale::from_env().cores, nomad_sim::MAX_CORES);
+        std::env::set_var("NOMAD_CORES", "0");
+        assert_eq!(Scale::from_env().cores, 1);
+        std::env::remove_var("NOMAD_CORES");
+        assert_eq!(Scale::from_env().cores, 8);
     }
 
     /// `from_env` picks up `NOMAD_JOBS`, clamping invalid and zero

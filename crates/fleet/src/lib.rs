@@ -26,11 +26,13 @@
 //!   the node is never declared dead, so membership stays monotone
 //!   while overload oscillates freely.
 //!
-//! The house oracle carries over from the serve tier: a grid run
-//! through [`run_grid_via_fleet`] produces **byte-identical**
-//! `RunReport`s at any fleet size, any `jobs` width, with or without
-//! injected faults (`fleet_parity` and the fleet chaos matrix hold
-//! this).
+//! [`FleetClient::run_grid`] is the only off-process grid executor: a
+//! single `nomad-serve` is just a fleet of one (the figure harnesses
+//! read `NOMAD_SERVE_ADDR` as a one-node `NOMAD_FLEET_ADDRS`). The
+//! house oracle holds at every size: a grid produces
+//! **byte-identical** `RunReport`s at any fleet size, any `jobs`
+//! width, with or without injected faults (`fleet_parity` and the
+//! chaos suite hold this).
 //!
 //! Fault sites (see `nomad-faults`): `fleet.route` (placement falls
 //! back to the first alive node), `fleet.steal` (a steal attempt is
@@ -47,7 +49,7 @@ pub mod router;
 
 pub use member::{Breaker, BreakerConfig, BreakerState, FleetConfig, Membership};
 pub use ring::HashRing;
-pub use router::{run_grid_via_fleet, run_grid_via_fleet_with, FleetClient};
+pub use router::FleetClient;
 
 /// Parse a fleet address list: comma- and/or whitespace-separated
 /// `host:port` entries, trimmed, empties dropped. This is the accepted

@@ -45,8 +45,8 @@ pub struct FleetConfig {
     /// Virtual nodes per member on the hash ring
     /// (`NOMAD_FLEET_VNODES`, default 64).
     pub vnodes: usize,
-    /// Per-node transport and reconnect budgets (the PR-5 ladder,
-    /// applied per node instead of per server).
+    /// Per-node transport and reconnect budgets (the router's per-node
+    /// reconnect ladder).
     pub client: ClientConfig,
     /// Heartbeat cadence (`NOMAD_FLEET_HB_MS`, default 200).
     pub heartbeat_interval: Duration,

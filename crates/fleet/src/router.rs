@@ -1,8 +1,8 @@
 //! The fleet router: shard a grid across nodes, read every node's
 //! cache, steal from stragglers, fail over dead arcs.
 //!
-//! [`FleetClient::run_grid`] is the fleet-scale counterpart of
-//! `nomad_serve::run_grid_via_jobs_with`, and holds the same oracle:
+//! [`FleetClient::run_grid`] is the one remote grid executor: a single
+//! `nomad-serve` is just a fleet of one. It holds the house oracle:
 //! **byte-identical rows at any fleet size, any `jobs` width, with or
 //! without injected faults** — because cells are pure and
 //! content-addressed, it never matters *which* node (or which process)
@@ -19,7 +19,7 @@
 //!    regardless of ring placement. Probe/fetch transport errors are
 //!    treated as misses, never as node failures.
 //! 3. **Submit with the per-node ladder.** The owner gets the job via
-//!    the PR-5 recovery ladder scoped to that node: transport errors
+//!    a recovery ladder scoped to that node: transport errors
 //!    reconnect with capped exponential backoff + deterministic
 //!    jitter; past the budget the node is declared dead
 //!    ([`Membership::mark_dead`]), its queued cells re-route to the
@@ -39,7 +39,6 @@
 use crate::member::{FleetConfig, Membership};
 use nomad_serve::proto::{JobSpec, Response};
 use nomad_serve::{Client, ClientConfig};
-use nomad_sim::runner::Cell;
 use nomad_sim::RunReport;
 use nomad_types::CancelToken;
 use std::collections::VecDeque;
@@ -138,7 +137,7 @@ impl FleetClient {
     /// pipeline and the recovery ladder.
     pub fn run_grid(
         &self,
-        cells: Vec<Cell>,
+        cells: Vec<JobSpec>,
         jobs: usize,
         cancel: &CancelToken,
     ) -> io::Result<Vec<RunReport>> {
@@ -162,8 +161,7 @@ impl FleetClient {
         // Route every cell to its owner's queue, in submission order
         // (deterministic ring + deterministic keys = deterministic
         // placement).
-        for (idx, cell) in cells.into_iter().enumerate() {
-            let job = JobSpec::from_cell(&cell);
+        for (idx, job) in cells.into_iter().enumerate() {
             let owner = state
                 .members
                 .route(job.content_key())
@@ -205,29 +203,6 @@ impl FleetClient {
             .map(|(_, r)| r.map_err(io::Error::other))
             .collect()
     }
-}
-
-/// Drop-in fleet counterpart of `nomad_serve::run_grid_via_jobs`:
-/// shard `cells` across the nodes at `addrs` with environment-derived
-/// budgets.
-pub fn run_grid_via_fleet(
-    addrs: &[String],
-    cells: Vec<Cell>,
-    jobs: usize,
-    cancel: &CancelToken,
-) -> io::Result<Vec<RunReport>> {
-    FleetClient::new(addrs).run_grid(cells, jobs, cancel)
-}
-
-/// [`run_grid_via_fleet`] with explicit budgets.
-pub fn run_grid_via_fleet_with(
-    addrs: &[String],
-    cells: Vec<Cell>,
-    jobs: usize,
-    cancel: &CancelToken,
-    cfg: FleetConfig,
-) -> io::Result<Vec<RunReport>> {
-    FleetClient::with_config(addrs, cfg).run_grid(cells, jobs, cancel)
 }
 
 /// One router worker: drain the home queue, steal from stragglers,
@@ -273,8 +248,11 @@ fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
             continue;
         }
         let home = alive[t % alive.len()];
-        // Home work first…
-        if let Some(item) = state.queues[home].lock().expect("queue lock").pop_front() {
+        // Home work first… (popped in its own statement: the queue
+        // lock must not be held while the cell runs, or workers sharing
+        // this node serialize and `fail_node(home)` self-deadlocks.)
+        let item = state.queues[home].lock().expect("queue lock").pop_front();
+        if let Some(item) = item {
             let outcome = run_item(&item, home, state, &mut conns, cancel);
             finish(state, item.idx, outcome, cancel);
             continue;
@@ -309,8 +287,7 @@ fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
 }
 
 /// Record one outcome; an unrecoverable cell latches `cancel` so
-/// sibling workers stop feeding a doomed grid (mirroring the serve
-/// grid runner).
+/// sibling workers stop feeding a doomed grid.
 fn finish(state: &RunState, idx: usize, outcome: Result<RunReport, String>, cancel: &CancelToken) {
     if outcome.is_err() {
         cancel.cancel();
@@ -450,7 +427,7 @@ enum LadderOutcome {
     Overloaded,
 }
 
-/// The PR-5 ladder scoped to one node: reconnect with backoff, count
+/// The recovery ladder scoped to one node: reconnect with backoff, count
 /// `resilience.serve_reconnects`, give a server-side `Failed` one
 /// local retry, and report the node dead past the budget. Every
 /// submit outcome also feeds the node's circuit breaker (success,
@@ -539,9 +516,9 @@ fn submit_with_ladder(
     LadderOutcome::NodeDead
 }
 
-/// Degraded-mode execution, identical in spirit to the serve client's:
-/// run in-process, count one `resilience.local_fallbacks`, catch
-/// panics.
+/// Degraded-mode execution: run in-process, count one
+/// `resilience.local_fallbacks`, catch panics so one bad cell reports
+/// an error instead of tearing down the router worker.
 fn run_cell_locally(job: &JobSpec, cancel: &CancelToken) -> Result<RunReport, String> {
     nomad_obs::resilience().local_fallbacks.inc();
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -1,30 +1,26 @@
-//! Thin synchronous client for the nomad-serve protocol, plus the
-//! self-healing grid runner built on it.
+//! Thin synchronous client for the nomad-serve protocol.
 //!
 //! # Timeouts and reconnection
 //!
 //! Connections are opened with a connect timeout and carry read/write
 //! timeouts, so a hung or unreachable server fails a request instead
-//! of parking a sweep thread forever. The grid runner
-//! ([`run_grid_via_jobs`]) treats every transport error as transient:
-//! it reconnects with capped exponential backoff (plus deterministic
-//! jitter) and resubmits the job — safe because jobs are idempotent
-//! and content-addressed, so a resubmission of work the server already
-//! finished is a cache hit. Only when the server stays unreachable
-//! past the reconnect budget does the runner degrade: it flips a
-//! grid-wide flag and runs the remaining cells in-process, so a dead
-//! `NOMAD_SERVE_ADDR` costs one backoff budget, not one per cell.
+//! of parking a sweep thread forever. Grids are not run from here: the
+//! fleet router (`nomad_fleet::FleetClient::run_grid`) drives every
+//! off-process sweep, a single server being a fleet of one. Its
+//! per-node ladder treats transport errors as transient — reconnect
+//! with [`ClientConfig::backoff`] and resubmit, safe because jobs are
+//! idempotent and content-addressed — and past the reconnect budget
+//! declares the node dead and degrades to in-process execution.
+//! [`submit_within_deadline`] is the same ladder for one job under a
+//! hard client-side budget.
 //!
 //! All budgets come from [`ClientConfig`] (environment-overridable;
 //! see its field docs).
 
 use crate::proto::{self, JobSpec, Request, Response, StatsSnapshot};
-use nomad_sim::runner::Cell;
 use nomad_sim::RunReport;
-use nomad_types::CancelToken;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Longest single backpressure sleep [`Client::submit_retrying`] will
@@ -32,7 +28,8 @@ use std::time::Duration;
 /// thread for minutes.
 const MAX_REJECTED_SLEEP_MS: u64 = 1_000;
 
-/// Connection and recovery budgets for [`Client`] and the grid runner.
+/// Connection and recovery budgets for [`Client`] and the reconnect
+/// ladders built on it (the fleet router's, [`submit_within_deadline`]).
 ///
 /// [`ClientConfig::from_env`] reads each field from an environment
 /// variable (falling back to the default on unset or garbage), so
@@ -46,8 +43,9 @@ pub struct ClientConfig {
     /// default 600 000 — simulations are slow, transport stalls are
     /// not; `0` disables). `None` blocks forever.
     pub io_timeout: Option<Duration>,
-    /// Reconnect attempts per job before the runner degrades to local
-    /// execution (`NOMAD_SERVE_RECONNECTS`, default 4).
+    /// Reconnect attempts per job before the fleet router declares the
+    /// node dead (`NOMAD_SERVE_RECONNECTS`, default 4); past the last
+    /// node the cell runs in-process.
     pub reconnect_attempts: u32,
     /// Base reconnect backoff (`NOMAD_SERVE_BACKOFF_MS`, default 50);
     /// attempt `n` sleeps `base · 2^(n-1)` + jitter, capped by
@@ -286,8 +284,8 @@ fn unexpected(wanted: &str, got: &Response) -> io::Error {
 /// total spent across all attempts never exceeds `budget`.
 ///
 /// `conn` is the caller's reusable connection slot (dropped on
-/// transport errors, re-established lazily, exactly like the grid
-/// runner's). When the budget runs out client-side the call returns a
+/// transport errors, re-established lazily, exactly like the fleet
+/// router's per-node slots). When the budget runs out client-side the call returns a
 /// fabricated `Response::Expired` — the caller cannot distinguish who
 /// shed first, and does not need to. Transport errors past
 /// `cfg.reconnect_attempts` surface as the underlying `io::Error`.
@@ -357,203 +355,5 @@ pub fn submit_within_deadline(
                 std::thread::sleep(cfg.backoff(salt, attempt).min(remaining));
             }
         }
-    }
-}
-
-/// Drop-in replacement for [`nomad_sim::runner::run_grid`]
-/// that submits the grid through a
-/// running nomad-serve instance: one connection per client thread,
-/// results in input order. Fails on the first job the service reports
-/// as failed.
-pub fn run_grid_via(addr: &str, cells: Vec<Cell>) -> io::Result<Vec<RunReport>> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    run_grid_via_jobs(addr, cells, threads, &CancelToken::new())
-}
-
-/// [`run_grid_via`] with an explicit client-connection count and a
-/// cancellation token, using the environment-derived [`ClientConfig`].
-pub fn run_grid_via_jobs(
-    addr: &str,
-    cells: Vec<Cell>,
-    jobs: usize,
-    cancel: &CancelToken,
-) -> io::Result<Vec<RunReport>> {
-    run_grid_via_jobs_with(addr, cells, jobs, cancel, &ClientConfig::from_env())
-}
-
-/// The self-healing grid runner. `jobs` (clamped ≥ 1) bounds how many
-/// connections — and therefore in-flight submissions — the client
-/// opens; the server's own worker pool still decides how many cells
-/// simulate concurrently.
-///
-/// Recovery ladder, per cell:
-///
-/// 1. **Transport errors are transient.** A failed connect, send or
-///    receive drops the connection, sleeps a capped exponential
-///    backoff with deterministic jitter ([`ClientConfig::backoff`]),
-///    reconnects and resubmits — safe because jobs are idempotent and
-///    content-addressed (a resubmission of finished work is a cache
-///    hit). Each re-established connection counts one
-///    `resilience.serve_reconnects`.
-/// 2. **Unreachable past the budget degrades the grid.** After
-///    `cfg.reconnect_attempts` consecutive failures the runner flips a
-///    grid-wide *degraded* flag: this cell and every remaining cell
-///    run in-process via [`JobSpec::run_local_cancellable`] (each
-///    counting one `resilience.local_fallbacks`), so a dead
-///    `NOMAD_SERVE_ADDR` costs one backoff budget total — the sweep
-///    degrades instead of failing.
-/// 3. **A server-side `Failed` gets one local retry.** The server
-///    exhausted its own attempt budget; the cell is retried in-process
-///    once (panics caught). Only if that also fails does the grid
-///    fail: the error latches `cancel`, sibling threads stop
-///    submitting, and unsubmitted cells surface as `cancelled` errors.
-pub fn run_grid_via_jobs_with(
-    addr: &str,
-    cells: Vec<Cell>,
-    jobs: usize,
-    cancel: &CancelToken,
-    cfg: &ClientConfig,
-) -> io::Result<Vec<RunReport>> {
-    crate::mirror_faults_to_obs();
-    let threads = jobs.max(1).min(cells.len().max(1));
-    let work: Vec<(usize, Cell)> = cells.into_iter().enumerate().collect();
-    let queue = std::sync::Mutex::new(work);
-    let results = std::sync::Mutex::new(Vec::new());
-    // Set once the server has proven unreachable past the reconnect
-    // budget; every thread then skips straight to local execution
-    // instead of re-paying the backoff budget per cell.
-    let degraded = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut conn: Option<Client> = None;
-                loop {
-                    let item = queue.lock().expect("work lock").pop();
-                    let Some((idx, cell)) = item else { return };
-                    if cancel.is_cancelled() {
-                        results
-                            .lock()
-                            .expect("results lock")
-                            .push((idx, Err("cancelled before submission".to_string())));
-                        continue;
-                    }
-                    let job = JobSpec::from_cell(&cell);
-                    let outcome = run_cell_healing(&mut conn, addr, &job, cancel, cfg, &degraded);
-                    if outcome.is_err() {
-                        // Fail fast: an unrecoverable cell dooms the
-                        // whole grid, so stop feeding the server.
-                        cancel.cancel();
-                    }
-                    results.lock().expect("results lock").push((idx, outcome));
-                }
-            });
-        }
-    });
-    let mut collected = results.into_inner().expect("threads joined");
-    collected.sort_by_key(|(i, _)| *i);
-    collected
-        .into_iter()
-        .map(|(_, r)| r.map_err(io::Error::other))
-        .collect()
-}
-
-/// Run one cell through the recovery ladder documented on
-/// [`run_grid_via_jobs_with`]. `conn` is this thread's reusable
-/// connection slot (dropped on transport errors, re-established
-/// lazily).
-fn run_cell_healing(
-    conn: &mut Option<Client>,
-    addr: &str,
-    job: &JobSpec,
-    cancel: &CancelToken,
-    cfg: &ClientConfig,
-    degraded: &AtomicBool,
-) -> Result<RunReport, String> {
-    let salt = job.content_key();
-    let mut attempt = 0u32;
-    while !degraded.load(Ordering::Relaxed) {
-        if cancel.is_cancelled() {
-            return Err("cancelled during recovery".to_string());
-        }
-        if conn.is_none() {
-            match Client::connect_with(addr, cfg) {
-                Ok(c) => {
-                    if attempt > 0 {
-                        nomad_obs::resilience().serve_reconnects.inc();
-                    }
-                    *conn = Some(c);
-                }
-                Err(e) => {
-                    attempt += 1;
-                    if attempt > cfg.reconnect_attempts {
-                        eprintln!(
-                            "nomad-serve client: {addr} unreachable after {attempt} attempts \
-                             ({e}); degrading to local execution"
-                        );
-                        degraded.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    std::thread::sleep(cfg.backoff(salt, attempt));
-                    continue;
-                }
-            }
-        }
-        let client = conn.as_mut().expect("connection established above");
-        match client.submit_retrying(job, 1000) {
-            Ok(Response::Report { report, .. }) => return Ok(report),
-            Ok(Response::Failed { error, attempts }) => {
-                // The server ran out of attempts on this job; give it
-                // one in-process try before dooming the grid (counted
-                // below as a local fallback).
-                eprintln!(
-                    "nomad-serve client: job failed server-side after {attempts} attempts \
-                     ({error}); retrying locally"
-                );
-                return run_cell_locally(job, cancel);
-            }
-            Ok(Response::Overloaded { .. }) => {
-                return Err("job rejected past retry budget".to_string())
-            }
-            Ok(Response::Expired { error }) => {
-                // The server shed the job (CoDel queue-delay drop —
-                // this runner submits without deadlines); the cell is
-                // still needed, so run it here.
-                eprintln!("nomad-serve client: job shed server-side ({error}); running locally");
-                return run_cell_locally(job, cancel);
-            }
-            Ok(other) => return Err(format!("unexpected response: {other:?}")),
-            Err(e) => {
-                // Transport error mid-request: the connection is in an
-                // unknown state, so drop it and go around the ladder.
-                *conn = None;
-                attempt += 1;
-                if attempt > cfg.reconnect_attempts {
-                    eprintln!(
-                        "nomad-serve client: transport to {addr} failed {attempt} times \
-                         ({e}); degrading to local execution"
-                    );
-                    degraded.store(true, Ordering::Relaxed);
-                    break;
-                }
-                std::thread::sleep(cfg.backoff(salt, attempt));
-            }
-        }
-    }
-    run_cell_locally(job, cancel)
-}
-
-/// Degraded-mode execution: run the job in this process, catching
-/// panics so one bad cell reports an error instead of tearing down the
-/// sweep thread.
-fn run_cell_locally(job: &JobSpec, cancel: &CancelToken) -> Result<RunReport, String> {
-    nomad_obs::resilience().local_fallbacks.inc();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        job.run_local_cancellable(cancel)
-    })) {
-        Ok(Some(report)) => Ok(report),
-        Ok(None) => Err("cancelled during local fallback".to_string()),
-        Err(_) => Err("local fallback panicked".to_string()),
     }
 }

@@ -63,10 +63,7 @@ pub mod stats;
 pub mod worker;
 
 pub use cache::{JobFailure, ResultCache};
-pub use client::{
-    run_grid_via, run_grid_via_jobs, run_grid_via_jobs_with, submit_within_deadline, Client,
-    ClientConfig,
-};
+pub use client::{submit_within_deadline, Client, ClientConfig};
 pub use overload::OverloadConfig;
 pub use proto::{JobSpec, MetricRow, Request, Response, StatsSnapshot};
 pub use server::{serve, ServerConfig, ServerHandle};
@@ -74,7 +71,7 @@ pub use stats::ServiceStats;
 
 /// Mirror every fault the `NOMAD_FAULTS` plan injects into the
 /// process-wide `resilience.faults_injected` counter. Idempotent;
-/// called by [`serve`] and the grid runner so both sides of the wire
+/// called by [`serve`] and the fleet router so both sides of the wire
 /// count their own injections. (nomad-faults itself is
 /// zero-dependency, so the mirroring lives here.)
 pub fn mirror_faults_to_obs() {

@@ -4,8 +4,9 @@
 //! `\n`. A connection carries a synchronous request/response stream —
 //! the server answers requests in order, and a `Submit` holds the
 //! connection until its job resolves. Clients wanting parallelism open
-//! one connection per in-flight job (see
-//! [`run_grid_via`](crate::client::run_grid_via)).
+//! one connection per in-flight job (the fleet router,
+//! `nomad_fleet::FleetClient::run_grid`, keeps one per worker and
+//! node).
 //!
 //! # Framing
 //!
@@ -27,8 +28,8 @@
 //! identically.
 
 use crate::hash::fnv1a;
-use nomad_sim::runner::{self, Cell};
-use nomad_sim::{RunReport, SchemeSpec, SystemConfig};
+use nomad_sim::runner;
+use nomad_sim::{RunReport, SchemeSpec, SystemConfig, MAX_CORES};
 use nomad_trace::WorkloadProfile;
 use nomad_types::CancelToken;
 use serde::{Deserialize, Serialize};
@@ -53,16 +54,19 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Build a job from a [`run_grid`](runner::run_grid) cell.
-    pub fn from_cell(cell: &Cell) -> Self {
-        JobSpec {
-            cfg: cell.cfg.clone(),
-            spec: cell.spec.clone(),
-            profile: cell.profile.clone(),
-            instructions: cell.instructions,
-            warmup: cell.warmup,
-            seed: cell.seed,
+    /// Reject a job the simulator cannot build, before anything is
+    /// allocated for it: `cfg.cores` must lie in `1..=MAX_CORES`. A
+    /// wire job past the bound would otherwise build a `cores`-long
+    /// trace vector before the simulator's own assert, which for a
+    /// huge value aborts the process.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let cores = self.cfg.cores;
+        if cores == 0 || cores > MAX_CORES {
+            return Err(format!(
+                "invalid job: cores = {cores}, must be 1..={MAX_CORES}"
+            ));
         }
+        Ok(())
     }
 
     /// The canonical (compact, field-declaration-ordered) JSON
@@ -566,6 +570,21 @@ mod tests {
         let mut d = demo_job();
         d.spec = SchemeSpec::Baseline;
         assert_ne!(a.content_key(), d.content_key());
+    }
+
+    #[test]
+    fn validate_bounds_cores() {
+        for (cores, ok) in [
+            (0, false),
+            (1, true),
+            (MAX_CORES, true),
+            (MAX_CORES + 1, false),
+            (1 << 40, false),
+        ] {
+            let mut job = demo_job();
+            job.cfg.cores = cores;
+            assert_eq!(job.validate().is_ok(), ok, "cores = {cores}");
+        }
     }
 
     #[test]

@@ -356,6 +356,12 @@ fn handle_submit(
     deadline_ms: Option<u64>,
     shared: &Shared,
 ) -> Response {
+    // A job the simulator cannot build is a bad frame, not a failed
+    // job: answer `Error` before it is counted, claimed, queued or
+    // retried.
+    if let Err(e) = spec.validate() {
+        return Response::Error(e);
+    }
     shared.stats.submitted.inc();
     // Fault site `serve.admit`: `panic` kills this connection handler
     // mid-admission (the client sees a dropped connection and rides

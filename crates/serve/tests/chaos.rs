@@ -1,19 +1,22 @@
-//! Chaos suite: seeded fault injection against a live server, holding
-//! the ISSUE's acceptance bar — under a fixed `NOMAD_FAULTS` seed the
-//! sweep either fails identically or **recovers to byte-identical
+//! Chaos suite: seeded fault injection against live servers, holding
+//! one acceptance bar — under a fixed `NOMAD_FAULTS` seed the sweep
+//! either fails identically or **recovers to byte-identical
 //! results**, and with no plan installed nothing is ever injected.
+//! Every grid runs through the fleet router; a single server is a
+//! fleet of one.
 //!
 //! Fault plans are process-global (`nomad_faults::install`), so every
 //! test runs under one mutex and clears the plan before returning.
 
+use nomad_fleet::{FleetClient, FleetConfig};
 use nomad_serve::proto::JobSpec;
-use nomad_serve::{run_grid_via_jobs_with, serve, ClientConfig, ServerConfig};
-use nomad_sim::runner::{self, Cell};
-use nomad_sim::{SchemeSpec, SystemConfig};
+use nomad_serve::{serve, ClientConfig, ServerConfig};
+use nomad_sim::{RunReport, SchemeSpec, SystemConfig};
 use nomad_trace::WorkloadProfile;
 use nomad_types::CancelToken;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -37,10 +40,10 @@ fn small_cfg() -> SystemConfig {
     cfg
 }
 
-fn grid(seeds: &[u64]) -> Vec<Cell> {
+fn grid(seeds: &[u64]) -> Vec<JobSpec> {
     seeds
         .iter()
-        .map(|&seed| Cell {
+        .map(|&seed| JobSpec {
             cfg: small_cfg(),
             spec: SchemeSpec::Nomad,
             profile: WorkloadProfile::tc(),
@@ -53,27 +56,25 @@ fn grid(seeds: &[u64]) -> Vec<Cell> {
 
 /// The in-process oracle: what every recovered run must match
 /// byte-for-byte.
-fn expected_jsons(cells: &[Cell]) -> Vec<String> {
-    cells
-        .iter()
-        .map(|c| {
-            runner::run_one(
-                &c.cfg,
-                &c.spec,
-                &c.profile,
-                c.instructions,
-                c.warmup,
-                c.seed,
-            )
-            .to_json()
-        })
-        .collect()
+fn expected_jsons(cells: &[JobSpec]) -> Vec<String> {
+    cells.iter().map(|c| c.run_local().to_json()).collect()
+}
+
+fn jsons(reports: &[RunReport]) -> Vec<String> {
+    reports.iter().map(RunReport::to_json).collect()
 }
 
 fn test_server(cache_dir: Option<std::path::PathBuf>) -> nomad_serve::ServerHandle {
+    test_server_with(2, cache_dir)
+}
+
+fn test_server_with(
+    workers: usize,
+    cache_dir: Option<std::path::PathBuf>,
+) -> nomad_serve::ServerHandle {
     serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        workers: 2,
+        workers,
         queue_capacity: 32,
         job_timeout: Duration::from_secs(60),
         retry_budget: 2,
@@ -93,6 +94,18 @@ fn fast_cfg() -> ClientConfig {
         backoff_base: Duration::from_millis(2),
         backoff_cap: Duration::from_millis(20),
     }
+}
+
+/// A fleet of one over `addr` with `client` as its per-node ladder
+/// budgets: how every single-server sweep runs.
+fn fleet_of_one(addr: String, client: ClientConfig) -> FleetClient {
+    FleetClient::with_config(
+        &[addr],
+        FleetConfig {
+            client,
+            ..FleetConfig::default()
+        },
+    )
 }
 
 /// A scratch directory under the system temp dir, unique per call.
@@ -115,19 +128,19 @@ fn no_plan_injects_nothing() {
         let handle = test_server(None);
         let addr = handle.local_addr().to_string();
         let before = nomad_faults::injected_total();
-        let reports = run_grid_via_jobs_with(&addr, cells, 2, &CancelToken::new(), &fast_cfg())
+        let reports = fleet_of_one(addr, fast_cfg())
+            .run_grid(cells, 2, &CancelToken::new())
             .expect("clean grid");
         handle.shutdown();
         assert_eq!(nomad_faults::injected_total(), before, "no injections");
-        let got: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        assert_eq!(got, expected);
+        assert_eq!(jsons(&reports), expected);
     });
 }
 
-/// Mid-frame connection drops on both protocol directions: the client
-/// reconnects and resubmits (idempotent, content-addressed), and the
-/// grid completes byte-identical to the in-process oracle — at one and
-/// at four client connections.
+/// Mid-frame connection drops on both protocol directions: the
+/// router's ladder reconnects and resubmits (idempotent,
+/// content-addressed), and the grid completes byte-identical to the
+/// in-process oracle — at one and at four router workers.
 #[test]
 fn mid_frame_drops_recover_byte_identical() {
     let cells = grid(&[10, 11, 12, 13]);
@@ -138,16 +151,11 @@ fn mid_frame_drops_recover_byte_identical() {
             || {
                 let handle = test_server(None);
                 let addr = handle.local_addr().to_string();
-                let reports = run_grid_via_jobs_with(
-                    &addr,
-                    cells.clone(),
-                    jobs,
-                    &CancelToken::new(),
-                    &fast_cfg(),
-                )
-                .expect("grid recovers");
+                let reports = fleet_of_one(addr, fast_cfg())
+                    .run_grid(cells.clone(), jobs, &CancelToken::new())
+                    .expect("grid recovers");
                 handle.shutdown();
-                reports.iter().map(|r| r.to_json()).collect::<Vec<_>>()
+                jsons(&reports)
             },
         );
         assert_eq!(got, expected, "jobs={jobs} must recover byte-identical");
@@ -159,7 +167,7 @@ fn mid_frame_drops_recover_byte_identical() {
 }
 
 /// Worker attempts that always panic exhaust the server's retry budget
-/// and come back `Failed`; the client's one local retry still delivers
+/// and come back `Failed`; the router's one local retry still delivers
 /// the correct rows.
 #[test]
 fn worker_panics_past_budget_fall_back_locally() {
@@ -174,11 +182,11 @@ fn worker_panics_past_budget_fall_back_locally() {
             .1;
         let handle = test_server(None);
         let addr = handle.local_addr().to_string();
-        let reports = run_grid_via_jobs_with(&addr, cells, 2, &CancelToken::new(), &fast_cfg())
+        let reports = fleet_of_one(addr, fast_cfg())
+            .run_grid(cells, 2, &CancelToken::new())
             .expect("local fallback saves the grid");
         handle.shutdown();
-        let got: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        assert_eq!(got, expected);
+        assert_eq!(jsons(&reports), expected);
         let after = nomad_obs::resilience()
             .rows()
             .into_iter()
@@ -197,7 +205,7 @@ fn torn_cache_spill_is_skipped_on_reload() {
     let dir = scratch_dir("torn-spill");
     let cells = grid(&[30]);
     let expected = expected_jsons(&cells);
-    let job = JobSpec::from_cell(&cells[0]);
+    let job = cells[0].clone();
 
     with_plan(Some("9:serve.cache.spill=torn"), || {
         let handle = test_server(Some(dir.clone()));
@@ -242,7 +250,7 @@ fn injected_reload_failure_degrades_to_rerun() {
     let dir = scratch_dir("reload");
     let cells = grid(&[40]);
     let expected = expected_jsons(&cells);
-    let job = JobSpec::from_cell(&cells[0]);
+    let job = cells[0].clone();
 
     with_plan(None, || {
         let handle = test_server(Some(dir.clone()));
@@ -268,9 +276,9 @@ fn injected_reload_failure_degrades_to_rerun() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Nothing listening at the address: the grid pays one reconnect
-/// budget, degrades, and every cell still comes back byte-identical
-/// from local execution.
+/// Nothing listening at the address: the ladder pays one reconnect
+/// budget, declares the only node dead, and every cell still comes
+/// back byte-identical from local execution.
 #[test]
 fn dead_server_degrades_to_local_execution() {
     with_plan(None, || {
@@ -288,10 +296,10 @@ fn dead_server_degrades_to_local_execution() {
             backoff_cap: Duration::from_millis(5),
             ..ClientConfig::default()
         };
-        let reports = run_grid_via_jobs_with(&dead_addr, cells, 2, &CancelToken::new(), &cfg)
+        let reports = fleet_of_one(dead_addr, cfg)
+            .run_grid(cells, 2, &CancelToken::new())
             .expect("degraded grid still completes");
-        let got: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        assert_eq!(got, expected);
+        assert_eq!(jsons(&reports), expected);
         let fallbacks = nomad_obs::resilience()
             .rows()
             .into_iter()
@@ -317,12 +325,12 @@ fn test_fleet(n: usize) -> (Vec<nomad_serve::ServerHandle>, Vec<String>) {
 
 /// Fast fleet budgets: the chaos ladder from [`fast_cfg`] per node,
 /// plus a tight heartbeat so failover detection costs milliseconds.
-fn fast_fleet_cfg() -> nomad_fleet::FleetConfig {
-    nomad_fleet::FleetConfig {
+fn fast_fleet_cfg() -> FleetConfig {
+    FleetConfig {
         client: fast_cfg(),
         heartbeat_interval: Duration::from_millis(5),
         heartbeat_misses: 1,
-        ..nomad_fleet::FleetConfig::default()
+        ..FleetConfig::default()
     }
 }
 
@@ -335,16 +343,39 @@ fn fleet_metric(name: &str) -> u64 {
 /// The ring owner of each cell under an all-alive fleet of `n` nodes —
 /// placement is a pure function of stable slot labels, so tests can
 /// assert which node owns what before ever starting a server.
-fn owners(cells: &[Cell], n: usize) -> Vec<usize> {
+fn owners(cells: &[JobSpec], n: usize) -> Vec<usize> {
     let slots: Vec<usize> = (0..n).collect();
-    let ring = nomad_fleet::HashRing::new(&slots, nomad_fleet::FleetConfig::default().vnodes);
+    let ring = nomad_fleet::HashRing::new(&slots, FleetConfig::default().vnodes);
     cells
         .iter()
-        .map(|c| {
-            ring.route(JobSpec::from_cell(c).content_key())
-                .expect("route")
-        })
+        .map(|c| ring.route(c.content_key()).expect("route"))
         .collect()
+}
+
+/// Run `cells` through `fleet` on a detached thread and wait at most
+/// `limit` for the rows, so a deadlocked router fails the test instead
+/// of hanging the suite.
+fn run_grid_within(
+    fleet: FleetClient,
+    cells: Vec<JobSpec>,
+    jobs: usize,
+    limit: Duration,
+) -> Vec<String> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let grid = std::thread::spawn(move || {
+        let _ = tx.send(fleet.run_grid(cells, jobs, &CancelToken::new()));
+    });
+    match rx.recv_timeout(limit) {
+        Ok(reports) => {
+            grid.join().expect("the grid thread exits after sending");
+            jsons(&reports.expect("grid completes"))
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(grid.join().expect_err("the grid thread panicked"))
+        }
+        // Leave the hung thread detached: joining it would hang too.
+        Err(RecvTimeoutError::Timeout) => panic!("the grid did not finish within {limit:?}"),
+    }
 }
 
 /// A node dead before the sweep even starts: the router's per-node
@@ -364,18 +395,17 @@ fn fleet_dead_node_arc_reassigned() {
         let (mut handles, addrs) = test_fleet(3);
         handles.remove(1).shutdown();
         let failovers_before = fleet_metric("fleet.failovers");
-        let cfg = nomad_fleet::FleetConfig {
+        let cfg = FleetConfig {
             client: ClientConfig {
                 reconnect_attempts: 2,
                 ..fast_cfg()
             },
             ..fast_fleet_cfg()
         };
-        let reports =
-            nomad_fleet::run_grid_via_fleet_with(&addrs, cells, 3, &CancelToken::new(), cfg)
-                .expect("failover saves the grid");
-        let got: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        assert_eq!(got, expected, "failover must be byte-identical");
+        let reports = FleetClient::with_config(&addrs, cfg)
+            .run_grid(cells, 3, &CancelToken::new())
+            .expect("failover saves the grid");
+        assert_eq!(jsons(&reports), expected, "failover must be byte-identical");
         assert!(
             fleet_metric("fleet.failovers") > failovers_before,
             "the dead node's arc was reassigned exactly through mark_dead"
@@ -414,16 +444,14 @@ fn fleet_mid_sweep_node_kill_fails_over() {
                 }
                 victim.shutdown();
             });
-            let reports = nomad_fleet::run_grid_via_fleet_with(
-                &addrs,
-                cells,
-                2,
-                &CancelToken::new(),
-                fast_fleet_cfg(),
-            )
-            .expect("mid-sweep failover saves the grid");
-            let got: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-            assert_eq!(got, expected, "mid-sweep failover must be byte-identical");
+            let reports = FleetClient::with_config(&addrs, fast_fleet_cfg())
+                .run_grid(cells, 2, &CancelToken::new())
+                .expect("mid-sweep failover saves the grid");
+            assert_eq!(
+                jsons(&reports),
+                expected,
+                "mid-sweep failover must be byte-identical"
+            );
         });
         assert!(
             fleet_metric("fleet.failovers") > failovers_before,
@@ -446,22 +474,22 @@ fn fleet_torn_probe_frames_recover_byte_identical() {
         Some("21:serve.proto.write_frame=torn@0.15,serve.proto.read_frame=io@0.1"),
         || {
             let (handles, addrs) = test_fleet(2);
-            let cfg = nomad_fleet::FleetConfig {
+            let cfg = FleetConfig {
                 // Keep the heartbeat out of the torn-frame blast radius:
                 // this test is about probe/submit recovery, not spurious
                 // heartbeat deaths (those are fine, just a different test).
                 heartbeat_interval: Duration::from_millis(200),
                 heartbeat_misses: 8,
                 client: fast_cfg(),
-                ..nomad_fleet::FleetConfig::default()
+                ..FleetConfig::default()
             };
-            let reports =
-                nomad_fleet::run_grid_via_fleet_with(&addrs, cells, 2, &CancelToken::new(), cfg)
-                    .expect("torn frames recover");
+            let reports = FleetClient::with_config(&addrs, cfg)
+                .run_grid(cells, 2, &CancelToken::new())
+                .expect("torn frames recover");
             for h in handles {
                 h.shutdown();
             }
-            reports.iter().map(|r| r.to_json()).collect::<Vec<_>>()
+            jsons(&reports)
         },
     );
     assert_eq!(
@@ -484,24 +512,103 @@ fn fleet_route_and_steal_faults_stay_byte_identical() {
     let expected = expected_jsons(&cells);
     let got = with_plan(Some("33:fleet.route=io@0.5,fleet.steal=io@0.5"), || {
         let (handles, addrs) = test_fleet(3);
-        let reports = nomad_fleet::run_grid_via_fleet_with(
-            &addrs,
-            cells,
-            4,
-            &CancelToken::new(),
-            fast_fleet_cfg(),
-        )
-        .expect("fleet-site faults are harmless");
+        let reports = FleetClient::with_config(&addrs, fast_fleet_cfg())
+            .run_grid(cells, 4, &CancelToken::new())
+            .expect("fleet-site faults are harmless");
         for h in handles {
             h.shutdown();
         }
-        reports.iter().map(|r| r.to_json()).collect::<Vec<_>>()
+        jsons(&reports)
     });
     assert_eq!(got, expected, "fleet-site faults must not change the rows");
     assert!(
         nomad_faults::injected_total() > 0,
         "the plan must have fired"
     );
+}
+
+/// Router workers that share a home node run their cells at the same
+/// time: a worker must not hold its home queue's lock while its cell
+/// runs remotely. Eight cells, each pinned 500 ms inside a server
+/// worker, finish in about one delay on eight router workers — not in
+/// eight delays back to back (4 s) — at one node and at two. The limit
+/// sits halfway, with room for the cells' own compute in debug builds.
+#[test]
+fn fleet_workers_sharing_a_node_run_concurrently() {
+    let cells = grid(&[300, 301, 302, 303, 304, 305, 306, 307]);
+    let expected = expected_jsons(&cells);
+    for size in [1usize, 2] {
+        let (got, elapsed) = with_plan(Some("23:serve.worker.execute=delay:500"), || {
+            let handles: Vec<_> = (0..size).map(|_| test_server_with(8, None)).collect();
+            let addrs: Vec<String> = handles.iter().map(|h| h.local_addr().to_string()).collect();
+            let cfg = FleetConfig {
+                client: fast_cfg(),
+                ..FleetConfig::default()
+            };
+            let start = Instant::now();
+            let got = run_grid_within(
+                FleetClient::with_config(&addrs, cfg),
+                cells.clone(),
+                8,
+                Duration::from_secs(30),
+            );
+            let elapsed = start.elapsed();
+            for h in handles {
+                h.shutdown();
+            }
+            (got, elapsed)
+        });
+        assert_eq!(got, expected, "size {size}: rows must be byte-identical");
+        assert!(
+            elapsed < Duration::from_millis(2_000),
+            "size {size}: 8 cells of 500 ms on 8 workers took {elapsed:?}"
+        );
+    }
+}
+
+/// The per-node ladder declares a worker's home node dead before any
+/// heartbeat notices (a 30 s cadence here, and a fleet of one has no
+/// heartbeat at all). Failover then locks that node's queue to re-route
+/// its cells, which must not be the lock the worker took to pop the
+/// cell it is running — or the grid deadlocks.
+#[test]
+fn fleet_ladder_kills_home_node_without_hanging() {
+    with_plan(None, || {
+        let cells = grid(&[60, 100, 110, 130, 150, 40]);
+        let expected = expected_jsons(&cells);
+        assert!(
+            owners(&cells, 2).iter().filter(|&&o| o == 1).count() >= 2,
+            "seed choice: node 1 must own at least two cells"
+        );
+        let (mut handles, addrs) = test_fleet(2);
+        handles.remove(1).shutdown();
+        let failovers_before = fleet_metric("fleet.failovers");
+        let cfg = FleetConfig {
+            client: ClientConfig {
+                connect_timeout: Duration::from_millis(100),
+                reconnect_attempts: 1,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(5),
+                ..ClientConfig::default()
+            },
+            heartbeat_interval: Duration::from_secs(30),
+            ..FleetConfig::default()
+        };
+        let got = run_grid_within(
+            FleetClient::with_config(&addrs, cfg),
+            cells,
+            2,
+            Duration::from_secs(20),
+        );
+        assert_eq!(got, expected, "failover must be byte-identical");
+        assert!(
+            fleet_metric("fleet.failovers") > failovers_before,
+            "the ladder declared node 1 dead"
+        );
+        for h in handles {
+            h.shutdown();
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -511,9 +618,10 @@ fn fleet_route_and_steal_faults_stay_byte_identical() {
 // ---------------------------------------------------------------------------
 
 /// Injected admission rejections (`serve.admit=io`) force `Overloaded`
-/// answers as if the server were saturated; the client's backpressure
-/// retry loop heals them, the grid recovers byte-identical, and every
-/// forced rejection is witnessed by `overload.admit_shed`.
+/// answers as if the server were saturated; the ladder's backpressure
+/// retries heal them (past its retry budget a fleet of one computes the
+/// cell locally), the grid recovers byte-identical, and every forced
+/// rejection is witnessed by `overload.admit_shed`.
 #[test]
 fn overload_injected_admit_rejections_heal_byte_identical() {
     let cells = grid(&[200, 201, 202]);
@@ -524,23 +632,21 @@ fn overload_injected_admit_rejections_heal_byte_identical() {
             .expect("counter registered");
         let handle = test_server(None);
         let addr = handle.local_addr().to_string();
-        let reports = run_grid_via_jobs_with(&addr, cells, 2, &CancelToken::new(), &fast_cfg())
+        let reports = fleet_of_one(addr, fast_cfg())
+            .run_grid(cells, 2, &CancelToken::new())
             .expect("backpressure retries heal the grid");
         handle.shutdown();
         let after = nomad_obs::overload()
             .value("overload.admit_shed")
             .expect("counter registered");
-        (
-            reports.iter().map(|r| r.to_json()).collect::<Vec<_>>(),
-            after - before,
-        )
+        (jsons(&reports), after - before)
     });
     assert_eq!(got, expected, "forced rejections must heal byte-identical");
     assert!(shed_delta > 0, "the plan must actually have rejected work");
 }
 
 /// Admission panics (`serve.admit=panic`) kill the connection handler
-/// mid-admission; the client sees a dropped connection, rides its
+/// mid-admission; the router sees a dropped connection, rides its
 /// reconnect ladder, and the grid still recovers byte-identical.
 #[test]
 fn overload_admit_panics_heal_byte_identical() {
@@ -550,13 +656,11 @@ fn overload_admit_panics_heal_byte_identical() {
         let before = nomad_faults::injected_total();
         let handle = test_server(None);
         let addr = handle.local_addr().to_string();
-        let reports = run_grid_via_jobs_with(&addr, cells, 2, &CancelToken::new(), &fast_cfg())
+        let reports = fleet_of_one(addr, fast_cfg())
+            .run_grid(cells, 2, &CancelToken::new())
             .expect("reconnect ladder heals admission panics");
         handle.shutdown();
-        (
-            reports.iter().map(|r| r.to_json()).collect::<Vec<_>>(),
-            nomad_faults::injected_total() - before,
-        )
+        (jsons(&reports), nomad_faults::injected_total() - before)
     });
     assert_eq!(got, expected, "admission panics must heal byte-identical");
     assert!(injected > 0, "the plan must have fired");
@@ -575,7 +679,7 @@ fn overload_injected_breaker_failures_reroute_byte_identical() {
             .value("overload.breaker_trips")
             .expect("counter registered");
         let (handles, addrs) = test_fleet(2);
-        let cfg = nomad_fleet::FleetConfig {
+        let cfg = FleetConfig {
             breaker: nomad_fleet::BreakerConfig {
                 window: 8,
                 fail_threshold: 2,
@@ -584,19 +688,16 @@ fn overload_injected_breaker_failures_reroute_byte_identical() {
             },
             ..fast_fleet_cfg()
         };
-        let reports =
-            nomad_fleet::run_grid_via_fleet_with(&addrs, cells, 2, &CancelToken::new(), cfg)
-                .expect("breaker reroutes are harmless to correctness");
+        let reports = FleetClient::with_config(&addrs, cfg)
+            .run_grid(cells, 2, &CancelToken::new())
+            .expect("breaker reroutes are harmless to correctness");
         for h in handles {
             h.shutdown();
         }
         let after = nomad_obs::overload()
             .value("overload.breaker_trips")
             .expect("counter registered");
-        (
-            reports.iter().map(|r| r.to_json()).collect::<Vec<_>>(),
-            after - before,
-        )
+        (jsons(&reports), after - before)
     });
     assert_eq!(got, expected, "breaker reroutes must stay byte-identical");
     assert!(
@@ -616,18 +717,13 @@ fn fleet_injected_heartbeat_misses_fail_over() {
     let failovers_before = fleet_metric("fleet.failovers");
     let got = with_plan(Some("11:fleet.member=io"), || {
         let (handles, addrs) = test_fleet(2);
-        let reports = nomad_fleet::run_grid_via_fleet_with(
-            &addrs,
-            cells,
-            2,
-            &CancelToken::new(),
-            fast_fleet_cfg(),
-        )
-        .expect("injected member faults are survivable");
+        let reports = FleetClient::with_config(&addrs, fast_fleet_cfg())
+            .run_grid(cells, 2, &CancelToken::new())
+            .expect("injected member faults are survivable");
         for h in handles {
             h.shutdown();
         }
-        reports.iter().map(|r| r.to_json()).collect::<Vec<_>>()
+        jsons(&reports)
     });
     assert_eq!(
         got, expected,

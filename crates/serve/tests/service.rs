@@ -2,9 +2,9 @@
 
 use nomad_serve::proto::{self, JobSpec, Response, MAX_REQUEST_BYTES};
 use nomad_serve::{serve, Client, ServerConfig};
-use nomad_sim::runner::{self, Cell};
-use nomad_sim::{SchemeSpec, SystemConfig};
+use nomad_sim::{RunReport, SchemeSpec, SystemConfig, MAX_CORES};
 use nomad_trace::WorkloadProfile;
+use nomad_types::CancelToken;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -205,19 +205,20 @@ fn full_queue_rejects_with_backpressure() {
     }
 }
 
-/// `run_grid_via` is a drop-in for the in-process `run_grid`: same
-/// reports, same (input) order.
+/// A grid through a fleet of one (the router every off-process sweep
+/// uses) matches the same jobs run in-process: same reports, same
+/// (input) order.
 #[test]
 fn grid_via_service_matches_in_process_grid() {
     let handle = test_server(3, 32);
     let addr = handle.local_addr().to_string();
 
-    let cells: Vec<Cell> = [SchemeSpec::Baseline, SchemeSpec::Tid, SchemeSpec::Nomad]
+    let cells: Vec<JobSpec> = [SchemeSpec::Baseline, SchemeSpec::Tid, SchemeSpec::Nomad]
         .into_iter()
         .flat_map(|spec| {
             [WorkloadProfile::tc(), WorkloadProfile::mcf()]
                 .into_iter()
-                .map(move |profile| Cell {
+                .map(move |profile| JobSpec {
                     cfg: small_cfg(),
                     spec: spec.clone(),
                     profile,
@@ -228,8 +229,10 @@ fn grid_via_service_matches_in_process_grid() {
         })
         .collect();
 
-    let local = runner::run_grid(cells.clone());
-    let served = nomad_serve::run_grid_via(&addr, cells).expect("grid via service");
+    let local: Vec<RunReport> = cells.iter().map(JobSpec::run_local).collect();
+    let served = nomad_fleet::FleetClient::new(&[addr])
+        .run_grid(cells, 3, &CancelToken::new())
+        .expect("grid via service");
 
     assert_eq!(local.len(), served.len());
     for (l, s) in local.iter().zip(&served) {
@@ -237,6 +240,37 @@ fn grid_via_service_matches_in_process_grid() {
         assert_eq!(l.scheme, s.scheme);
         assert_eq!(l.to_json(), s.to_json(), "reports must be byte-identical");
     }
+    handle.shutdown();
+}
+
+/// A job with more cores than the timing wheel fits is answered with
+/// `Error` before it is counted, queued, executed or retried, and the
+/// connection stays usable. (Left to run, the worker would panic on the
+/// simulator's assert through the whole retry budget; with a huge
+/// `cores` it would abort the process allocating the trace vector.)
+#[test]
+fn job_with_too_many_cores_gets_error_and_connection_survives() {
+    let handle = test_server(1, 8);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    for cores in [MAX_CORES + 1, 0] {
+        let mut bad = job(SchemeSpec::Nomad, WorkloadProfile::tc(), 1);
+        bad.cfg.cores = cores;
+        match client.submit(&bad).expect("submit") {
+            Response::Error(e) => assert!(e.contains("cores"), "{e}"),
+            other => panic!("cores = {cores}: expected Error, got {other:?}"),
+        }
+        match client
+            .submit_with_deadline(&bad, Duration::from_secs(60))
+            .expect("submit with deadline")
+        {
+            Response::Error(e) => assert!(e.contains("cores"), "{e}"),
+            other => panic!("cores = {cores}: expected Error, got {other:?}"),
+        }
+    }
+    client.ping().expect("same connection still answers");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.jobs_submitted, 0, "{stats:?}");
+    assert_eq!(stats.jobs_failed, 0, "{stats:?}");
     handle.shutdown();
 }
 

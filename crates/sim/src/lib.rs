@@ -41,4 +41,4 @@ mod system;
 pub use config::SystemConfig;
 pub use report::{ObsSeries, RunReport};
 pub use spec::{BansheeSpec, NomadSpec, SchemeSpec, TdramSpec, TidSpec};
-pub use system::{HotProfileReport, System};
+pub use system::{HotProfileReport, System, MAX_CORES};

@@ -1,5 +1,6 @@
-//! Experiment runner: build, warm up, measure, report — with parallel
-//! sweeps for the figure/table harnesses.
+//! Experiment runner: build, warm up, measure, report. Grids of cells
+//! run through `nomad_bench::par::run_cells` (in-process) or the
+//! fleet router (off-process).
 
 use crate::config::SystemConfig;
 use crate::report::RunReport;
@@ -210,55 +211,6 @@ pub fn run_custom_cancellable(
     )
 }
 
-/// One experiment cell for [`run_grid`].
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// System configuration.
-    pub cfg: SystemConfig,
-    /// Scheme to run.
-    pub spec: SchemeSpec,
-    /// Workload to run.
-    pub profile: WorkloadProfile,
-    /// Measured instructions per core.
-    pub instructions: u64,
-    /// Warm-up instructions per core.
-    pub warmup: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// Run a grid of experiment cells across OS threads, preserving input
-/// order in the output.
-pub fn run_grid(cells: Vec<Cell>) -> Vec<RunReport> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(cells.len().max(1));
-    let cells: Vec<(usize, Cell)> = cells.into_iter().enumerate().collect();
-    let queue = std::sync::Mutex::new(cells);
-    let results = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let item = queue.lock().expect("queue lock").pop();
-                let Some((idx, cell)) = item else { break };
-                let report = run_one(
-                    &cell.cfg,
-                    &cell.spec,
-                    &cell.profile,
-                    cell.instructions,
-                    cell.warmup,
-                    cell.seed,
-                );
-                results.lock().expect("results lock").push((idx, report));
-            });
-        }
-    });
-    let mut out = results.into_inner().expect("threads joined");
-    out.sort_by_key(|(i, _)| *i);
-    out.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,25 +235,5 @@ mod tests {
         assert!(r.instructions() >= 20_000);
         assert!(r.ipc() > 0.0);
         assert!(r.cycles > 0);
-    }
-
-    #[test]
-    fn grid_preserves_order() {
-        let cfg = smoke_cfg();
-        let cells: Vec<Cell> = [SchemeSpec::Baseline, SchemeSpec::Ideal]
-            .into_iter()
-            .map(|spec| Cell {
-                cfg: cfg.clone(),
-                spec,
-                profile: WorkloadProfile::tc(),
-                instructions: 5_000,
-                warmup: 500,
-                seed: 3,
-            })
-            .collect();
-        let reports = run_grid(cells);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].scheme, "Baseline");
-        assert_eq!(reports[1].scheme, "Ideal");
     }
 }

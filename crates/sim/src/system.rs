@@ -176,6 +176,14 @@ pub struct System {
 /// DDR; see [`System::refresh_wheel`].
 const WHEEL_EXTRA: usize = 4;
 
+/// The most cores a [`System`] can simulate: each core is three timing
+/// wheel sources (cpu cluster, L1, L2) beside four shared ones (L3,
+/// scheme, HBM, DDR), and the wheel tracks at most
+/// [`MAX_SOURCES`](nomad_types::wheel::MAX_SOURCES). Inputs from
+/// outside the process (env values, wire jobs) are bounded by this
+/// before anything is built.
+pub const MAX_CORES: usize = (nomad_types::wheel::MAX_SOURCES - WHEEL_EXTRA) / 3;
+
 /// Shortest cpu-quiet window worth running as a burst instead of dense
 /// backoff ticks: a burst ends with a full wheel refresh (including the
 /// DRAM command-queue bound scans), so it must save at least this many
@@ -197,7 +205,8 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if `traces.len() != cfg.cores`.
+    /// Panics if `traces.len() != cfg.cores` or `cfg.cores >
+    /// MAX_CORES`.
     pub fn new(
         cfg: SystemConfig,
         scheme: Box<dyn DcScheme>,
@@ -205,9 +214,9 @@ impl System {
     ) -> Self {
         assert_eq!(traces.len(), cfg.cores, "one trace per core");
         assert!(
-            3 * cfg.cores + WHEEL_EXTRA <= nomad_types::wheel::MAX_SOURCES,
-            "the timing wheel tracks at most {} sources (3 per core + {WHEEL_EXTRA})",
-            nomad_types::wheel::MAX_SOURCES
+            cfg.cores <= MAX_CORES,
+            "the timing wheel fits at most {MAX_CORES} cores, got {}",
+            cfg.cores
         );
         let cores: Vec<Core> = traces
             .into_iter()

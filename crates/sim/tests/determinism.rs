@@ -1,8 +1,9 @@
-//! Determinism guarantees the result-caching service relies on: a
-//! fixed seed reproduces a byte-identical report, and `run_grid`
-//! returns results in input order regardless of scheduling.
+//! The determinism guarantee the result-caching service relies on: a
+//! fixed seed reproduces a byte-identical report. (Grid ordering is
+//! pinned where grids run: `par_parity` for the in-process executor,
+//! `fleet_parity` for the fleet router.)
 
-use nomad_sim::runner::{self, Cell};
+use nomad_sim::runner;
 use nomad_sim::{SchemeSpec, SystemConfig};
 use nomad_trace::WorkloadProfile;
 
@@ -24,64 +25,4 @@ fn run_one_with_fixed_seed_is_byte_identical() {
             spec.label()
         );
     }
-}
-
-#[test]
-fn run_grid_returns_results_in_input_order() {
-    // An order-sensitive grid: distinct (scheme × workload × seed)
-    // cells whose runtimes differ, so out-of-order completion would be
-    // visible if the runner failed to re-sort.
-    let workloads = [
-        WorkloadProfile::tc(),
-        WorkloadProfile::mcf(),
-        WorkloadProfile::libq(),
-    ];
-    let cells: Vec<Cell> = [SchemeSpec::Nomad, SchemeSpec::Baseline, SchemeSpec::Tid]
-        .into_iter()
-        .enumerate()
-        .flat_map(|(i, spec)| {
-            workloads.iter().map(move |w| Cell {
-                cfg: cfg(),
-                spec: spec.clone(),
-                // Vary run length so threads finish out of order.
-                instructions: 4_000 + 4_000 * (i as u64 % 3),
-                warmup: 500,
-                seed: 17 + i as u64,
-                profile: w.clone(),
-            })
-        })
-        .collect();
-
-    let expected: Vec<(String, String)> = cells
-        .iter()
-        .map(|c| (c.profile.name.clone(), c.spec.label().to_string()))
-        .collect();
-    let reports = runner::run_grid(cells);
-    let got: Vec<(String, String)> = reports
-        .iter()
-        .map(|r| (r.workload.clone(), r.scheme.clone()))
-        .collect();
-    assert_eq!(got, expected, "grid output must follow input order");
-}
-
-#[test]
-fn grid_cells_match_individual_runs() {
-    let cell = Cell {
-        cfg: cfg(),
-        spec: SchemeSpec::Nomad,
-        profile: WorkloadProfile::tc(),
-        instructions: 6_000,
-        warmup: 500,
-        seed: 5,
-    };
-    let direct = runner::run_one(
-        &cell.cfg,
-        &cell.spec,
-        &cell.profile,
-        cell.instructions,
-        cell.warmup,
-        cell.seed,
-    );
-    let via_grid = runner::run_grid(vec![cell]).remove(0);
-    assert_eq!(direct.to_json(), via_grid.to_json());
 }
