@@ -20,7 +20,8 @@ use crate::mshr::{MshrAlloc, MshrFile, MshrToken};
 use nomad_obs::{Gauge, Histo, Registry, Span, SpanRing};
 use nomad_types::stats::Counter;
 use nomad_types::{
-    AccessKind, Cycle, MemReq, MemResp, MemTarget, NextActivity, ReqId, TrafficClass,
+    AccessKind, BlockAddr, Cycle, MemReq, MemResp, MemTarget, NextActivity, ReqId, TrafficClass,
+    SUB_BLOCKS_PER_PAGE,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -460,11 +461,22 @@ impl CacheLevel {
     /// `(lines_removed, dirty_lines)`. Dirty data is folded into the
     /// page's dirty-in-cache state by the caller rather than written
     /// back line-by-line.
+    ///
+    /// Each of the page's blocks has exactly one possible set and
+    /// [`CacheArray::insert`] never holds a key twice, so probing the
+    /// page's block keys finds every line a full array scan would.
     pub fn invalidate_dc_page(&mut self, page: u64) -> (usize, usize) {
-        self.array.invalidate_matching(|key| {
-            let (addr, target) = unkey(key);
-            target == MemTarget::DramCache && addr.page() == page
-        })
+        let first = page * SUB_BLOCKS_PER_PAGE;
+        let mut removed = 0;
+        let mut dirty = 0;
+        for block in first..first + SUB_BLOCKS_PER_PAGE {
+            let key = block_key(BlockAddr(block), MemTarget::DramCache);
+            if let Some(d) = self.array.invalidate(key) {
+                removed += 1;
+                dirty += usize::from(d);
+            }
+        }
+        (removed, dirty)
     }
 
     /// Counters for this level.
@@ -534,7 +546,6 @@ impl NextActivity for CacheLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nomad_types::BlockAddr;
 
     fn read(token: u64, block: u64) -> MemReq {
         MemReq::read(ReqId(token), BlockAddr(block), MemTarget::OffPackage, 0)
@@ -684,6 +695,50 @@ mod tests {
         }
         assert!(hit);
         assert_eq!(c.stats().hits.get(), 1);
+    }
+
+    /// Flushing a DC page by probing its block keys must remove exactly
+    /// the lines a full scan of the array selects — same count, same
+    /// dirty count, same survivors — after random fills of a few pages
+    /// in both address spaces.
+    #[test]
+    fn dc_page_flush_matches_full_scan() {
+        let mut rng = 0x5eed_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut flushed = 0;
+        for _ in 0..50 {
+            let mut c = CacheLevel::new(CacheLevelConfig {
+                size_bytes: 16 * 1024,
+                assoc: 4,
+                ..mini_cfg()
+            });
+            for _ in 0..300 {
+                let block = BlockAddr(next() % 6 * SUB_BLOCKS_PER_PAGE + next() % 64);
+                let target = if next() % 2 == 0 {
+                    MemTarget::DramCache
+                } else {
+                    MemTarget::OffPackage
+                };
+                c.array.insert(block_key(block, target), next() % 3 == 0);
+            }
+            let page = next() % 6;
+            let in_page = |key: u64| {
+                let (addr, target) = unkey(key);
+                target == MemTarget::DramCache && addr.page() == page
+            };
+            let (hit, kept): (Vec<_>, Vec<_>) =
+                c.array.lines().into_iter().partition(|l| in_page(l.0));
+            let dirty = hit.iter().filter(|l| l.1).count();
+            assert_eq!(c.invalidate_dc_page(page), (hit.len(), dirty));
+            assert_eq!(c.array.lines(), kept);
+            flushed += hit.len();
+        }
+        assert!(flushed > 0);
     }
 
     /// [`run_until_idle`] with next-event skipping: advance straight to

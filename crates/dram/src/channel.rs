@@ -23,6 +23,16 @@
 //! The pre-refactor dense scan is kept under `#[cfg(test)]` as
 //! [`Channel::tick_device_oracle`] and a seeded differential test pins
 //! the masked scheduler to it cycle by cycle.
+//!
+//! # Due cycle
+//!
+//! Each channel keeps `due`, the exact-or-early device cycle at which
+//! [`Channel::tick_device`] can next change channel state: the end of
+//! an in-progress refresh, else the minimum of the next refresh start
+//! and every queued command's issue candidate. It is recomputed only
+//! when a tick changed state, and [`Channel::try_push`] folds the new
+//! command's own candidate in O(1), so an edge before `due` needs no
+//! scheduler pass at all.
 
 use crate::bank::BankFile;
 use crate::config::{DramConfig, TimingParams};
@@ -99,18 +109,12 @@ pub(crate) struct Channel {
     /// If refreshing, the device cycle the refresh completes.
     refresh_until: Option<u64>,
     timing: TimingParams,
-    /// Memoized [`next_interesting_dev_cycle`](Self::next_interesting_dev_cycle)
-    /// result (unclamped), or [`BOUND_DIRTY`]. Every candidate in the
-    /// bound is an absolute device cycle derived from channel state, so
-    /// the value stays valid until the state mutates — each mutation
-    /// site re-arms the sentinel via [`touch`](Self::touch). `Cell`
-    /// keeps the query `&self` for the read-only kernel scans.
-    bound_cache: std::cell::Cell<u64>,
+    /// Exact-or-early device cycle at which [`tick_device`](Self::tick_device)
+    /// can next change channel state (see the module docs). Every
+    /// candidate in it is an absolute device cycle derived from channel
+    /// state, so it stays valid until that state changes.
+    due: u64,
 }
-
-/// Sentinel for an invalidated [`Channel::bound_cache`]; real bounds
-/// are device-cycle numbers and never reach `u64::MAX`.
-const BOUND_DIRTY: u64 = u64::MAX;
 
 impl Channel {
     pub fn new(cfg: &DramConfig) -> Self {
@@ -126,7 +130,7 @@ impl Channel {
             next_refresh: cfg.timing.t_refi,
             refresh_until: None,
             timing: cfg.timing,
-            bound_cache: std::cell::Cell::new(BOUND_DIRTY),
+            due: cfg.timing.t_refi,
         }
     }
 
@@ -143,15 +147,14 @@ impl Channel {
         self.act_window = [0; 4];
         self.next_refresh = self.timing.t_refi;
         self.refresh_until = None;
-        self.bound_cache.set(BOUND_DIRTY);
+        self.due = self.timing.t_refi;
     }
 
-    /// Invalidate the memoized issue bound; must be called by every
-    /// mutation of state [`next_interesting_dev_cycle`](Self::next_interesting_dev_cycle)
-    /// reads (queue, banks, bus, ACT gates, refresh schedule).
+    /// Exact-or-early device cycle at which [`tick_device`](Self::tick_device)
+    /// can next change channel state; an edge before it is a no-op.
     #[inline]
-    fn touch(&mut self) {
-        self.bound_cache.set(BOUND_DIRTY);
+    pub fn due(&self) -> u64 {
+        self.due
     }
 
     /// Whether there is room for one more command.
@@ -193,7 +196,11 @@ impl Channel {
         });
         self.queued_count[bank] += 1;
         self.queued_mask |= 1u64 << bank;
-        self.touch();
+        // A new command only adds its own candidate to the bound; a
+        // refresh in progress freezes the scheduler until its end.
+        if self.refresh_until.is_none() {
+            self.due = self.due.min(self.issue_candidate(bank, row, kind));
+        }
         Ok(())
     }
 
@@ -218,17 +225,19 @@ impl Channel {
         self.act_window[3] = now + self.timing.t_faw;
     }
 
-    /// Handle the refresh machinery for this cycle. Returns `true` when
-    /// the cycle is consumed (refresh in progress or just started) and
-    /// no command may issue.
+    /// Handle the refresh machinery for this cycle. Returns
+    /// `(consumed, changed)`: whether the cycle is consumed (refresh in
+    /// progress or just started) so no command may issue, and whether
+    /// a refresh started or ended.
     #[inline]
-    fn tick_refresh(&mut self, now: u64, stats: &mut DramStats) -> bool {
+    fn tick_refresh(&mut self, now: u64, stats: &mut DramStats) -> (bool, bool) {
+        let mut ended = false;
         if let Some(until) = self.refresh_until {
             if now < until {
-                return true;
+                return (true, false);
             }
             self.refresh_until = None;
-            self.touch();
+            ended = true;
         }
         if now >= self.next_refresh {
             // Wait for all banks to become precharge-able, then refresh.
@@ -238,18 +247,16 @@ impl Channel {
                 self.banks.refresh_close_all(until);
                 self.refresh_until = Some(until);
                 self.next_refresh += self.timing.t_refi;
-                self.touch();
                 stats.refreshes.inc();
-                return true;
+                return (true, true);
             }
         }
-        false
+        (false, ended)
     }
 
     /// Issue the row-hit CAS queued at `i` and record its completion.
     fn issue_cas(&mut self, i: usize, now: u64, out: &mut Vec<ChannelCompletion>) {
         let t = self.timing;
-        self.touch();
         let cmd = self.take_queued(i);
         let data_start = match cmd.kind {
             AccessKind::Read => {
@@ -283,20 +290,33 @@ impl Channel {
 
     /// Advance one device cycle: maybe start/finish a refresh, then try
     /// to issue at most one command (FR-FCFS: first ready row-hit CAS,
-    /// else prepare the oldest request).
+    /// else prepare the oldest request). Recomputes [`due`](Self::due)
+    /// when channel state changed; an unchanged channel keeps its
+    /// (then early) due, so the next edge ticks it again.
     pub fn tick_device(
         &mut self,
         now: u64,
         stats: &mut DramStats,
         out: &mut Vec<ChannelCompletion>,
     ) {
-        if self.tick_refresh(now, stats) {
-            return;
+        if self.schedule(now, stats, out) {
+            self.recompute_due(now);
         }
-        // With no refresh pending this cycle and nothing queued, the
-        // scheduler has nothing to do.
-        if self.queue.is_empty() {
-            return;
+    }
+
+    /// The scheduler step behind [`tick_device`](Self::tick_device);
+    /// returns whether channel state changed.
+    fn schedule(
+        &mut self,
+        now: u64,
+        stats: &mut DramStats,
+        out: &mut Vec<ChannelCompletion>,
+    ) -> bool {
+        let (consumed, refresh_changed) = self.tick_refresh(now, stats);
+        // A refresh holds the cycle; otherwise, with nothing queued,
+        // the scheduler has nothing to do.
+        if consumed || self.queue.is_empty() {
+            return refresh_changed;
         }
 
         // FR-FCFS pass 1: oldest CAS-ready row hit whose bus slot is
@@ -323,7 +343,7 @@ impl Channel {
             }
             if let Some(i) = cas_idx {
                 self.issue_cas(i, now, out);
-                return;
+                return true;
             }
         }
 
@@ -358,8 +378,7 @@ impl Channel {
                 Some(_) => {
                     if self.banks.can_pre(bank_idx, now) {
                         self.banks.pre(bank_idx, now, &t);
-                        self.touch();
-                        return;
+                        return true;
                     }
                     attempted |= bit;
                 }
@@ -368,13 +387,13 @@ impl Channel {
                         self.banks.act(bank_idx, row, now, &t);
                         self.queue[i].needed_act = true;
                         self.note_act(now);
-                        self.touch();
-                        return;
+                        return true;
                     }
                     attempted |= bit;
                 }
             }
         }
+        refresh_changed
     }
 
     /// The pre-refactor dense FR-FCFS scan, kept verbatim as a parity
@@ -386,7 +405,7 @@ impl Channel {
         stats: &mut DramStats,
         out: &mut Vec<ChannelCompletion>,
     ) {
-        if self.tick_refresh(now, stats) {
+        if self.tick_refresh(now, stats).0 {
             return;
         }
 
@@ -430,7 +449,6 @@ impl Channel {
                         && self.banks.can_pre(bank_idx, now)
                     {
                         self.banks.pre(bank_idx, now, &t);
-                        self.touch();
                         return;
                     }
                     attempted |= bit;
@@ -440,7 +458,6 @@ impl Channel {
                         self.banks.act(bank_idx, row, now, &t);
                         self.queue[i].needed_act = true;
                         self.note_act(now);
-                        self.touch();
                         return;
                     }
                     attempted |= bit;
@@ -456,61 +473,67 @@ impl Channel {
     /// is replayable in bulk ([`replay_idle_refreshes`](Self::replay_idle_refreshes)),
     /// so an empty channel needs no wake-up of its own.
     ///
-    /// The bound is *exact or early, never late*: it is the minimum
-    /// over per-command issue candidates computed from the live
-    /// [`BankFile`] timing words, ignoring only constraints that can
-    /// delay an issue further (FR-FCFS protected/attempted sets, row
-    /// mismatches). Landing early costs one no-op tick; landing late
-    /// would break dense/event parity.
+    /// The bound is *exact or early, never late*: it is [`due`](Self::due)
+    /// clamped to `after + 1`. Landing early costs one no-op tick;
+    /// landing late would break dense/event parity.
     pub fn next_interesting_dev_cycle(&self, after: u64) -> Option<u64> {
         if self.queue.is_empty() {
             return None;
         }
-        // Mid-refresh the scheduler is frozen; nothing before `until`.
+        Some(self.due.max(after + 1))
+    }
+
+    /// Earliest device cycle at which a command to (`bank`, `row`) could
+    /// issue, from the live [`BankFile`] timing words: a CAS (bank CAS
+    /// timing plus the data-bus gate, `data_start = now + tCL/tCWL ≥
+    /// bus_free_at`) on its open row, a PRE on a row conflict, or an
+    /// ACT (gated by tRRD and the tFAW window) on a closed bank. It
+    /// ignores only constraints that can delay an issue further
+    /// (FR-FCFS protected/attempted sets, older commands), so it is
+    /// exact or early.
+    fn issue_candidate(&self, bank: usize, row: u64, kind: AccessKind) -> u64 {
+        match self.banks.open_row(bank) {
+            Some(open) if open == row => {
+                let lead = match kind {
+                    AccessKind::Read => self.timing.t_cl,
+                    AccessKind::Write => self.timing.t_cwl,
+                };
+                self.banks
+                    .cas_ready_at(bank)
+                    .max(self.bus_free_at.saturating_sub(lead))
+            }
+            Some(_) => self.banks.pre_ready_at(bank),
+            None => self
+                .banks
+                .act_ready_at(bank)
+                .max(self.next_act_ok)
+                .max(self.act_window[0]),
+        }
+    }
+
+    /// Recompute [`due`](Self::due) after device cycle `now` from the
+    /// current channel state: the end of an in-progress refresh (the
+    /// scheduler is frozen until then), else the next refresh start —
+    /// schedule, bank drain and bus must all allow it — or any queued
+    /// command's issue candidate, whichever is first.
+    fn recompute_due(&mut self, now: u64) {
         if let Some(until) = self.refresh_until {
-            return Some(until.max(after + 1));
+            self.due = until;
+            return;
         }
-        let cached = self.bound_cache.get();
-        if cached != BOUND_DIRTY {
-            return Some(cached.max(after + 1));
-        }
-        // Refresh start: schedule, bank drain and bus must all allow it.
-        // State is frozen inside a skip window, so the max is exact.
         let mut next = self
             .next_refresh
             .max(self.banks.max_busy_until())
             .max(self.bus_free_at);
-        let t = self.timing;
-        let act_gate = self.next_act_ok.max(self.act_window[0]);
         for cmd in &self.queue {
-            if next <= after + 1 {
-                break; // can't get earlier than the next cycle
+            // An early exit may keep a value below the true minimum;
+            // that is an *early* due (one no-op tick), never a late one.
+            if next <= now + 1 {
+                break;
             }
-            let cand = match self.banks.open_row(cmd.bank) {
-                Some(open) if open == cmd.row => {
-                    // CAS: bank CAS timing plus the data-bus gate
-                    // (data_start = now + tCL/tCWL must be ≥ bus_free_at).
-                    let lead = match cmd.kind {
-                        AccessKind::Read => t.t_cl,
-                        AccessKind::Write => t.t_cwl,
-                    };
-                    self.banks
-                        .cas_ready_at(cmd.bank)
-                        .max(self.bus_free_at.saturating_sub(lead))
-                }
-                // Row conflict: the scheduler would PRE this bank.
-                Some(_) => self.banks.pre_ready_at(cmd.bank),
-                // Closed bank: ACT, gated by tRRD and the tFAW window.
-                None => self.banks.act_ready_at(cmd.bank).max(act_gate),
-            };
-            next = next.min(cand);
+            next = next.min(self.issue_candidate(cmd.bank, cmd.row, cmd.kind));
         }
-        // An early-exited scan may memoize a value below the true
-        // minimum; re-reads then clamp to `after + 1` — an *early*
-        // answer, which the kernel contract tolerates (one no-op
-        // wake), never a late one.
-        self.bound_cache.set(next);
-        Some(next.max(after + 1))
+        self.due = next;
     }
 
     /// Replay the refresh machinery over the idle device-cycle window
@@ -528,35 +551,16 @@ impl Channel {
             self.queue.is_empty(),
             "idle refresh replay with queued work"
         );
+        // With nothing queued, `due` is the exact next refresh start or
+        // end, and refresh is all a dense tick would do there.
         let mut cur = from;
         loop {
-            // Next device cycle at which a dense tick would do
-            // anything: finish the in-progress refresh, or start one
-            // once the schedule, bank drain, and bus all allow it.
-            let next = match self.refresh_until {
-                Some(until) => until.max(cur + 1),
-                None => {
-                    let drain = self.banks.max_busy_until();
-                    self.next_refresh
-                        .max(drain)
-                        .max(self.bus_free_at)
-                        .max(cur + 1)
-                }
-            };
+            let next = self.due.max(cur + 1);
             if next > to {
                 return;
             }
-            self.refresh_until = None;
-            if next >= self.next_refresh {
-                let drain = self.banks.max_busy_until();
-                if next >= drain && next >= self.bus_free_at {
-                    let until = next + self.timing.t_rfc;
-                    self.banks.refresh_close_all(until);
-                    self.refresh_until = Some(until);
-                    self.next_refresh += self.timing.t_refi;
-                    stats.refreshes.inc();
-                }
-            }
+            self.tick_refresh(next, stats);
+            self.recompute_due(next);
             cur = next;
         }
     }

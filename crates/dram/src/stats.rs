@@ -24,7 +24,7 @@ impl ClassBytes {
 }
 
 /// Statistics for one DRAM device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DramStats {
     /// Device name (for display).
     pub name: String,
@@ -88,26 +88,12 @@ impl DramStats {
         }
     }
 
-    pub(crate) fn sample_queue(&mut self, occupancy: usize) {
-        self.queue_occupancy_sum += occupancy as u64;
-        self.queue_occupancy_samples += 1;
-    }
-
-    /// Record `n` zero-occupancy queue samples at once — what dense
-    /// ticking would have sampled across `n` (edge × channel) pairs
-    /// while every command queue was empty.
-    pub(crate) fn sample_queue_idle(&mut self, n: u64) {
-        self.queue_occupancy_samples += n;
-    }
-
-    /// Record `n` constant-occupancy queue samples at once — what dense
-    /// ticking would have sampled across `n` device edges of a channel
-    /// whose queue held `occupancy` commands the whole window (no
-    /// command can issue inside an event-kernel skip, so the depth is
-    /// pinned).
-    pub(crate) fn sample_queue_busy(&mut self, occupancy: usize, n: u64) {
-        self.queue_occupancy_sum += occupancy as u64 * n;
-        self.queue_occupancy_samples += n;
+    /// Record `samples` command-queue occupancy samples whose depths
+    /// sum to `occupancy_sum` — one per (device edge × channel) pair,
+    /// taken after the edge's scheduler pass.
+    pub(crate) fn sample_queue(&mut self, occupancy_sum: u64, samples: u64) {
+        self.queue_occupancy_sum += occupancy_sum;
+        self.queue_occupancy_samples += samples;
     }
 
     /// Bytes moved for `class` (both directions).

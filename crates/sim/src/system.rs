@@ -83,8 +83,9 @@ struct HotProfile {
     /// Phase 4: the SRAM hierarchy ([`System::tick_caches`]).
     cache_raw: u64,
     /// Phase 5: scheme tick (which ticks both DRAM devices internally)
-    /// plus response/shootdown/wake delivery. The DRAM share is carved
-    /// out afterwards from the devices' own profiled time.
+    /// plus response/shootdown/wake delivery, or on a memory-quiet tick
+    /// the two device ticks alone. The DRAM share is carved out
+    /// afterwards from the devices' own profiled time.
     scheme_raw: u64,
     /// Dense [`System::tick`] calls in the profiled window.
     dense_ticks: u64,
@@ -94,6 +95,8 @@ struct HotProfile {
     skipped_cycles: u64,
     /// Phase-5-only burst cycles (cpu-quiet regions) in the window.
     burst_ticks: u64,
+    /// Dense ticks whose phase 5 was skipped (memory-quiet ticks).
+    mem_quiet_ticks: u64,
 }
 
 /// Snapshot of the hot-path profile ([`System::hot_profile`]),
@@ -119,6 +122,10 @@ pub struct HotProfileReport {
     /// Phase-5-only burst cycles (cpu-quiet dense regions executed
     /// without touching cores, translation or the SRAM hierarchy).
     pub burst_ticks: u64,
+    /// Dense ticks whose phase 5 was skipped because neither the scheme
+    /// nor a DRAM device had anything due (memory-quiet ticks). A
+    /// deterministic work counter: 0 under [`System::run_dense`].
+    pub mem_quiet_ticks: u64,
 }
 
 /// Observability state of one system: the per-system [`Registry`] every
@@ -170,6 +177,11 @@ pub struct System {
     /// [`Self::refresh_wheel`] for the layout), refreshed at kernel
     /// decision points and read in O(1) by the run loop.
     wheel: TimingWheel,
+    /// First cycle whose phase 5 may do anything: the minimum of the
+    /// scheme's next activity and both devices' due edges, recomputed
+    /// at the end of every phase 5 and lowered to the current cycle
+    /// whenever phases 1–4 call into the scheme. Exact or early.
+    mem_next: Cycle,
 }
 
 /// Wheel sources past the three per-core clusters: L3, scheme, HBM,
@@ -244,6 +256,7 @@ impl System {
             obs: None,
             hot: None,
             wheel: TimingWheel::new(3 * cfg.cores + WHEEL_EXTRA),
+            mem_next: 0,
             cores,
             cfg,
         };
@@ -317,6 +330,7 @@ impl System {
             self.hot = Some(HotProfile::default());
         }
         self.wheel.clear();
+        self.mem_next = 0;
     }
 
     /// Arm the hot-path wall-time profile (see [`HotProfileReport`]).
@@ -342,6 +356,7 @@ impl System {
             dram_nanos: to_nanos(dram_raw),
             dense_ticks: h.dense_ticks,
             burst_ticks: h.burst_ticks,
+            mem_quiet_ticks: h.mem_quiet_ticks,
             skips: h.skips,
             skipped_cycles: h.skipped_cycles,
         })
@@ -541,8 +556,19 @@ impl System {
         }
     }
 
-    /// Advance the whole system by one CPU cycle.
+    /// Advance the whole system by one CPU cycle, running all five
+    /// phases. This is the reference step: [`run_dense`](Self::run_dense)
+    /// drives it, and it never gates phase 5.
     pub fn tick(&mut self) {
+        self.step(true);
+    }
+
+    /// One dense cycle: phases 1–4, then phase 5 when `full`, when
+    /// phases 1–4 called into the scheme, or once the cycle reaches
+    /// `mem_next`. Otherwise the cycle is memory-quiet: the scheme has
+    /// nothing due and neither device reaches a due edge, so phase 5
+    /// reduces to the devices' O(1) clock ticks.
+    fn step(&mut self, full: bool) {
         let now = self.cycle;
         let mut mark = self.hot.as_ref().map(|_| nomad_types::fastclock::now());
 
@@ -564,44 +590,11 @@ impl System {
         self.lap(&mut mark, |h| &mut h.cache_raw);
 
         // 5. Scheme + DRAM devices.
-        self.ev.clear();
-        {
-            let mut flush = HierFlush {
-                l1s: &mut self.l1s,
-                l2s: &mut self.l2s,
-                l3: &mut self.l3,
-            };
-            self.scheme
-                .tick(now, &mut self.hbm, &mut self.ddr, &mut flush, &mut self.ev);
-        }
-        for resp in self.ev.responses.drain(..) {
-            self.l3.push_resp(resp);
-        }
-        // Forced TLB shootdowns (tiny-cache fallback path).
-        let shootdowns: Vec<_> = self.ev.shootdowns.drain(..).collect();
-        for vpn in shootdowns {
-            for c in 0..self.cores.len() {
-                if self.tlbs[c].invalidate(vpn) {
-                    for d in self.tlbs[c].take_departures() {
-                        self.scheme.tlb_departed(c, d.vpn);
-                    }
-                }
-            }
-        }
-        let mut rewalk: Vec<CoreId> = Vec::new();
-        for core_id in self.ev.wakes.drain(..) {
-            self.cores[core_id].wake_os();
-            rewalk.push(core_id);
-        }
-        for core_id in rewalk {
-            // Blocked translations retry the walk next cycle.
-            let ops = std::mem::take(&mut self.blocked[core_id]);
-            for op in ops {
-                self.walking[core_id].push(Walk {
-                    op,
-                    ready_at: now + 1,
-                });
-            }
+        if full || now >= self.mem_next {
+            self.tick_scheme(now);
+            self.deliver(now);
+        } else {
+            self.tick_quiet_devices(now);
         }
         self.lap(&mut mark, |h| &mut h.scheme_raw);
         if let Some(h) = self.hot.as_mut() {
@@ -615,6 +608,80 @@ impl System {
         self.measured_cycles += 1;
     }
 
+    /// Phase 5, first half: the scheme tick (which ticks both DRAM
+    /// devices). Returns whether it emitted anything cpu-visible
+    /// (responses, shootdowns, wakes) for [`deliver`](Self::deliver).
+    fn tick_scheme(&mut self, now: Cycle) -> bool {
+        self.ev.clear();
+        let mut flush = HierFlush {
+            l1s: &mut self.l1s,
+            l2s: &mut self.l2s,
+            l3: &mut self.l3,
+        };
+        self.scheme
+            .tick(now, &mut self.hbm, &mut self.ddr, &mut flush, &mut self.ev);
+        !self.ev.responses.is_empty() || !self.ev.shootdowns.is_empty() || !self.ev.wakes.is_empty()
+    }
+
+    /// Phase 5, second half: apply what the scheme tick emitted —
+    /// responses into the L3, forced TLB shootdowns, OS wakes with
+    /// their blocked translations re-walked next cycle — then recompute
+    /// `mem_next` from the post-tick state.
+    fn deliver(&mut self, now: Cycle) {
+        for resp in self.ev.responses.drain(..) {
+            self.l3.push_resp(resp);
+        }
+        // Forced TLB shootdowns (tiny-cache fallback path).
+        for vpn in self.ev.shootdowns.drain(..) {
+            for c in 0..self.cores.len() {
+                if self.tlbs[c].invalidate(vpn) {
+                    for d in self.tlbs[c].take_departures() {
+                        self.scheme.tlb_departed(c, d.vpn);
+                    }
+                }
+            }
+        }
+        for core_id in self.ev.wakes.drain(..) {
+            self.cores[core_id].wake_os();
+            // Blocked translations retry the walk next cycle.
+            let retry = self.blocked[core_id].drain(..).map(|op| Walk {
+                op,
+                ready_at: now + 1,
+            });
+            self.walking[core_id].extend(retry);
+        }
+        // Devices count tick invocations: post-tick their `cpu_cycle`
+        // is `now + 1`, and a due edge at count `k` comes during the
+        // tick of system cycle `k - 1`.
+        let scheme_next = self.scheme.next_activity_at(now).unwrap_or(Cycle::MAX);
+        self.mem_next = scheme_next
+            .min(self.hbm.due_at() - 1)
+            .min(self.ddr.due_at() - 1);
+    }
+
+    /// Phase 5 of a memory-quiet cycle: only the device clocks move.
+    fn tick_quiet_devices(&mut self, now: Cycle) {
+        // A scheme call from phases 1–4 that forgot to mark the cycle
+        // shows up as a scheme wanting to run before `mem_next`.
+        debug_assert!(
+            self.scheme
+                .next_activity_at(now - 1)
+                .is_none_or(|t| t >= self.mem_next),
+            "scheme activity moved before mem_next {} at cycle {now}",
+            self.mem_next
+        );
+        let mut delivered = Vec::new();
+        self.hbm.tick(&mut delivered);
+        self.ddr.tick(&mut delivered);
+        debug_assert!(
+            delivered.is_empty(),
+            "a memory-quiet tick delivered DRAM completions at cycle {now}"
+        );
+        if let Some(h) = self.hot.as_mut() {
+            h.mem_quiet_ticks += 1;
+        }
+    }
+
     fn process_walks(&mut self, now: Cycle) {
         for c in 0..self.cores.len() {
             let mut i = 0;
@@ -626,6 +693,9 @@ impl System {
                 let walk = self.walking[c].swap_remove(i);
                 let vaddr = namespaced(walk.op.vaddr, c);
                 let vpn = vaddr.frame();
+                // Walks and TLB notifications reach the scheme: phase 5
+                // must run this cycle.
+                self.mem_next = now;
                 match self
                     .scheme
                     .walk(c, vpn, vaddr.sub_block(), walk.op.kind, now)
@@ -748,6 +818,7 @@ impl System {
             let Some(req) = self.l3.pop_to_lower() else {
                 break;
             };
+            self.mem_next = now;
             self.scheme.access(
                 DcAccessReq {
                     token: req.token,
@@ -996,7 +1067,7 @@ impl System {
                     return false;
                 }
             }
-            self.tick();
+            self.step(false);
             let total = self.total_instructions();
             if total != last_total {
                 last_total = total;
@@ -1148,52 +1219,16 @@ impl System {
             pending_idle += 1;
             burst_len += 1;
 
-            self.ev.clear();
-            {
-                let mut flush = HierFlush {
-                    l1s: &mut self.l1s,
-                    l2s: &mut self.l2s,
-                    l3: &mut self.l3,
-                };
-                self.scheme
-                    .tick(now, &mut self.hbm, &mut self.ddr, &mut flush, &mut self.ev);
-            }
-            let cpu_visible = !self.ev.responses.is_empty()
-                || !self.ev.shootdowns.is_empty()
-                || !self.ev.wakes.is_empty();
+            let cpu_visible = self.tick_scheme(now);
             if cpu_visible {
+                // Phase 1 of this cycle ran, still stalled, before phase
+                // 5 produced anything cpu-visible.
                 for core in &mut self.cores {
                     core.idle_advance(pending_idle);
                 }
                 pending_idle = 0;
             }
-            for resp in self.ev.responses.drain(..) {
-                self.l3.push_resp(resp);
-            }
-            let shootdowns: Vec<_> = self.ev.shootdowns.drain(..).collect();
-            for vpn in shootdowns {
-                for c in 0..self.cores.len() {
-                    if self.tlbs[c].invalidate(vpn) {
-                        for d in self.tlbs[c].take_departures() {
-                            self.scheme.tlb_departed(c, d.vpn);
-                        }
-                    }
-                }
-            }
-            let mut rewalk: Vec<CoreId> = Vec::new();
-            for core_id in self.ev.wakes.drain(..) {
-                self.cores[core_id].wake_os();
-                rewalk.push(core_id);
-            }
-            for core_id in rewalk {
-                let ops = std::mem::take(&mut self.blocked[core_id]);
-                for op in ops {
-                    self.walking[core_id].push(Walk {
-                        op,
-                        ready_at: now + 1,
-                    });
-                }
-            }
+            self.deliver(now);
 
             if self.obs.as_ref().is_some_and(|o| now >= o.next_sample) {
                 // Gauges read live core state; bring the bulk stall
@@ -1389,6 +1424,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `mem_quiet_ticks` is a deterministic work counter: two runs of
+    /// one cell count the same memory-quiet ticks, a stats reset zeroes
+    /// it like the other kernel counters, and the ungated reference
+    /// loop never skips phase 5.
+    #[test]
+    fn mem_quiet_ticks_repeat_exactly_and_are_zero_under_run_dense() {
+        let profiled = |dense: bool| {
+            let mut sys = build(&SchemeSpec::Nomad, &WorkloadProfile::tc(), 42);
+            sys.enable_hot_profile();
+            sys.run(2_000);
+            sys.reset_stats();
+            assert_eq!(sys.hot_profile().expect("armed").mem_quiet_ticks, 0);
+            if dense {
+                sys.run_dense(20_000);
+            } else {
+                sys.run(20_000);
+            }
+            sys.hot_profile().expect("armed")
+        };
+        let first = profiled(false);
+        let second = profiled(false);
+        assert!(first.mem_quiet_ticks > 0, "tc must have memory-quiet ticks");
+        assert!(first.mem_quiet_ticks <= first.dense_ticks);
+        assert_eq!(first.mem_quiet_ticks, second.mem_quiet_ticks);
+        assert_eq!(first.dense_ticks, second.dense_ticks);
+        assert_eq!(profiled(true).mem_quiet_ticks, 0);
     }
 
     /// Same differential through the event kernel's *skips*: after a

@@ -41,26 +41,43 @@ fn build_system(
 }
 
 fn assert_parity(cores: usize, spec: SchemeSpec, profile: WorkloadProfile, seed: u64) {
-    let cfg = parity_cfg(cores);
+    assert_parity_with(
+        &parity_cfg(cores),
+        spec,
+        profile,
+        seed,
+        WARMUP,
+        INSTRUCTIONS,
+    );
+}
 
-    let mut dense = build_system(&cfg, &spec, &profile, seed);
-    dense.run_dense(WARMUP);
+fn assert_parity_with(
+    cfg: &SystemConfig,
+    spec: SchemeSpec,
+    profile: WorkloadProfile,
+    seed: u64,
+    warmup: u64,
+    instructions: u64,
+) {
+    let mut dense = build_system(cfg, &spec, &profile, seed);
+    dense.run_dense(warmup);
     dense.reset_stats();
-    dense.run_dense(INSTRUCTIONS);
+    dense.run_dense(instructions);
     let dense_json = serde_json::to_string(&dense.report(&profile.name)).expect("serialize");
 
-    let mut event = build_system(&cfg, &spec, &profile, seed);
-    event.run(WARMUP);
+    let mut event = build_system(cfg, &spec, &profile, seed);
+    event.run(warmup);
     event.reset_stats();
-    event.run(INSTRUCTIONS);
+    event.run(instructions);
     let event_json = serde_json::to_string(&event.report(&profile.name)).expect("serialize");
 
     assert_eq!(
         dense_json,
         event_json,
-        "event kernel diverged from dense loop ({} / {})",
+        "event kernel diverged from dense loop ({} / {}, {} cores)",
         spec.label(),
-        profile.name
+        profile.name,
+        cfg.cores
     );
     assert_eq!(dense.cycle(), event.cycle(), "final cycle diverged");
 }
@@ -96,6 +113,11 @@ fn nomad_event_run_is_byte_identical() {
 }
 
 #[test]
+fn ideal_event_run_is_byte_identical() {
+    assert_parity(1, SchemeSpec::Ideal, WorkloadProfile::tc(), 23);
+}
+
+#[test]
 fn nomad_high_rmhb_parity() {
     // mcf: high miss traffic keeps the OS handlers, backends and both
     // DRAM devices busy — exercises the dense end of the spectrum.
@@ -105,22 +127,25 @@ fn nomad_high_rmhb_parity() {
 #[test]
 fn nomad_two_core_parity() {
     let cfg = parity_cfg(2);
-    let spec = SchemeSpec::Nomad;
-    let profile = WorkloadProfile::tc();
+    assert_parity_with(
+        &cfg,
+        SchemeSpec::Nomad,
+        WorkloadProfile::tc(),
+        16,
+        1_000,
+        8_000,
+    );
+}
 
-    let mut dense = build_system(&cfg, &spec, &profile, 16);
-    dense.run_dense(1_000);
-    dense.reset_stats();
-    dense.run_dense(8_000);
-    let dense_json = serde_json::to_string(&dense.report(&profile.name)).expect("serialize");
-
-    let mut event = build_system(&cfg, &spec, &profile, 16);
-    event.run(1_000);
-    event.reset_stats();
-    event.run(8_000);
-    let event_json = serde_json::to_string(&event.report(&profile.name)).expect("serialize");
-
-    assert_eq!(dense_json, event_json, "two-core event run diverged");
+/// Eight cores in the Fig. 9 grid's shape (`SystemConfig::scaled(8)`,
+/// its DRAM-cache size) on `mcf`: memory-quiet windows interleave with
+/// scheme calls from many cores, and bursts are rare.
+#[test]
+fn eight_core_fig9_shape_parity() {
+    let cfg = SystemConfig::scaled(8);
+    for (spec, seed) in [(SchemeSpec::Nomad, 17), (SchemeSpec::Tid, 18)] {
+        assert_parity_with(&cfg, spec, WorkloadProfile::mcf(), seed, 2_000, 10_000);
+    }
 }
 
 #[test]
