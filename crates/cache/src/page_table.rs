@@ -14,6 +14,32 @@
 use nomad_types::{Cfn, Pfn, Vpn};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for the page table's integer keys: one multiply by a
+/// golden-ratio odd constant, high bits folded down. VPNs are
+/// attacker-free simulator state, so SipHash's flooding resistance buys
+/// nothing, and no code iterates the map, so its order never reaches a
+/// report.
+#[derive(Debug, Default, Clone, Copy)]
+struct VpnHasher(u64);
+
+impl Hasher for VpnHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
 
 /// What a PTE currently points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -51,9 +77,13 @@ impl Pte {
 /// physical-frame allocator.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    ptes: HashMap<u64, Pte>,
-    /// PFN → VPNs mapping it (more than one for shared pages).
-    rmap: HashMap<u64, Vec<u64>>,
+    ptes: HashMap<u64, Pte, BuildHasherDefault<VpnHasher>>,
+    /// PFN → the VPN whose first touch allocated it. PFNs are handed out
+    /// densely from 0, so the PFN is the index.
+    rmap: Vec<u64>,
+    /// PFN → the further VPNs [`alias`](Self::alias)ed to it (shared
+    /// pages), in aliasing order.
+    aliases: HashMap<u64, Vec<u64>, BuildHasherDefault<VpnHasher>>,
     next_pfn: u64,
 }
 
@@ -82,7 +112,7 @@ impl PageTable {
         self.ptes.entry(vpn.raw()).or_insert_with(|| {
             let pfn = Pfn(*next_pfn);
             *next_pfn += 1;
-            rmap.entry(pfn.raw()).or_default().push(vpn.raw());
+            rmap.push(vpn.raw());
             Pte {
                 frame: FrameKind::Phys(pfn),
                 noncacheable: false,
@@ -99,12 +129,14 @@ impl PageTable {
     /// Map `vpn` as an alias of the page already mapped at `pfn`
     /// (shared page). Returns `false` if `pfn` was never allocated.
     pub fn alias(&mut self, vpn: Vpn, pfn: Pfn) -> bool {
-        if !self.rmap.contains_key(&pfn.raw()) {
+        let Some(&first) = self.rmap.get(pfn.raw() as usize) else {
             return false;
-        }
-        let vpns = self.rmap.get_mut(&pfn.raw()).expect("checked");
-        if !vpns.contains(&vpn.raw()) {
-            vpns.push(vpn.raw());
+        };
+        if first != vpn.raw() {
+            let extra = self.aliases.entry(pfn.raw()).or_default();
+            if !extra.contains(&vpn.raw()) {
+                extra.push(vpn.raw());
+            }
         }
         self.ptes.insert(
             vpn.raw(),
@@ -123,35 +155,39 @@ impl PageTable {
     }
 
     /// All VPNs mapping `pfn` (the reverse mapping of Algorithm 2,
-    /// lines 12–15). Empty if the PFN was never allocated.
-    pub fn reverse_map(&self, pfn: Pfn) -> &[u64] {
-        self.rmap.get(&pfn.raw()).map(Vec::as_slice).unwrap_or(&[])
+    /// lines 12–15): the first-touch VPN, then any aliases in aliasing
+    /// order. Empty if the PFN was never allocated.
+    pub fn reverse_map(&self, pfn: Pfn) -> impl Iterator<Item = u64> + '_ {
+        reverse_map(&self.rmap, &self.aliases, pfn)
     }
 
     /// Point every PTE mapping `pfn` at cache frame `cfn` (cache-frame
     /// allocation for a — possibly shared — page). Returns the number
     /// of PTEs updated.
     pub fn cache_all(&mut self, pfn: Pfn, cfn: Cfn) -> usize {
-        let vpns = self.rmap.get(&pfn.raw()).cloned().unwrap_or_default();
-        for &v in &vpns {
-            if let Some(pte) = self.ptes.get_mut(&v) {
-                pte.frame = FrameKind::Cache(cfn);
-            }
-        }
-        vpns.len()
+        self.update_all(pfn, |pte| pte.frame = FrameKind::Cache(cfn))
     }
 
     /// Restore every PTE mapping `pfn` back to the physical frame
     /// (cache-frame eviction). Returns the number of PTEs updated.
     pub fn uncache_all(&mut self, pfn: Pfn) -> usize {
-        let vpns = self.rmap.get(&pfn.raw()).cloned().unwrap_or_default();
-        for &v in &vpns {
+        self.update_all(pfn, |pte| {
+            pte.frame = FrameKind::Phys(pfn);
+            pte.dirty = false;
+        })
+    }
+
+    /// Apply `f` to every PTE mapping `pfn`; returns how many VPNs map
+    /// it.
+    fn update_all(&mut self, pfn: Pfn, mut f: impl FnMut(&mut Pte)) -> usize {
+        let mut n = 0;
+        for v in reverse_map(&self.rmap, &self.aliases, pfn) {
             if let Some(pte) = self.ptes.get_mut(&v) {
-                pte.frame = FrameKind::Phys(pfn);
-                pte.dirty = false;
+                f(pte);
             }
+            n += 1;
         }
-        vpns.len()
+        n
     }
 
     /// Number of distinct physical frames allocated so far (the
@@ -159,6 +195,20 @@ impl PageTable {
     pub fn allocated_frames(&self) -> u64 {
         self.next_pfn
     }
+}
+
+/// [`PageTable::reverse_map`] over the two reverse-map fields, so
+/// callers holding `ptes` mutably can walk it too.
+fn reverse_map<'a>(
+    rmap: &'a [u64],
+    aliases: &'a HashMap<u64, Vec<u64>, BuildHasherDefault<VpnHasher>>,
+    pfn: Pfn,
+) -> impl Iterator<Item = u64> + 'a {
+    let first = rmap.get(pfn.raw() as usize).copied();
+    let extra = first.and_then(|_| aliases.get(&pfn.raw()));
+    first
+        .into_iter()
+        .chain(extra.into_iter().flatten().copied())
 }
 
 #[cfg(test)]
@@ -213,7 +263,11 @@ mod tests {
         let mut pt = PageTable::new();
         pt.pte_mut(Vpn(1)); // pfn 0
         assert!(pt.alias(Vpn(2), Pfn(0)));
-        assert_eq!(pt.reverse_map(Pfn(0)), &[1, 2]);
+        // Re-aliasing a mapped VPN adds nothing.
+        assert!(pt.alias(Vpn(2), Pfn(0)));
+        assert!(pt.alias(Vpn(1), Pfn(0)));
+        assert_eq!(pt.reverse_map(Pfn(0)).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(pt.reverse_map(Pfn(1)).count(), 0);
         assert_eq!(pt.cache_all(Pfn(0), Cfn(5)), 2);
         assert_eq!(pt.get(Vpn(1)).unwrap().frame, FrameKind::Cache(Cfn(5)));
         assert_eq!(pt.get(Vpn(2)).unwrap().frame, FrameKind::Cache(Cfn(5)));

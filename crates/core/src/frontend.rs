@@ -320,7 +320,7 @@ impl Frontend {
                             );
                             for v in &victims {
                                 flush.flush_dc_page(v.cfn.raw());
-                                for &vpn in self.page_table.reverse_map(v.cpd.pfn) {
+                                for vpn in self.page_table.reverse_map(v.cpd.pfn) {
                                     events.shootdowns.push(Vpn(vpn));
                                 }
                                 self.page_table.uncache_all(v.cpd.pfn);

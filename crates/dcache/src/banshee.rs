@@ -240,7 +240,7 @@ impl Banshee {
         let mut wb_total = 0;
         if victim.valid {
             if victim.tlb != 0 {
-                for &vpn in self.page_table.reverse_map(victim.pfn) {
+                for vpn in self.page_table.reverse_map(victim.pfn) {
                     self.pending_shootdown.push(Vpn(vpn));
                 }
             }

@@ -16,6 +16,8 @@ pub struct Baseline {
     demand: DemandPath,
     stats: SchemeStats,
     queue_limit: usize,
+    /// Reused DRAM completion buffer, so a tick allocates nothing.
+    scratch: Vec<nomad_dram::DramCompletion>,
 }
 
 impl Baseline {
@@ -26,6 +28,7 @@ impl Baseline {
             demand: DemandPath::new(),
             stats: SchemeStats::default(),
             queue_limit: 64,
+            scratch: Vec::new(),
         }
     }
 
@@ -98,10 +101,13 @@ impl DcScheme for Baseline {
         events: &mut SchemeEvents,
     ) {
         self.demand.drain(ddr);
-        let mut done = Vec::new();
+        let mut done = std::mem::take(&mut self.scratch);
+        done.clear();
         ddr.tick(&mut done);
-        hbm.tick(&mut Vec::new());
-        for c in done {
+        let from_ddr = done.len();
+        hbm.tick(&mut done);
+        debug_assert_eq!(done.len(), from_ddr, "the baseline never uses the HBM");
+        for c in done.drain(..) {
             if let Some((req, arrived)) = self.demand.complete(c.token) {
                 self.stats
                     .dc_access_time
@@ -114,6 +120,7 @@ impl DcScheme for Baseline {
                 });
             }
         }
+        self.scratch = done;
     }
 
     fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {

@@ -36,6 +36,8 @@ pub struct Ideal {
     pending_shootdown: Vec<Vpn>,
     /// Reusable eviction-victim buffer for `reclaim_if_needed`.
     evict_scratch: Vec<crate::frames::EvictCandidate>,
+    /// Reused DRAM completion buffer, so a tick allocates nothing.
+    scratch: Vec<nomad_dram::DramCompletion>,
 }
 
 impl Ideal {
@@ -54,6 +56,7 @@ impl Ideal {
             pending_flush: Vec::new(),
             pending_shootdown: Vec::new(),
             evict_scratch: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -87,7 +90,7 @@ impl Ideal {
             self.frames
                 .evict_batch_force_into(self.eviction_batch, |_| false, &mut evicted);
             for e in &evicted {
-                for &vpn in self.page_table.reverse_map(e.cpd.pfn) {
+                for vpn in self.page_table.reverse_map(e.cpd.pfn) {
                     self.pending_shootdown.push(Vpn(vpn));
                 }
                 self.page_table.uncache_all(e.cpd.pfn);
@@ -206,7 +209,8 @@ impl DcScheme for Ideal {
         events.shootdowns.append(&mut self.pending_shootdown);
         self.hbm_demand.drain(hbm);
         self.ddr_demand.drain(ddr);
-        let mut done = Vec::new();
+        let mut done = std::mem::take(&mut self.scratch);
+        done.clear();
         hbm.tick(&mut done);
         for c in done.drain(..) {
             if let Some((req, arrived)) = self.hbm_demand.complete(c.token) {
@@ -222,7 +226,7 @@ impl DcScheme for Ideal {
             }
         }
         ddr.tick(&mut done);
-        for c in done {
+        for c in done.drain(..) {
             if let Some((req, arrived)) = self.ddr_demand.complete(c.token) {
                 self.stats
                     .dc_access_time
@@ -235,6 +239,7 @@ impl DcScheme for Ideal {
                 });
             }
         }
+        self.scratch = done;
     }
 
     fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {

@@ -72,7 +72,7 @@ impl BankFile {
 
     /// Whether a CAS to `row` on bank `b` can issue at `now` without
     /// ACT/PRE.
-    #[inline]
+    #[cfg(test)]
     pub fn can_cas(&self, b: usize, row: u64, now: u64) -> bool {
         self.open_row(b) == Some(row) && now >= self.cas_at[b]
     }
@@ -90,12 +90,12 @@ impl BankFile {
         self.open & (1u64 << b) != 0 && now >= self.pre_at[b]
     }
 
-    /// Bit-mask of banks whose open row could accept a CAS at `now`
-    /// (open and past the bank's CAS timing; the row match is per
-    /// command).
+    /// Bit-mask of the banks in `among` whose open row could accept a
+    /// CAS at `now` (open and past the bank's CAS timing; the row match
+    /// is per command).
     #[inline]
-    pub fn cas_ready_mask(&self, now: u64) -> u64 {
-        let mut m = self.open;
+    pub fn cas_ready_mask(&self, among: u64, now: u64) -> u64 {
+        let mut m = self.open & among;
         let mut ready = 0u64;
         while m != 0 {
             let b = m.trailing_zeros() as usize;
@@ -272,9 +272,10 @@ mod tests {
         f.act(3, 2, t.t_rrd, &t);
         assert_eq!(f.open_mask(), 0b1010);
         // Bank 1 becomes CAS-ready at tRCD, bank 3 at tRRD + tRCD.
-        assert_eq!(f.cas_ready_mask(t.t_rcd - 1), 0);
-        assert_eq!(f.cas_ready_mask(t.t_rcd), 0b0010);
-        assert_eq!(f.cas_ready_mask(t.t_rrd + t.t_rcd), 0b1010);
+        assert_eq!(f.cas_ready_mask(u64::MAX, t.t_rcd - 1), 0);
+        assert_eq!(f.cas_ready_mask(u64::MAX, t.t_rcd), 0b0010);
+        assert_eq!(f.cas_ready_mask(u64::MAX, t.t_rrd + t.t_rcd), 0b1010);
+        assert_eq!(f.cas_ready_mask(0b0010, t.t_rrd + t.t_rcd), 0b0010);
         f.pre(1, t.t_ras, &t);
         assert_eq!(f.open_mask(), 0b1000);
         f.refresh_close_all(5000);

@@ -9,9 +9,14 @@
 //!
 //! - `queued_mask` — bit `b` set while any queued command targets bank
 //!   `b`; maintained incrementally by push/pop with a per-bank count.
-//! - pass 1 intersects it with [`BankFile::cas_ready_mask`]: a command
-//!   is only inspected when its bank is open and past its CAS timing,
-//!   which is a necessary condition for `can_cas`.
+//! - per-bank row-hit counts, one set for reads and one for writes:
+//!   how many queued commands of that kind target their bank's open
+//!   row, with a bit-mask of the banks holding any. They are kept
+//!   current at push, CAS issue, ACT (which recounts that bank), PRE
+//!   and refresh. Pass 1 looks only at banks holding a row hit of a
+//!   kind whose data burst the bus can still fit and that are past
+//!   their CAS timing; when there are none it is skipped, and
+//!   otherwise its scan is certain to issue.
 //! - pass 2 tracks the classic `protected`/`attempted` sets as words
 //!   and skips any command whose bank is already in either set; once
 //!   `queued_mask & !(attempted | protected)` is empty no remaining
@@ -32,7 +37,13 @@
 //! and every queued command's issue candidate. It is recomputed only
 //! when a tick changed state, and [`Channel::try_push`] folds the new
 //! command's own candidate in O(1), so an edge before `due` needs no
-//! scheduler pass at all.
+//! scheduler pass at all. The recompute is O(queued banks): every
+//! command on one bank shares one of at most four candidates (read
+//! hit, write hit, conflict PRE, closed-bank ACT), and the row-hit
+//! counts say which of them occur. The refresh start needs the latest
+//! bank obligation, an O(banks) scan, so it is computed only when it
+//! could be the minimum. The pre-count per-command scan is kept under
+//! `#[cfg(test)]` as the due oracle.
 
 use crate::bank::BankFile;
 use crate::config::{DramConfig, TimingParams};
@@ -87,6 +98,53 @@ pub(crate) struct ChannelCompletion {
     pub row_hit: bool,
 }
 
+/// Queued commands of one kind that target their bank's open row, per
+/// bank, with bit `b` of `mask` set while bank `b` holds any.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RowHits {
+    count: Vec<u32>,
+    mask: u64,
+}
+
+impl RowHits {
+    fn new(banks: usize) -> Self {
+        RowHits {
+            count: vec![0; banks],
+            mask: 0,
+        }
+    }
+
+    fn add(&mut self, b: usize) {
+        self.count[b] += 1;
+        self.mask |= 1u64 << b;
+    }
+
+    fn remove(&mut self, b: usize) {
+        self.count[b] -= 1;
+        if self.count[b] == 0 {
+            self.mask &= !(1u64 << b);
+        }
+    }
+
+    fn clear_bank(&mut self, b: usize) {
+        self.count[b] = 0;
+        self.mask &= !(1u64 << b);
+    }
+
+    fn clear(&mut self) {
+        while self.mask != 0 {
+            self.count[self.mask.trailing_zeros() as usize] = 0;
+            self.mask &= self.mask - 1;
+        }
+    }
+}
+
+/// Index of `kind` into [`Channel::hits`].
+#[inline]
+fn hit_idx(kind: AccessKind) -> usize {
+    usize::from(kind.is_write())
+}
+
 /// One independently scheduled DRAM channel.
 #[derive(Debug)]
 pub(crate) struct Channel {
@@ -97,6 +155,8 @@ pub(crate) struct Channel {
     queued_count: Vec<u32>,
     /// Bit `b` set while `queued_count[b] > 0`.
     queued_mask: u64,
+    /// Queued row hits per bank: reads at index 0, writes at 1.
+    hits: [RowHits; 2],
     /// Device cycle after which the data bus is free.
     bus_free_at: u64,
     /// Earliest device cycle the next ACT may issue (tRRD).
@@ -124,6 +184,10 @@ impl Channel {
             queue_depth: cfg.queue_depth,
             queued_count: vec![0; cfg.banks_per_channel],
             queued_mask: 0,
+            hits: [
+                RowHits::new(cfg.banks_per_channel),
+                RowHits::new(cfg.banks_per_channel),
+            ],
             bus_free_at: 0,
             next_act_ok: 0,
             act_window: [0; 4],
@@ -142,6 +206,9 @@ impl Channel {
         self.queue.clear();
         self.queued_count.fill(0);
         self.queued_mask = 0;
+        for h in &mut self.hits {
+            h.clear();
+        }
         self.bus_free_at = 0;
         self.next_act_ok = 0;
         self.act_window = [0; 4];
@@ -196,6 +263,9 @@ impl Channel {
         });
         self.queued_count[bank] += 1;
         self.queued_mask |= 1u64 << bank;
+        if self.banks.open_row(bank) == Some(row) {
+            self.hits[hit_idx(kind)].add(bank);
+        }
         // A new command only adds its own candidate to the bound; a
         // refresh in progress freezes the scheduler until its end.
         if self.refresh_until.is_none() {
@@ -219,10 +289,30 @@ impl Channel {
         now >= self.next_act_ok && now >= self.act_window[0]
     }
 
-    fn note_act(&mut self, now: u64) {
+    /// ACT the row of the queued command at `i` on its bank, and count
+    /// the queued commands that now hit it.
+    fn activate(&mut self, i: usize, now: u64) {
+        let (bank, row) = (self.queue[i].bank, self.queue[i].row);
+        self.banks.act(bank, row, now, &self.timing);
+        self.queue[i].needed_act = true;
         self.next_act_ok = now + self.timing.t_rrd;
         self.act_window.rotate_left(1);
         self.act_window[3] = now + self.timing.t_faw;
+        // A closed bank holds no row hits; recount this one.
+        debug_assert!(self.hits.iter().all(|h| h.count[bank] == 0));
+        for cmd in &self.queue {
+            if cmd.bank == bank && cmd.row == row {
+                self.hits[hit_idx(cmd.kind)].add(bank);
+            }
+        }
+    }
+
+    /// PRE bank `b`: its queued commands stop being row hits.
+    fn precharge(&mut self, b: usize, now: u64) {
+        self.banks.pre(b, now, &self.timing);
+        for h in &mut self.hits {
+            h.clear_bank(b);
+        }
     }
 
     /// Handle the refresh machinery for this cycle. Returns
@@ -245,6 +335,9 @@ impl Channel {
             if now >= drain && now >= self.bus_free_at {
                 let until = now + self.timing.t_rfc;
                 self.banks.refresh_close_all(until);
+                for h in &mut self.hits {
+                    h.clear();
+                }
                 self.refresh_until = Some(until);
                 self.next_refresh += self.timing.t_refi;
                 stats.refreshes.inc();
@@ -258,6 +351,7 @@ impl Channel {
     fn issue_cas(&mut self, i: usize, now: u64, out: &mut Vec<ChannelCompletion>) {
         let t = self.timing;
         let cmd = self.take_queued(i);
+        self.hits[hit_idx(cmd.kind)].remove(cmd.bank);
         let data_start = match cmd.kind {
             AccessKind::Read => {
                 self.banks.read(cmd.bank, now, &t);
@@ -300,7 +394,7 @@ impl Channel {
         out: &mut Vec<ChannelCompletion>,
     ) {
         if self.schedule(now, stats, out) {
-            self.recompute_due(now);
+            self.recompute_due();
         }
     }
 
@@ -320,31 +414,34 @@ impl Channel {
         }
 
         // FR-FCFS pass 1: oldest CAS-ready row hit whose bus slot is
-        // free. A command is only worth inspecting when its bank is in
-        // `candidates` (open, past CAS timing, and actually queued).
+        // free. Only banks holding a queued row hit of a kind whose
+        // data burst the bus can fit, and past their CAS timing, can
+        // issue one; the scan then finds the oldest such command.
         let t = self.timing;
-        let candidates = self.banks.cas_ready_mask(now) & self.queued_mask;
-        if candidates != 0 {
-            let mut cas_idx = None;
-            for (i, cmd) in self.queue.iter().enumerate() {
-                if candidates & (1u64 << cmd.bank) == 0 {
-                    continue;
-                }
-                if self.banks.can_cas(cmd.bank, cmd.row, now) {
-                    let data_start = match cmd.kind {
-                        AccessKind::Read => now + t.t_cl,
-                        AccessKind::Write => now + t.t_cwl,
-                    };
-                    if data_start >= self.bus_free_at {
-                        cas_idx = Some(i);
-                        break;
-                    }
-                }
-            }
-            if let Some(i) = cas_idx {
-                self.issue_cas(i, now, out);
-                return true;
-            }
+        let rd = if now + t.t_cl >= self.bus_free_at {
+            self.hits[0].mask
+        } else {
+            0
+        };
+        let wr = if now + t.t_cwl >= self.bus_free_at {
+            self.hits[1].mask
+        } else {
+            0
+        };
+        let ready = self.banks.cas_ready_mask(rd | wr, now);
+        let ok = [rd & ready, wr & ready];
+        if ok[0] | ok[1] != 0 {
+            let banks = &self.banks;
+            let i = self
+                .queue
+                .iter()
+                .position(|cmd| {
+                    ok[hit_idx(cmd.kind)] & (1u64 << cmd.bank) != 0
+                        && banks.open_row(cmd.bank) == Some(cmd.row)
+                })
+                .expect("a row-hit count names a queued command");
+            self.issue_cas(i, now, out);
+            return true;
         }
 
         // FR-FCFS pass 2: prepare a bank for the oldest request that
@@ -377,16 +474,14 @@ impl Channel {
                 }
                 Some(_) => {
                     if self.banks.can_pre(bank_idx, now) {
-                        self.banks.pre(bank_idx, now, &t);
+                        self.precharge(bank_idx, now);
                         return true;
                     }
                     attempted |= bit;
                 }
                 None => {
                     if self.banks.can_act(bank_idx, now) && act_ok {
-                        self.banks.act(bank_idx, row, now, &t);
-                        self.queue[i].needed_act = true;
-                        self.note_act(now);
+                        self.activate(i, now);
                         return true;
                     }
                     attempted |= bit;
@@ -448,16 +543,14 @@ impl Channel {
                         && protected & bit == 0
                         && self.banks.can_pre(bank_idx, now)
                     {
-                        self.banks.pre(bank_idx, now, &t);
+                        self.precharge(bank_idx, now);
                         return;
                     }
                     attempted |= bit;
                 }
                 None => {
                     if attempted & bit == 0 && self.banks.can_act(bank_idx, now) && act_ok {
-                        self.banks.act(bank_idx, row, now, &t);
-                        self.queue[i].needed_act = true;
-                        self.note_act(now);
+                        self.activate(i, now);
                         return;
                     }
                     attempted |= bit;
@@ -511,29 +604,90 @@ impl Channel {
         }
     }
 
-    /// Recompute [`due`](Self::due) after device cycle `now` from the
-    /// current channel state: the end of an in-progress refresh (the
-    /// scheduler is frozen until then), else the next refresh start —
-    /// schedule, bank drain and bus must all allow it — or any queued
-    /// command's issue candidate, whichever is first.
-    fn recompute_due(&mut self, now: u64) {
+    /// Recompute [`due`](Self::due) from the current channel state: the
+    /// end of an in-progress refresh (the scheduler is frozen until
+    /// then), else the next refresh start — schedule, bank drain and
+    /// bus must all allow it — or any queued command's issue candidate,
+    /// whichever is first. Commands on one bank share the candidates of
+    /// [`issue_candidate`](Self::issue_candidate), so one pass over the
+    /// queued banks finds the minimum.
+    fn recompute_due(&mut self) {
         if let Some(until) = self.refresh_until {
             self.due = until;
             return;
+        }
+        let mut next = u64::MAX;
+        let mut queued = self.queued_mask;
+        while queued != 0 {
+            let b = queued.trailing_zeros() as usize;
+            queued &= queued - 1;
+            let Some(open) = self.banks.open_row(b) else {
+                // Every command on a closed bank waits for the same ACT,
+                // whatever its row.
+                next = next.min(self.issue_candidate(b, 0, AccessKind::Read));
+                continue;
+            };
+            let (rd, wr) = (self.hits[0].count[b], self.hits[1].count[b]);
+            if rd > 0 {
+                next = next.min(self.issue_candidate(b, open, AccessKind::Read));
+            }
+            if wr > 0 {
+                next = next.min(self.issue_candidate(b, open, AccessKind::Write));
+            }
+            if self.queued_count[b] > rd + wr {
+                next = next.min(self.banks.pre_ready_at(b));
+            }
+        }
+        // The refresh start is at least the schedule and the bus; the
+        // bank drain, an O(banks) scan, matters only past both.
+        let floor = self.next_refresh.max(self.bus_free_at);
+        if next > floor {
+            next = next.min(floor.max(self.banks.max_busy_until()));
+        }
+        self.due = next;
+    }
+
+    /// The pre-count due scan, kept as the oracle for
+    /// [`recompute_due`](Self::recompute_due): one issue candidate per
+    /// queued command, stopping once the minimum is at most `now + 1`.
+    #[cfg(test)]
+    fn due_oracle(&self, now: u64) -> u64 {
+        if let Some(until) = self.refresh_until {
+            return until;
         }
         let mut next = self
             .next_refresh
             .max(self.banks.max_busy_until())
             .max(self.bus_free_at);
         for cmd in &self.queue {
-            // An early exit may keep a value below the true minimum;
-            // that is an *early* due (one no-op tick), never a late one.
             if next <= now + 1 {
                 break;
             }
             next = next.min(self.issue_candidate(cmd.bank, cmd.row, cmd.kind));
         }
-        self.due = next;
+        next
+    }
+
+    /// Assert the scheduler's bookkeeping after device cycle `now`: the
+    /// row-hit counts and masks equal a recount from the queue, and
+    /// `due` clamped to `now + 1` equals the oracle's.
+    #[cfg(test)]
+    pub(crate) fn assert_bookkeeping(&self, now: u64) {
+        let mut recount = [
+            RowHits::new(self.banks.len()),
+            RowHits::new(self.banks.len()),
+        ];
+        for cmd in &self.queue {
+            if self.banks.open_row(cmd.bank) == Some(cmd.row) {
+                recount[hit_idx(cmd.kind)].add(cmd.bank);
+            }
+        }
+        assert_eq!(self.hits, recount, "row-hit counts at device cycle {now}");
+        assert_eq!(
+            self.due.max(now + 1),
+            self.due_oracle(now).max(now + 1),
+            "due diverged from the oracle at device cycle {now}"
+        );
     }
 
     /// Replay the refresh machinery over the idle device-cycle window
@@ -560,7 +714,7 @@ impl Channel {
                 return;
             }
             self.tick_refresh(next, stats);
-            self.recompute_due(next);
+            self.recompute_due();
             cur = next;
         }
     }
@@ -813,7 +967,8 @@ mod tests {
 
     /// The masked scheduler must match the dense-scan oracle cycle by
     /// cycle under seeded random traffic: identical completions,
-    /// identical refresh counts, identical residual queues.
+    /// identical refresh counts, identical residual queues — with the
+    /// row-hit counts and the due cycle checked after every cycle.
     #[test]
     fn masked_scheduler_matches_dense_oracle() {
         for (seed, cfg) in [
@@ -870,6 +1025,7 @@ mod tests {
                 fast.tick_device(now, &mut stats_fast, &mut out_fast);
                 dense.tick_device_oracle(now, &mut stats_dense, &mut out_dense);
                 assert_eq!(out_fast, out_dense, "seed {seed} diverged at cycle {now}");
+                fast.assert_bookkeeping(now);
             }
             assert!(!out_fast.is_empty(), "traffic must complete something");
             assert_eq!(fast.queue_len(), dense.queue_len());

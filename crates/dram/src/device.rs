@@ -839,7 +839,8 @@ mod tests {
 
     /// The gated edge pass (channel and device due cycles) must match
     /// the ungated oracle on every CPU cycle — identical completions and
-    /// identical stats — under seeded traffic that alternates bursts
+    /// identical stats, with every channel's row-hit counts and due
+    /// cycle checked against a recount — under seeded traffic that alternates bursts
     /// deep enough to fill the command queues, a trickle, and idle gaps
     /// spanning refreshes, with tag-only probes and posted writes mixed
     /// in.
@@ -894,6 +895,9 @@ mod tests {
                 }
                 gated.tick(&mut out_gated);
                 oracle.tick_oracle(&mut out_oracle);
+                for ch in &gated.channels {
+                    ch.assert_bookkeeping(gated.dev_cycle);
+                }
                 assert_eq!(
                     out_gated, out_oracle,
                     "completions diverged (seed {seed}, cycle {now})"

@@ -97,6 +97,10 @@ struct HotProfile {
     burst_ticks: u64,
     /// Dense ticks whose phase 5 was skipped (memory-quiet ticks).
     mem_quiet_ticks: u64,
+    /// Core-cluster ticks slept through on dense ticks.
+    cluster_quiet_ticks: u64,
+    /// Dense ticks on which the L3 slept.
+    l3_quiet_ticks: u64,
 }
 
 /// Snapshot of the hot-path profile ([`System::hot_profile`]),
@@ -126,6 +130,14 @@ pub struct HotProfileReport {
     /// nor a DRAM device had anything due (memory-quiet ticks). A
     /// deterministic work counter: 0 under [`System::run_dense`].
     pub mem_quiet_ticks: u64,
+    /// Core-cluster ticks slept through on dense ticks: per dense tick,
+    /// the clusters (core, walks, dispatch and issue queues, L1, L2)
+    /// with nothing due. A deterministic work counter: 0 under
+    /// [`System::run_dense`].
+    pub cluster_quiet_ticks: u64,
+    /// Dense ticks on which the L3 had nothing due and slept. A
+    /// deterministic work counter: 0 under [`System::run_dense`].
+    pub l3_quiet_ticks: u64,
 }
 
 /// Observability state of one system: the per-system [`Registry`] every
@@ -182,6 +194,28 @@ pub struct System {
     /// at the end of every phase 5 and lowered to the current cycle
     /// whenever phases 1–4 call into the scheme. Exact or early.
     mem_next: Cycle,
+    /// Per core, the first cycle at which its cluster — the core, its
+    /// pending dispatch, walks and translated issues, its L1 and L2 —
+    /// may do more than stall accounting: recomputed from post-tick
+    /// state for every cluster that ran, and lowered to the next cycle
+    /// when the L3 hands its L2 a fill or phase 5 wakes its core. Exact
+    /// or early; the gated step runs a cluster only once it is due.
+    cluster_due: Vec<Cycle>,
+    /// Bit-mask of the clusters that ran on the last dense step: their
+    /// `cluster_due` is recomputed at the start of the next one.
+    ran: u64,
+    /// First cycle at which the L3 may do anything, kept the same way:
+    /// recomputed after every L3 tick, lowered by L2 → L3 pushes and by
+    /// phase-5 responses.
+    l3_due: Cycle,
+    /// The stall ledger: per core, the first cycle whose stall
+    /// accounting is not yet in the core's counters. Cycles a core
+    /// sleeps through — in a sleeping cluster, a skip or a burst — are
+    /// owed here and applied through [`Core::idle_advance`] by
+    /// [`settle`] before the core's next tick, before a wake, before an
+    /// obs sample, at [`reset_stats`](Self::reset_stats) and when a run
+    /// returns.
+    idle_from: Vec<Cycle>,
 }
 
 /// Wheel sources past the three per-core clusters: L3, scheme, HBM,
@@ -257,6 +291,10 @@ impl System {
             hot: None,
             wheel: TimingWheel::new(3 * cfg.cores + WHEEL_EXTRA),
             mem_next: 0,
+            cluster_due: vec![0; cfg.cores],
+            ran: 0,
+            l3_due: 0,
+            idle_from: vec![0; cfg.cores],
             cores,
             cfg,
         };
@@ -331,6 +369,10 @@ impl System {
         }
         self.wheel.clear();
         self.mem_next = 0;
+        self.cluster_due.fill(0);
+        self.ran = 0;
+        self.l3_due = 0;
+        self.idle_from.fill(0);
     }
 
     /// Arm the hot-path wall-time profile (see [`HotProfileReport`]).
@@ -357,6 +399,8 @@ impl System {
             dense_ticks: h.dense_ticks,
             burst_ticks: h.burst_ticks,
             mem_quiet_ticks: h.mem_quiet_ticks,
+            cluster_quiet_ticks: h.cluster_quiet_ticks,
+            l3_quiet_ticks: h.l3_quiet_ticks,
             skips: h.skips,
             skipped_cycles: h.skipped_cycles,
         })
@@ -404,8 +448,10 @@ impl System {
 
     /// Refresh every registered gauge from live component state and
     /// append one snapshot keyed by `now`; reschedules the next sample
-    /// at the following `interval` boundary.
+    /// at the following `interval` boundary. Gauges read the cores'
+    /// counters, so the stall ledger is settled first.
     fn obs_sample(&mut self, now: Cycle) {
+        self.settle_all();
         let Some(obs) = self.obs.as_mut() else {
             return;
         };
@@ -557,36 +603,43 @@ impl System {
     }
 
     /// Advance the whole system by one CPU cycle, running all five
-    /// phases. This is the reference step: [`run_dense`](Self::run_dense)
-    /// drives it, and it never gates phase 5.
+    /// phases for every cluster. This is the reference step:
+    /// [`run_dense`](Self::run_dense) drives it, and it gates neither a
+    /// cluster, the L3 nor phase 5.
     pub fn tick(&mut self) {
         self.step(true);
     }
 
-    /// One dense cycle: phases 1–4, then phase 5 when `full`, when
-    /// phases 1–4 called into the scheme, or once the cycle reaches
-    /// `mem_next`. Otherwise the cycle is memory-quiet: the scheme has
-    /// nothing due and neither device reaches a due edge, so phase 5
-    /// reduces to the devices' O(1) clock ticks.
+    /// One dense cycle. With `full`, every phase runs for every
+    /// cluster. Otherwise phases 1–4 run only for the clusters due this
+    /// cycle (a sleeping cluster's tick would be its core's stall
+    /// accounting alone, which goes into the stall ledger), the L3
+    /// ticks only when due, and phase 5 runs only when phases 1–4
+    /// called into the scheme or the cycle reached `mem_next`; else the
+    /// cycle is memory-quiet and phase 5 reduces to the devices' O(1)
+    /// clock ticks.
     fn step(&mut self, full: bool) {
         let now = self.cycle;
         let mut mark = self.hot.as_ref().map(|_| nomad_types::fastclock::now());
+        let awake = self.awake_clusters(now, full);
 
         // 1. Cores: commit + fetch/dispatch.
-        for core in &mut self.cores {
-            core.tick(now);
+        for c in bits(awake) {
+            settle(&mut self.cores[c], &mut self.idle_from[c], now);
+            self.cores[c].tick(now);
+            self.idle_from[c] = now + 1;
         }
 
         // 2. Translation: finish ready walks, start new ones.
-        self.process_walks(now);
-        self.drain_dispatch(now);
+        self.process_walks(now, awake);
+        self.drain_dispatch(now, awake);
 
         // 3. Inject translated ops into L1s.
-        self.inject_issues(now);
+        self.inject_issues(now, awake);
         self.lap(&mut mark, |h| &mut h.cpu_raw);
 
         // 4. SRAM hierarchy.
-        self.tick_caches(now);
+        self.tick_caches(now, awake, full);
         self.lap(&mut mark, |h| &mut h.cache_raw);
 
         // 5. Scheme + DRAM devices.
@@ -599,13 +652,53 @@ impl System {
         self.lap(&mut mark, |h| &mut h.scheme_raw);
         if let Some(h) = self.hot.as_mut() {
             h.dense_ticks += 1;
+            h.cluster_quiet_ticks += (self.cores.len() - awake.count_ones() as usize) as u64;
         }
+        self.end_cycle(now);
+    }
 
+    /// Bit-mask of the clusters that run phases 1–4 at `now`: every
+    /// cluster when `full`, else those whose `cluster_due` has come.
+    /// The clusters that ran last step first get their due from the
+    /// state they left — here rather than at the end of that step, so
+    /// the bookkeeping sits in the profile's cpu lap without a clock
+    /// read of its own. Debug builds check that each sleeping cluster
+    /// has nothing due.
+    fn awake_clusters(&mut self, now: Cycle, full: bool) -> u64 {
+        for c in bits(self.ran) {
+            self.cluster_due[c] = self.cluster_next(c, now - 1);
+        }
+        let mut awake = 0;
+        for (c, &due) in self.cluster_due.iter().enumerate() {
+            if full || due <= now {
+                awake |= 1 << c;
+            } else {
+                debug_assert!(
+                    self.cluster_next(c, now - 1) > now,
+                    "cluster {c} sleeps through due work at cycle {now}"
+                );
+            }
+        }
+        self.ran = awake;
+        awake
+    }
+
+    /// Close cycle `now`: advance the clock, then take an obs sample if
+    /// one is due.
+    fn end_cycle(&mut self, now: Cycle) {
+        self.cycle += 1;
+        self.measured_cycles += 1;
         if self.obs.as_ref().is_some_and(|o| now >= o.next_sample) {
             self.obs_sample(now);
         }
-        self.cycle += 1;
-        self.measured_cycles += 1;
+    }
+
+    /// Apply every core's owed stall cycles up to the current cycle.
+    fn settle_all(&mut self) {
+        let to = self.cycle;
+        for (core, from) in self.cores.iter_mut().zip(&mut self.idle_from) {
+            settle(core, from, to);
+        }
     }
 
     /// Phase 5, first half: the scheme tick (which ticks both DRAM
@@ -626,8 +719,13 @@ impl System {
     /// Phase 5, second half: apply what the scheme tick emitted —
     /// responses into the L3, forced TLB shootdowns, OS wakes with
     /// their blocked translations re-walked next cycle — then recompute
-    /// `mem_next` from the post-tick state.
+    /// `mem_next` from the post-tick state. A woken core's owed stall
+    /// cycles, this one included, are settled before the wake: its
+    /// phase 1 ran (or slept), still stalled, before phase 5.
     fn deliver(&mut self, now: Cycle) {
+        if !self.ev.responses.is_empty() {
+            self.l3_due = self.l3_due.min(now + 1);
+        }
         for resp in self.ev.responses.drain(..) {
             self.l3.push_resp(resp);
         }
@@ -642,7 +740,13 @@ impl System {
             }
         }
         for core_id in self.ev.wakes.drain(..) {
+            settle(
+                &mut self.cores[core_id],
+                &mut self.idle_from[core_id],
+                now + 1,
+            );
             self.cores[core_id].wake_os();
+            self.cluster_due[core_id] = self.cluster_due[core_id].min(now + 1);
             // Blocked translations retry the walk next cycle.
             let retry = self.blocked[core_id].drain(..).map(|op| Walk {
                 op,
@@ -682,8 +786,8 @@ impl System {
         }
     }
 
-    fn process_walks(&mut self, now: Cycle) {
-        for c in 0..self.cores.len() {
+    fn process_walks(&mut self, now: Cycle, awake: u64) {
+        for c in bits(awake) {
             let mut i = 0;
             while i < self.walking[c].len() {
                 if self.walking[c][i].ready_at > now {
@@ -723,8 +827,8 @@ impl System {
         }
     }
 
-    fn drain_dispatch(&mut self, now: Cycle) {
-        for c in 0..self.cores.len() {
+    fn drain_dispatch(&mut self, now: Cycle, awake: u64) {
+        for c in bits(awake) {
             loop {
                 let in_flight =
                     self.walking[c].len() + self.blocked[c].len() + self.issue_q[c].len();
@@ -761,8 +865,8 @@ impl System {
         }
     }
 
-    fn inject_issues(&mut self, now: Cycle) {
-        for c in 0..self.cores.len() {
+    fn inject_issues(&mut self, now: Cycle, awake: u64) {
+        for c in bits(awake) {
             let mut i = 0;
             while i < self.issue_q[c].len() {
                 let e = self.issue_q[c][i];
@@ -792,8 +896,13 @@ impl System {
         }
     }
 
-    fn tick_caches(&mut self, now: Cycle) {
-        for c in 0..self.cores.len() {
+    /// Phase 4 for the `awake` clusters, with the L3 ticked when due
+    /// (always when `full`). A sleeping cluster's L1 and L2 and a
+    /// sleeping L3 have nothing ready, so their ticks, transfers and
+    /// response pops would all be no-ops.
+    fn tick_caches(&mut self, now: Cycle, awake: u64, full: bool) {
+        let l3_ready = now + self.l3.cfg().hit_latency;
+        for c in bits(awake) {
             self.l1s[c].tick(now);
             // L1 → L2.
             while self.l2s[c].can_accept() {
@@ -810,32 +919,47 @@ impl System {
                 }
                 let req = self.l2s[c].pop_to_lower().expect("peeked");
                 self.l3.push_req(req, now);
+                self.l3_due = self.l3_due.min(l3_ready);
             }
         }
-        self.l3.tick(now);
-        // L3 → scheme.
-        while self.scheme.can_accept() {
-            let Some(req) = self.l3.pop_to_lower() else {
-                break;
-            };
-            self.mem_next = now;
-            self.scheme.access(
-                DcAccessReq {
-                    token: req.token,
-                    addr: req.addr,
-                    target: req.target,
-                    kind: req.kind,
-                    core: req.core,
-                    wants_response: req.wants_response,
-                },
-                now,
+        if full || self.l3_due <= now {
+            self.l3.tick(now);
+            // L3 → scheme.
+            while self.scheme.can_accept() {
+                let Some(req) = self.l3.pop_to_lower() else {
+                    break;
+                };
+                self.mem_next = now;
+                self.scheme.access(
+                    DcAccessReq {
+                        token: req.token,
+                        addr: req.addr,
+                        target: req.target,
+                        kind: req.kind,
+                        core: req.core,
+                        wants_response: req.wants_response,
+                    },
+                    now,
+                );
+            }
+            // Responses upward: L3 → L2 (by core), whose cluster then
+            // has a fill to apply next cycle.
+            while let Some(resp) = self.l3.pop_to_upper(now) {
+                self.cluster_due[resp.core] = self.cluster_due[resp.core].min(now + 1);
+                self.l2s[resp.core].push_resp(resp);
+            }
+            self.l3_due = self.l3.next_activity_at(now).unwrap_or(Cycle::MAX);
+        } else {
+            debug_assert!(
+                self.l3.next_activity_at(now - 1).is_none_or(|t| t > now),
+                "the L3 sleeps through due work at cycle {now}"
             );
+            if let Some(h) = self.hot.as_mut() {
+                h.l3_quiet_ticks += 1;
+            }
         }
-        // Responses upward: L3 → L2 (by core) → L1 → core.
-        while let Some(resp) = self.l3.pop_to_upper(now) {
-            self.l2s[resp.core].push_resp(resp);
-        }
-        for c in 0..self.cores.len() {
+        // Responses upward: L2 → L1 → core.
+        for c in bits(awake) {
             while let Some(resp) = self.l2s[c].pop_to_upper(now) {
                 self.l1s[c].push_resp(resp);
             }
@@ -845,6 +969,39 @@ impl System {
                 }
             }
         }
+    }
+
+    /// Earliest cycle after `now` at which core `c`'s cpu side — the
+    /// core plus its pending dispatch, walks and translated issues —
+    /// can act, from post-tick state, or `Cycle::MAX` when only a fill
+    /// or a wake can end its stall. Below `now + 1` for a translated
+    /// issue the L1 could not take yet.
+    fn cpu_next(&self, c: usize, now: Cycle) -> Cycle {
+        if self.cores[c].dispatch_pending() {
+            return now + 1;
+        }
+        let mut t = self.cores[c].next_activity_at(now).unwrap_or(Cycle::MAX);
+        for w in &self.walking[c] {
+            t = t.min(w.ready_at);
+        }
+        for e in &self.issue_q[c] {
+            t = t.min(e.at);
+        }
+        // `blocked` ops are reactive: their cores sleep until a scheme
+        // wake, which lowers the cluster's due itself.
+        t
+    }
+
+    /// Earliest cycle after `now` at which core `c`'s cluster (its cpu
+    /// side plus its L1 and L2) can act, from post-tick state; any
+    /// value up to `now + 1` means the next cycle.
+    fn cluster_next(&self, c: usize, now: Cycle) -> Cycle {
+        let t = self.cpu_next(c, now);
+        if t <= now + 1 {
+            return t;
+        }
+        let level = |l: &CacheLevel| l.next_activity_at(now).unwrap_or(Cycle::MAX);
+        t.min(level(&self.l1s[c])).min(level(&self.l2s[c]))
     }
 
     /// Refresh every wheel source from post-tick component state
@@ -866,18 +1023,7 @@ impl System {
         let n = self.cores.len();
         self.wheel.advance_to(now);
         for c in 0..n {
-            let mut t = self.cores[c].next_activity_at(now).unwrap_or(Cycle::MAX);
-            if self.cores[c].dispatch_pending() {
-                t = floor;
-            }
-            for w in &self.walking[c] {
-                t = t.min(w.ready_at);
-            }
-            for e in &self.issue_q[c] {
-                t = t.min(e.at);
-            }
-            // `blocked` ops are reactive: their cores sleep until a
-            // scheme wake, which the scheme's own activity covers.
+            let t = self.cpu_next(c, now);
             self.wheel.set(c, (t != Cycle::MAX).then(|| t.max(floor)));
             let l1 = self.l1s[c].next_activity_at(now).map(|t| t.max(floor));
             self.wheel.set(n + c, l1);
@@ -983,13 +1129,11 @@ impl System {
         next
     }
 
-    /// Jump over `delta` cycles in which [`next_event_at`](Self::next_event_at)
-    /// guarantees dense ticking would only have done constant-rate stat
-    /// accounting, applying that accounting in bulk.
+    /// Jump over `delta` cycles in which the timing wheel guarantees
+    /// dense ticking would only have done constant-rate stat
+    /// accounting: the devices advance in bulk, and the cores' stall
+    /// cycles stay owed in the stall ledger.
     fn skip(&mut self, delta: Cycle) {
-        for core in &mut self.cores {
-            core.idle_advance(delta);
-        }
         self.hbm.advance(delta);
         self.ddr.advance(delta);
         self.cycle += delta;
@@ -1036,7 +1180,15 @@ impl System {
         self.run_inner(instructions_per_core, Some(cancel))
     }
 
+    /// The event-kernel run loop, with the stall ledger settled on
+    /// return so the cores' counters are current.
     fn run_inner(&mut self, instructions_per_core: u64, cancel: Option<&CancelToken>) -> bool {
+        let finished = self.run_events(instructions_per_core, cancel);
+        self.settle_all();
+        finished
+    }
+
+    fn run_events(&mut self, instructions_per_core: u64, cancel: Option<&CancelToken>) -> bool {
         let targets: Vec<u64> = self
             .cores
             .iter()
@@ -1175,19 +1327,17 @@ impl System {
     /// `until` (exclusive): the cores are stalled with nothing
     /// dispatchable before then, no walk or translated issue matures
     /// before then, and the whole SRAM hierarchy reports no earlier
-    /// self-driven work. Under the NextActivity contract that makes
-    /// tick phases 1–4 pure stall accounting for every cycle before
-    /// `until` — and cpu-side deadlines cannot move *earlier* during
-    /// the burst, because the only thing that changes cpu-side state
-    /// is a phase-5 delivery, which ends the burst. So each burst
-    /// cycle runs phase 5 alone, accumulates the cores' stall
-    /// accounting, and stops at `until` or the moment the scheme emits
-    /// anything cpu-visible (responses, shootdowns, wakes): the first
-    /// cycle whose phases 1–4 could stop being no-ops is then ticked
-    /// densely by the caller. Stall accounting is flushed *before*
-    /// wakes are applied, matching dense ordering (phase 1 of the
-    /// final cycle ran, still stalled, before phase 5 produced the
-    /// wake).
+    /// self-driven work. Every cluster and the L3 sleep, so each burst
+    /// cycle is a dense step with phases 1–4 asleep: phase 5 alone,
+    /// the cores' stall cycles owed in the stall ledger. Cpu-side
+    /// deadlines cannot move *earlier* during the burst, because only a
+    /// phase-5 delivery changes cpu-side state; so the burst stops at
+    /// `until` or the moment the scheme emits anything cpu-visible
+    /// (responses, shootdowns, wakes), and the first cycle whose phases
+    /// 1–4 could stop being no-ops is then ticked densely by the
+    /// caller. A burst skips the per-cycle kernel checks of
+    /// [`run`](Self::run) and the cluster and L3 due checks, and always
+    /// runs phase 5.
     ///
     /// Returns `false` when `cancel` fired; the deadlock `horizon`
     /// bounds the burst exactly like it bounds skips.
@@ -1199,7 +1349,6 @@ impl System {
         iters: &mut u64,
     ) -> bool {
         let mut mark = self.hot.as_ref().map(|_| nomad_types::fastclock::now());
-        let mut pending_idle: Cycle = 0;
         let mut burst_len: u64 = 0;
         let mut cancelled = false;
         loop {
@@ -1216,40 +1365,12 @@ impl System {
                 }
             }
             let now = self.cycle;
-            pending_idle += 1;
             burst_len += 1;
-
             let cpu_visible = self.tick_scheme(now);
-            if cpu_visible {
-                // Phase 1 of this cycle ran, still stalled, before phase
-                // 5 produced anything cpu-visible.
-                for core in &mut self.cores {
-                    core.idle_advance(pending_idle);
-                }
-                pending_idle = 0;
-            }
             self.deliver(now);
-
-            if self.obs.as_ref().is_some_and(|o| now >= o.next_sample) {
-                // Gauges read live core state; bring the bulk stall
-                // accounting current before snapshotting.
-                if pending_idle > 0 {
-                    for core in &mut self.cores {
-                        core.idle_advance(pending_idle);
-                    }
-                    pending_idle = 0;
-                }
-                self.obs_sample(now);
-            }
-            self.cycle += 1;
-            self.measured_cycles += 1;
+            self.end_cycle(now);
             if cpu_visible {
                 break;
-            }
-        }
-        if pending_idle > 0 {
-            for core in &mut self.cores {
-                core.idle_advance(pending_idle);
             }
         }
         self.lap(&mut mark, |h| &mut h.scheme_raw);
@@ -1308,6 +1429,7 @@ impl System {
     /// Reset every statistic in the system (cores, caches, devices,
     /// scheme); simulation state is preserved.
     pub fn reset_stats(&mut self) {
+        self.settle_all();
         for c in &mut self.cores {
             c.reset_stats();
         }
@@ -1352,6 +1474,27 @@ impl System {
     }
 }
 
+/// Indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
+}
+
+/// Apply the stall cycles `core` owes from its ledger entry `from` up
+/// to `to` (exclusive): cycles it slept through, each of which a dense
+/// tick would have counted as one stall cycle.
+fn settle(core: &mut Core, from: &mut Cycle, to: Cycle) {
+    if to > *from {
+        core.idle_advance(to - *from);
+        *from = to;
+    }
+}
+
 /// Resolve a TLB frame mapping plus page offset into a device block
 /// address.
 fn resolve(frame: nomad_cache::FrameKind, vaddr: VirtAddr) -> (BlockAddr, MemTarget) {
@@ -1376,6 +1519,15 @@ mod tests {
     fn build(spec: &SchemeSpec, profile: &WorkloadProfile, seed: u64) -> System {
         let mut cfg = SystemConfig::scaled(1);
         cfg.dc_capacity = 4 * 1024 * 1024;
+        build_with(&cfg, spec, profile, seed)
+    }
+
+    fn build_with(
+        cfg: &SystemConfig,
+        spec: &SchemeSpec,
+        profile: &WorkloadProfile,
+        seed: u64,
+    ) -> System {
         let traces: Vec<Box<dyn TraceSource>> = (0..cfg.cores)
             .map(|i| {
                 Box::new(SyntheticTrace::with_scale(
@@ -1386,7 +1538,7 @@ mod tests {
                 )) as Box<dyn TraceSource>
             })
             .collect();
-        let mut sys = System::new(cfg.clone(), spec.build(&cfg), traces);
+        let mut sys = System::new(cfg.clone(), spec.build(cfg), traces);
         sys.prewarm();
         sys
     }
@@ -1426,18 +1578,21 @@ mod tests {
         }
     }
 
-    /// `mem_quiet_ticks` is a deterministic work counter: two runs of
-    /// one cell count the same memory-quiet ticks, a stats reset zeroes
-    /// it like the other kernel counters, and the ungated reference
-    /// loop never skips phase 5.
+    /// The quiet-tick counters are deterministic work counters: two
+    /// runs of one cell count the same memory-quiet ticks, sleeping
+    /// cluster ticks and sleeping L3 ticks, a stats reset zeroes them
+    /// like the other kernel counters, and the ungated reference loop
+    /// skips no phase 5 and sleeps nothing.
     #[test]
-    fn mem_quiet_ticks_repeat_exactly_and_are_zero_under_run_dense() {
+    fn quiet_tick_counters_repeat_exactly_and_are_zero_under_run_dense() {
+        let quiet =
+            |h: HotProfileReport| (h.mem_quiet_ticks, h.cluster_quiet_ticks, h.l3_quiet_ticks);
         let profiled = |dense: bool| {
             let mut sys = build(&SchemeSpec::Nomad, &WorkloadProfile::tc(), 42);
             sys.enable_hot_profile();
             sys.run(2_000);
             sys.reset_stats();
-            assert_eq!(sys.hot_profile().expect("armed").mem_quiet_ticks, 0);
+            assert_eq!(quiet(sys.hot_profile().expect("armed")), (0, 0, 0));
             if dense {
                 sys.run_dense(20_000);
             } else {
@@ -1447,11 +1602,57 @@ mod tests {
         };
         let first = profiled(false);
         let second = profiled(false);
-        assert!(first.mem_quiet_ticks > 0, "tc must have memory-quiet ticks");
-        assert!(first.mem_quiet_ticks <= first.dense_ticks);
-        assert_eq!(first.mem_quiet_ticks, second.mem_quiet_ticks);
+        let (mem, clusters, l3) = quiet(first);
+        assert!(mem > 0, "tc must have memory-quiet ticks");
+        assert!(clusters > 0, "tc must have sleeping clusters");
+        assert!(l3 > 0, "tc must have a sleeping L3");
+        assert!(mem.max(clusters).max(l3) <= first.dense_ticks);
+        assert_eq!(quiet(first), quiet(second));
         assert_eq!(first.dense_ticks, second.dense_ticks);
-        assert_eq!(profiled(true).mem_quiet_ticks, 0);
+        assert_eq!(quiet(profiled(true)), (0, 0, 0));
+    }
+
+    /// Per-cycle differential for the gated step: on the 8-core Fig. 9
+    /// shape, for every Fig. 9 scheme on a memory-bound and a
+    /// cache-resident workload, a system stepped with sleeping
+    /// clusters, a sleeping L3 and memory-quiet ticks and one ticked
+    /// ungated advance side by side, and their reports — the gated
+    /// one's stall ledger settled — must serialize identically every
+    /// 1 000 cycles.
+    #[test]
+    fn gated_steps_match_ungated_ticks_on_the_fig9_shape() {
+        let cfg = SystemConfig::scaled(8);
+        for spec in SchemeSpec::fig9_set() {
+            for profile in [WorkloadProfile::mcf(), WorkloadProfile::tc()] {
+                let mut gated = build_with(&cfg, &spec, &profile, 42);
+                let mut ungated = build_with(&cfg, &spec, &profile, 42);
+                gated.enable_hot_profile();
+                for cycle in 1..=20_000u64 {
+                    gated.step(false);
+                    ungated.tick();
+                    if cycle % 1_000 == 0 {
+                        gated.settle_all();
+                        let json = |s: &System| {
+                            serde_json::to_string(&s.report(&profile.name)).expect("serialize")
+                        };
+                        assert_eq!(
+                            json(&gated),
+                            json(&ungated),
+                            "gated step diverged: scheme {} workload {} cycle {cycle}",
+                            spec.label(),
+                            profile.name
+                        );
+                    }
+                }
+                let hot = gated.hot_profile().expect("armed");
+                assert!(
+                    hot.cluster_quiet_ticks > 0 && hot.l3_quiet_ticks > 0,
+                    "nothing slept: scheme {} workload {}",
+                    spec.label(),
+                    profile.name
+                );
+            }
+        }
     }
 
     /// Same differential through the event kernel's *skips*: after a
