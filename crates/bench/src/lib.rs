@@ -13,7 +13,7 @@
 //! * `NOMAD_INSTR` — measured instructions per core (default 150 000);
 //! * `NOMAD_WARMUP` — warm-up instructions per core (default 120 000);
 //! * `NOMAD_CORES` — CPU cores (default 8, the paper's count; clamped
-//!   to `1..=`[`nomad_sim::MAX_CORES`], what the timing wheel fits);
+//!   to `1..=`[`nomad_sim::MAX_CORES`]);
 //! * `NOMAD_SEED` — RNG seed (default 42);
 //! * `NOMAD_JOBS` — sweep worker threads (default: the host's
 //!   available parallelism; 0 or garbage clamp to 1). Results are
@@ -402,7 +402,7 @@ mod tests {
         assert_eq!(d.with_jobs(0).jobs, 1, "with_jobs clamps to >= 1");
     }
 
-    /// `NOMAD_CORES` past what the timing wheel fits clamps to
+    /// `NOMAD_CORES` past what a system simulates clamps to
     /// `MAX_CORES` instead of panicking every cell. This is the only
     /// test mutating `NOMAD_CORES`.
     #[test]

@@ -559,23 +559,6 @@ impl Channel {
         }
     }
 
-    /// Earliest device cycle strictly after `after` at which
-    /// [`tick_device`](Self::tick_device) could change channel state:
-    /// finish or start a refresh, or issue a CAS/PRE/ACT for a queued
-    /// command. `None` while the queue is empty — refresh-only progress
-    /// is replayable in bulk ([`replay_idle_refreshes`](Self::replay_idle_refreshes)),
-    /// so an empty channel needs no wake-up of its own.
-    ///
-    /// The bound is *exact or early, never late*: it is [`due`](Self::due)
-    /// clamped to `after + 1`. Landing early costs one no-op tick;
-    /// landing late would break dense/event parity.
-    pub fn next_interesting_dev_cycle(&self, after: u64) -> Option<u64> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        Some(self.due.max(after + 1))
-    }
-
     /// Earliest device cycle at which a command to (`bank`, `row`) could
     /// issue, from the live [`BankFile`] timing words: a CAS (bank CAS
     /// timing plus the data-bus gate, `data_start = now + tCL/tCWL ≥
@@ -688,35 +671,6 @@ impl Channel {
             self.due_oracle(now).max(now + 1),
             "due diverged from the oracle at device cycle {now}"
         );
-    }
-
-    /// Replay the refresh machinery over the idle device-cycle window
-    /// `(from, to]` without ticking every cycle.
-    ///
-    /// Only valid while the command queue is empty: with no queued
-    /// work, [`tick_device`](Self::tick_device) can do nothing except
-    /// start and finish refreshes, whose schedule depends solely on
-    /// channel-local state — so the window can be walked in
-    /// O(#refreshes) jumps between "interesting" cycles instead of
-    /// cycle by cycle. Produces bit-identical state and stats to dense
-    /// ticking over the same window.
-    pub fn replay_idle_refreshes(&mut self, from: u64, to: u64, stats: &mut DramStats) {
-        debug_assert!(
-            self.queue.is_empty(),
-            "idle refresh replay with queued work"
-        );
-        // With nothing queued, `due` is the exact next refresh start or
-        // end, and refresh is all a dense tick would do there.
-        let mut cur = from;
-        loop {
-            let next = self.due.max(cur + 1);
-            if next > to {
-                return;
-            }
-            self.tick_refresh(next, stats);
-            self.recompute_due();
-            cur = next;
-        }
     }
 }
 

@@ -401,40 +401,6 @@ impl Dram {
         self.deliver(out);
     }
 
-    /// Earliest CPU cycle strictly after `now` at which ticking the
-    /// device could issue a command, run refresh machinery, or deliver
-    /// a completion.
-    ///
-    /// While busy, this is not merely the next device-clock edge: the
-    /// per-channel `BankFile` timing words give the
-    /// exact device cycle of the next possible CAS/PRE/ACT/refresh, and
-    /// the `pending` buffer the next completion deadline, so a device
-    /// grinding through a long CAS gap reports the far edge directly
-    /// instead of pinning the event kernel to dense stepping. The bound
-    /// is exact or early, never late; every skipped edge is reproduced
-    /// by [`advance`](Self::advance) in bulk.
-    ///
-    /// Returns `None` when the device is idle — refresh-only progress
-    /// is replayed by `advance`, so an idle device never needs a
-    /// wake-up. `now` must equal [`cpu_cycle`](Self::cpu_cycle).
-    pub fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {
-        debug_assert_eq!(now, self.cpu_cycle);
-        if self.is_idle() {
-            return None;
-        }
-        let d0 = self.dev_cycle;
-        // Pending deadlines are always > dev_cycle (the edge pass
-        // drained everything due).
-        let mut d_next = self.pending_due;
-        for ch in &self.channels {
-            if let Some(d) = ch.next_interesting_dev_cycle(d0) {
-                d_next = d_next.min(d);
-            }
-        }
-        debug_assert!(d_next > d0 && d_next != u64::MAX);
-        Some(self.edge_tick(d_next))
-    }
-
     /// CPU tick count (the value [`cpu_cycle`](Self::cpu_cycle) will
     /// have after the tick) whose tick next runs more than the O(1)
     /// quiet edge: the device edge reaching its due cycle — a channel
@@ -442,63 +408,38 @@ impl Dram {
     /// a completion deadline. Exact or early; strictly after
     /// [`cpu_cycle`](Self::cpu_cycle).
     pub fn due_at(&self) -> Cycle {
-        self.edge_tick(self.due.max(self.dev_cycle + 1))
-    }
-
-    /// CPU tick count at whose tick the edge counter reaches device
-    /// cycle `d` (`d > dev_cycle`).
-    fn edge_tick(&self, d: u64) -> Cycle {
+        // `k` more edges reach the due cycle, after `n` more ticks:
         // clock_acc + n·den ≥ k·num  ⇒  n = ⌈(k·num − clock_acc)/den⌉.
-        let need = (d - self.dev_cycle) * self.cfg.cpu_per_dev_num - self.clock_acc;
+        let k = self.due.max(self.dev_cycle + 1) - self.dev_cycle;
+        let need = k * self.cfg.cpu_per_dev_num - self.clock_acc;
         self.cpu_cycle + need.div_ceil(self.cfg.cpu_per_dev_den)
     }
 
     /// Advance `delta` CPU cycles in bulk, exactly as `delta` calls to
-    /// [`tick`](Self::tick) would across a window in which
-    /// [`next_activity_at`](Self::next_activity_at) promised nothing
-    /// interesting: CPU counters move, device edges elapse, empty
-    /// channels replay their refresh schedule, and busy channels
-    /// bulk-record the constant queue-occupancy samples dense edges
-    /// would have taken.
-    ///
-    /// Valid for any `delta` not crossing a cycle the device declared
-    /// interesting; the caller (the event kernel) guarantees this by
-    /// construction. A sub-edge `delta` is always valid.
+    /// [`tick`](Self::tick) would, for a window that ends before the due
+    /// edge: `cpu_cycle() + delta < due_at()`. Every device edge in such
+    /// a window is the O(1) quiet edge — no channel due, no completion
+    /// deliverable — whose only residue is one queue-occupancy sample,
+    /// so the window's edges are taken at once. The event kernel never
+    /// skips past its memory bound, which is at most `due_at() - 1`;
+    /// debug builds assert the contract.
     pub fn advance(&mut self, delta: Cycle) {
-        if delta == 0 {
-            return;
-        }
+        debug_assert!(
+            delta < self.due_at() - self.cpu_cycle,
+            "bulk advance of {delta} cycles from {} crosses the due edge at {}",
+            self.cpu_cycle,
+            self.due_at()
+        );
         self.cpu_cycle += delta;
         self.stats.cpu_cycles += delta;
         let total = self.clock_acc + delta * self.cfg.cpu_per_dev_den;
         let edges = total / self.cfg.cpu_per_dev_num;
         self.clock_acc = total % self.cfg.cpu_per_dev_num;
-        if edges == 0 {
-            return;
-        }
-        let from = self.dev_cycle;
         self.dev_cycle += edges;
-        for ch in &mut self.channels {
-            if ch.queue_len() == 0 {
-                ch.replay_idle_refreshes(from, self.dev_cycle, &mut self.stats);
-            } else {
-                // The skip window contains no issue, refresh or
-                // delivery opportunity for this channel, so its only
-                // dense-tick residue is the per-edge occupancy sample.
-                debug_assert!(
-                    ch.next_interesting_dev_cycle(from)
-                        .is_none_or(|d| d > self.dev_cycle),
-                    "bulk advance crossed an interesting device cycle"
-                );
-            }
-        }
-        // Queue depths are pinned across the window: no command issues.
         self.stats.sample_queue(
             self.queued as u64 * edges,
             self.channels.len() as u64 * edges,
         );
-        debug_assert!(self.pending_due > self.dev_cycle);
-        self.recompute_due();
     }
 
     /// Accumulated statistics.
@@ -685,6 +626,20 @@ mod tests {
         assert!(ratio > 3.0, "DDR/HBM stream-time ratio {ratio}");
     }
 
+    /// Drive `dram` to CPU cycle `end` the way the event kernel does:
+    /// advance in bulk to the cycle before the due edge, tick the edge,
+    /// repeat.
+    fn skip_to(dram: &mut Dram, end: Cycle, out: &mut Vec<DramCompletion>) {
+        while dram.cpu_cycle() < end {
+            let quiet = (dram.due_at() - 1).min(end) - dram.cpu_cycle();
+            if quiet > 0 {
+                dram.advance(quiet);
+            } else {
+                dram.tick(out);
+            }
+        }
+    }
+
     #[test]
     fn idle_advance_matches_dense_ticking() {
         for cfg in [DramConfig::hbm(), DramConfig::ddr4_2ch()] {
@@ -699,8 +654,11 @@ mod tests {
 
             // Cover several refresh intervals while idle.
             let idle = cfg.dev_to_cpu(cfg.timing.t_refi) * 4 + 7;
+            let mut out = Vec::new();
             run(&mut dense, idle);
-            event.advance(idle);
+            let end = event.cpu_cycle() + idle;
+            skip_to(&mut event, end, &mut out);
+            assert!(out.is_empty());
 
             assert_eq!(dense.cpu_cycle(), event.cpu_cycle());
             assert_eq!(
@@ -734,8 +692,8 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The busy-device event path (exact next-edge bounds + bulk
-    /// `advance`) must match dense ticking exactly: identical
+    /// The busy-device event path (bulk `advance` up to the due edge,
+    /// then a tick) must match dense ticking exactly: identical
     /// completion streams, identical serialized stats — including the
     /// per-edge queue-occupancy samples — under seeded random traffic
     /// with arbitrary push times.
@@ -750,8 +708,8 @@ mod tests {
             let mut dense = Dram::new(cfg.clone());
             let mut event = Dram::new(cfg.clone());
             // Pre-computed push schedule: (cpu_cycle, addr, is_write).
-            // Bursty arrivals with long gaps exercise both the busy
-            // skip path and idle refresh replay.
+            // Bursty arrivals with long gaps exercise skips both while
+            // busy and across idle refreshes.
             let mut rng = seed;
             let mut pushes: Vec<(u64, u64, bool)> = Vec::new();
             let mut at = 0u64;
@@ -794,36 +752,13 @@ mod tests {
                 dense.tick(&mut dense_out);
             }
 
-            // Event path: jump with `advance` whenever the predicted
-            // activity and the push schedule allow it.
+            // Event path: skip to each push time, then to the horizon.
             let mut event_out = Vec::new();
-            let mut ei = 0;
-            loop {
-                let now = event.cpu_cycle();
-                if now >= horizon {
-                    break;
-                }
-                while ei < pushes.len() && pushes[ei].0 == now {
-                    let _ = event.try_push(req(ei, &pushes[ei]));
-                    ei += 1;
-                }
-                // Predicted activity fires during the tick that brings
-                // cpu_cycle to the prediction; the cycle before it is
-                // the last safely skippable one.
-                let mut target = match event.next_activity_at(now) {
-                    Some(t) => t - 1,
-                    None => horizon,
-                };
-                if ei < pushes.len() {
-                    target = target.min(pushes[ei].0);
-                }
-                target = target.min(horizon);
-                if target > now {
-                    event.advance(target - now);
-                } else {
-                    event.tick(&mut event_out);
-                }
+            for (i, p) in pushes.iter().enumerate() {
+                skip_to(&mut event, p.0, &mut event_out);
+                let _ = event.try_push(req(i, p));
             }
+            skip_to(&mut event, horizon, &mut event_out);
 
             assert_eq!(dense.cpu_cycle(), event.cpu_cycle());
             assert_eq!(dense_out, event_out, "completions diverged (seed {seed})");
@@ -913,28 +848,32 @@ mod tests {
         }
     }
 
+    /// No tick before the due edge delivers a completion or refreshes.
     #[test]
-    fn next_activity_is_never_late() {
+    fn due_is_never_late() {
         let mut dram = Dram::new(DramConfig::hbm());
         for i in 0..8 {
             dram.try_push(read_req(i, i * 4096)).unwrap();
         }
+        let cfg = DramConfig::hbm();
         let mut out = Vec::new();
-        let mut predicted = None;
-        for _ in 0..2000 {
+        let mut completions = 0;
+        for _ in 0..cfg.dev_to_cpu(cfg.timing.t_refi) * 3 {
+            let due = dram.due_at();
+            let refreshes = dram.stats().refreshes.get();
             out.clear();
             dram.tick(&mut out);
-            if let (false, Some(p)) = (out.is_empty(), predicted) {
+            completions += out.len();
+            if !out.is_empty() || dram.stats().refreshes.get() != refreshes {
                 assert!(
-                    dram.cpu_cycle() >= p,
-                    "completion at {} before predicted activity {p}",
+                    dram.cpu_cycle() >= due,
+                    "activity at {} before the due edge {due}",
                     dram.cpu_cycle()
                 );
             }
-            predicted = dram.next_activity_at(dram.cpu_cycle());
         }
-        assert!(dram.is_idle());
-        assert_eq!(dram.next_activity_at(dram.cpu_cycle()), None);
+        assert_eq!(completions, 8);
+        assert!(dram.is_idle() && dram.stats().refreshes.get() >= 2);
     }
 
     #[test]

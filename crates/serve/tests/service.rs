@@ -243,7 +243,7 @@ fn grid_via_service_matches_in_process_grid() {
     handle.shutdown();
 }
 
-/// A job with more cores than the timing wheel fits is answered with
+/// A job with more cores than a system simulates is answered with
 /// `Error` before it is counted, queued, executed or retried, and the
 /// connection stays usable. (Left to run, the worker would panic on the
 /// simulator's assert through the whole retry budget; with a huge

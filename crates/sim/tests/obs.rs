@@ -36,7 +36,6 @@ fn observed_run_attaches_series() {
         .snapshots
         .contains("\"name\":\"dcache.pcshr_occupancy\""));
     assert!(obs.snapshots.contains("\"name\":\"cpu.0.instructions\""));
-    assert!(obs.snapshots.contains("\"name\":\"sim.kernel.skip_span\""));
     assert!(
         obs.snapshots.contains("{\"cycle\":"),
         "expected at least one snapshot row"

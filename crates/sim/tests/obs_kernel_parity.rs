@@ -1,0 +1,82 @@
+//! Dense/event parity with observability on: a report's obs series —
+//! interval snapshots and Chrome trace — must be as kernel-independent
+//! as the rest of it. The event kernel never skips past the next
+//! snapshot cycle, so [`System::run`] samples the same interval
+//! boundaries [`System::run_dense`] does, and both serialize
+//! byte-identically.
+//!
+//! Lives in its own integration-test binary because it flips the
+//! process-wide [`nomad_obs::set_enabled`] switch.
+
+use nomad_sim::spec::SchemeSpec;
+use nomad_sim::{System, SystemConfig};
+use nomad_trace::{SyntheticTrace, TraceSource, WorkloadProfile};
+
+const WARMUP: u64 = 2_000;
+const INSTRUCTIONS: u64 = 20_000;
+
+fn build_system(cfg: &SystemConfig, spec: &SchemeSpec, profile: &WorkloadProfile) -> System {
+    let traces: Vec<Box<dyn TraceSource>> = (0..cfg.cores)
+        .map(|i| {
+            Box::new(SyntheticTrace::with_scale(
+                profile,
+                42u64.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9),
+                cfg.pages_per_gb,
+                cfg.l3_reach_pages(),
+            )) as Box<dyn TraceSource>
+        })
+        .collect();
+    let mut sys = System::new(cfg.clone(), spec.build(cfg), traces);
+    sys.prewarm();
+    sys
+}
+
+#[test]
+fn observed_reports_match_across_kernels() {
+    if std::env::var_os("NOMAD_OBS").is_some() {
+        eprintln!("NOMAD_OBS is set; skipping (this test drives the toggle itself)");
+        return;
+    }
+    nomad_obs::set_enabled(true);
+    let mut skipped = 0;
+    for cores in [1, 2] {
+        let mut cfg = SystemConfig::scaled(cores);
+        cfg.dc_capacity = 4 * 1024 * 1024;
+        for spec in [
+            SchemeSpec::Baseline,
+            SchemeSpec::Tdc,
+            SchemeSpec::Nomad,
+            SchemeSpec::Tid,
+        ] {
+            for profile in [WorkloadProfile::tc(), WorkloadProfile::mcf()] {
+                let mut dense = build_system(&cfg, &spec, &profile);
+                dense.run_dense(WARMUP);
+                dense.reset_stats();
+                dense.run_dense(INSTRUCTIONS);
+                let dense_report = dense.report(&profile.name);
+
+                let mut event = build_system(&cfg, &spec, &profile);
+                event.enable_hot_profile();
+                event.run(WARMUP);
+                event.reset_stats();
+                event.run(INSTRUCTIONS);
+                skipped += event.hot_profile().expect("armed").skipped_cycles;
+                let event_report = event.report(&profile.name);
+
+                let obs = dense_report.obs.as_ref().expect("observed run");
+                assert!(
+                    obs.snapshots.matches("{\"cycle\":").count() >= 2,
+                    "the run must span several snapshots"
+                );
+                assert_eq!(
+                    serde_json::to_string(&dense_report).expect("serialize"),
+                    serde_json::to_string(&event_report).expect("serialize"),
+                    "observed reports diverged ({} / {}, {cores} cores)",
+                    spec.label(),
+                    profile.name
+                );
+            }
+        }
+    }
+    assert!(skipped > 0, "the event kernel must have skipped");
+}

@@ -32,14 +32,12 @@ pub mod geom;
 pub mod hash;
 pub mod req;
 pub mod stats;
-pub mod wheel;
 
 pub use addr::{BlockAddr, CacheAddr, Cfn, PageOffset, Pfn, PhysAddr, SubBlockIdx, VirtAddr, Vpn};
 pub use event::{CancelToken, NextActivity};
 pub use geom::{Geometry, Pow2};
 pub use hash::fnv1a;
 pub use req::{AccessKind, MemLevel, MemReq, MemResp, MemTarget, ReqId, TrafficClass};
-pub use wheel::TimingWheel;
 
 /// Simulation time, measured in CPU clock cycles.
 pub type Cycle = u64;
