@@ -1,5 +1,6 @@
 // Regenerates Fig. 12 (per-class IPC vs number of PCSHRs).
-use nomad_bench::{figs::pcshr_sweeps, save_json, Scale};
+use nomad_bench::figs::{pcshr_sweeps, Executor};
+use nomad_bench::{save_json, Scale};
 
 const COUNTS: &[usize] = &[1, 2, 4, 8, 16, 32];
 
@@ -11,7 +12,7 @@ fn main() {
         COUNTS.len(),
         scale
     );
-    let rows = pcshr_sweeps::fig12(&scale, COUNTS);
+    let rows = pcshr_sweeps::fig12(&Executor::from_env(), &scale, COUNTS);
     pcshr_sweeps::print_fig12(&rows, COUNTS);
     save_json("fig12", &rows);
 }

@@ -1,5 +1,6 @@
 // Regenerates Fig. 13 (Excess-class IPC vs PCSHRs for 2/4/8 cores).
-use nomad_bench::{figs::pcshr_sweeps, save_json, Scale};
+use nomad_bench::figs::{pcshr_sweeps, Executor};
+use nomad_bench::{save_json, Scale};
 
 const COUNTS: &[usize] = &[2, 4, 8, 16, 32];
 const CORES: &[usize] = &[2, 4, 8];
@@ -13,7 +14,7 @@ fn main() {
         COUNTS.len(),
         scale
     );
-    let rows = pcshr_sweeps::fig13(&scale, COUNTS, CORES);
+    let rows = pcshr_sweeps::fig13(&Executor::from_env(), &scale, COUNTS, CORES);
     pcshr_sweeps::print_fig13(&rows, COUNTS, CORES);
     save_json("fig13", &rows);
 }

@@ -1,5 +1,6 @@
 // Regenerates Fig. 16 (centralized vs distributed back-ends).
-use nomad_bench::{figs::fig16, save_json, Scale};
+use nomad_bench::figs::{fig16, Executor};
+use nomad_bench::{save_json, Scale};
 
 const TOTALS: &[usize] = &[4, 8, 16, 32];
 
@@ -11,7 +12,7 @@ fn main() {
         TOTALS.len(),
         scale
     );
-    let rows = fig16::run(&scale, TOTALS);
+    let rows = fig16::run(&Executor::from_env(), &scale, TOTALS);
     fig16::print(&rows);
     save_json("fig16", &rows);
 }

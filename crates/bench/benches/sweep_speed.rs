@@ -19,7 +19,8 @@
 // `NOMAD_JOBS` (parallel-mode worker count; default: available
 // parallelism).
 
-use nomad_bench::{apply_perf_gate, figs, load_json, measure, par, save_json, Scale};
+use nomad_bench::figs::{self, Executor};
+use nomad_bench::{apply_perf_gate, load_json, measure, par, save_json, Scale};
 use nomad_sim::SchemeSpec;
 use nomad_trace::WorkloadProfile;
 use serde::{Deserialize, Serialize};
@@ -58,6 +59,9 @@ fn main() {
         jobs: par::jobs_from_env(),
     };
     let reps = env_u64("NOMAD_REPS", 2).max(1);
+    // In-process and unrecorded: the timings are of the executor
+    // running cells, not of store writes or a fleet.
+    let exec = Executor::default();
     let specs = SchemeSpec::fig9_set();
     let workloads = WorkloadProfile::all();
     let cells = specs.len() * workloads.len();
@@ -87,7 +91,7 @@ fn main() {
         seq_rep += 1;
         eprintln!("— rep {seq_rep} / {reps}: sequential (jobs=1)");
         let t0 = Instant::now();
-        let rows = figs::sweep(&scale.with_jobs(1), &specs, &workloads);
+        let rows = figs::sweep(&exec, &scale.with_jobs(1), &specs, &workloads);
         (t0.elapsed().as_secs_f64(), rows)
     };
     let mut par_rep = 0;
@@ -95,7 +99,7 @@ fn main() {
         par_rep += 1;
         eprintln!("— rep {par_rep} / {reps}: parallel (jobs={})", scale.jobs);
         let t0 = Instant::now();
-        let rows = figs::sweep(&scale, &specs, &workloads);
+        let rows = figs::sweep(&exec, &scale, &specs, &workloads);
         (t0.elapsed().as_secs_f64(), rows)
     };
     let mut best = measure::best_of(reps, &mut [&mut seq_mode, &mut par_mode]);

@@ -1,29 +1,186 @@
-//! One module per table/figure of the paper's evaluation. Each
-//! exposes `run(&Scale)` returning serializable rows plus a
-//! `print(&rows)` that renders the table the paper reports.
+//! One module per table/figure of the paper's evaluation. Each builds
+//! its grid as a list of [`JobSpec`]s, hands it to the one
+//! [`Executor`], and derives its rows from the returned reports; a
+//! `print(&rows)` renders the table the paper reports.
 
-use crate::journal::run_cells_journaled_or_exit;
-use crate::par;
-use crate::{geomean, hr, run_cell, run_with_cfg_cell, Scale};
+use crate::{geomean, hr, journal, par, run_with_cfg_cell, Scale};
+use nomad_serve::{JobSpec, ResultStore};
 use nomad_sim::{RunReport, SchemeSpec};
 use nomad_trace::{WorkloadClass, WorkloadProfile};
+use nomad_types::CancelToken;
 use serde::{Deserialize, Serialize};
 
-/// A content-derived journal key for a sweep grid: everything that
-/// determines the rows — the harness tag, the scale parameters, and a
-/// descriptor of the grid axes (scheme labels, workload names, sweep
-/// parameters) — goes in, so a changed grid never resumes from a stale
-/// journal. `scale.jobs` deliberately stays out: an interrupted wide
-/// sweep may resume at any width (results are width-independent).
-fn grid_key(tag: &str, scale: &Scale, axes: &[String]) -> String {
-    format!(
-        "{tag}:i{}w{}c{}s{}:{}",
-        scale.instructions,
-        scale.warmup,
-        scale.cores,
-        scale.seed,
-        axes.join(",")
-    )
+/// The one grid executor every harness hands its cells to: jobs in,
+/// their reports out in the same order.
+///
+/// * With `fleet`, the cells run through the fleet router
+///   (`nomad_fleet::FleetClient::run_grid`) over those `nomad-serve`
+///   nodes; a single server is a fleet of one. Each node's own store
+///   remembers what it ran.
+/// * Without, they run in-process on [`par::run_cells`], and each
+///   finished report goes into `store` under its job's key.
+/// * With `resume`, every cell `store` already holds is taken from it
+///   and only the others run, either way.
+///
+/// Cells are pure and stored reports round-trip exactly, so the
+/// reports are byte-identical however each cell was produced (the
+/// `par_parity`, `fleet_parity` and `journal_resume` suites hold this).
+/// The default runs in-process and stores nothing.
+#[derive(Debug, Default)]
+pub struct Executor {
+    /// Nodes to run on; `None` runs in-process.
+    pub fleet: Option<Vec<String>>,
+    /// Where in-process cells are recorded (and read from, on resume).
+    pub store: Option<ResultStore>,
+    /// Take stored cells instead of re-running them.
+    pub resume: bool,
+}
+
+impl Executor {
+    /// The executor a harness binary runs on: the nodes
+    /// `NOMAD_FLEET_ADDRS` or `NOMAD_SERVE_ADDR` name (the fleet list
+    /// wins; either may name one node), the workspace's
+    /// `results/cache/` store while [`journal::enabled`], and resume as
+    /// [`journal::resume_requested`].
+    pub fn from_env() -> Self {
+        let fleet = std::env::var("NOMAD_FLEET_ADDRS").ok();
+        let serve = std::env::var("NOMAD_SERVE_ADDR").ok();
+        Executor {
+            fleet: service_addrs(fleet.as_deref(), serve.as_deref()),
+            store: journal::enabled().then(|| ResultStore::new(crate::results_dir().join("cache"))),
+            resume: journal::resume_requested(),
+        }
+    }
+
+    /// Run `cells` with `jobs` workers (router workers on a fleet) and
+    /// return their reports in cell order, or `None` once `cancel` is
+    /// latched. Finished cells are already in the store by then, so a
+    /// resumed rerun picks up from there.
+    pub fn run(
+        &self,
+        jobs: usize,
+        cancel: &CancelToken,
+        cells: &[JobSpec],
+    ) -> Option<Vec<RunReport>> {
+        let stored: Vec<Option<RunReport>> = cells
+            .iter()
+            .map(|job| {
+                let store = self.store.as_ref().filter(|_| self.resume)?;
+                store.get(job.content_key(), &job.canonical_json())
+            })
+            .collect();
+        let todo: Vec<&JobSpec> = cells
+            .iter()
+            .zip(&stored)
+            .filter_map(|(job, report)| report.is_none().then_some(job))
+            .collect();
+        let resumed = cells.len() - todo.len();
+        if let (Some(store), true) = (&self.store, resumed > 0) {
+            nomad_obs::resilience()
+                .journal_cells_resumed
+                .add(resumed as u64);
+            eprintln!(
+                "[resumed {resumed}/{} cells from {}]",
+                cells.len(),
+                store.dir().display()
+            );
+        }
+        let fresh = match &self.fleet {
+            Some(addrs) => {
+                let todo = todo.into_iter().cloned().collect();
+                let fleet = nomad_fleet::FleetClient::new(addrs);
+                let reports = match fleet.run_grid(todo, jobs, cancel) {
+                    Ok(reports) => reports,
+                    Err(_) if cancel.is_cancelled() => return None,
+                    Err(e) => panic!("grid submission to the fleet {addrs:?} failed: {e}"),
+                };
+                for r in &reports {
+                    eprintln!(
+                        "  [{}/{}] ipc {:.3} (via fleet)",
+                        r.workload,
+                        r.scheme,
+                        r.ipc()
+                    );
+                }
+                reports
+            }
+            None => par::run_cells(jobs, cancel, todo, |job, cancel| self.run_here(job, cancel))?,
+        };
+        let mut fresh = fresh.into_iter();
+        Some(
+            stored
+                .into_iter()
+                .map(|report| {
+                    report
+                        .or_else(|| fresh.next())
+                        .expect("one report per cell")
+                })
+                .collect(),
+        )
+    }
+
+    /// Run one cell in-process and record it in the store.
+    fn run_here(&self, job: &JobSpec, cancel: &CancelToken) -> Option<RunReport> {
+        let scale = Scale {
+            instructions: job.instructions,
+            warmup: job.warmup,
+            cores: job.cfg.cores,
+            seed: job.seed,
+            jobs: 1,
+        };
+        let report = run_with_cfg_cell(&job.cfg, &scale, &job.spec, &job.profile, cancel)?;
+        eprintln!(
+            "  [{}/{}] ipc {:.3}",
+            report.workload,
+            report.scheme,
+            report.ipc()
+        );
+        if let Some(store) = &self.store {
+            if let Err(e) = store.put(job.content_key(), &job.canonical_json(), &report) {
+                eprintln!(
+                    "warning: could not store a {}/{} cell in {}: {e}",
+                    job.profile.name,
+                    job.spec.label(),
+                    store.dir().display()
+                );
+            }
+        }
+        Some(report)
+    }
+
+    /// [`run`](Self::run) under the process-wide [`par::sweep_token`],
+    /// exiting 130 on cancellation: what every harness calls.
+    pub fn run_or_exit(&self, jobs: usize, cells: &[JobSpec]) -> Vec<RunReport> {
+        if let Some(reports) = self.run(jobs, par::sweep_token(), cells) {
+            return reports;
+        }
+        match (&self.store, &self.fleet) {
+            (Some(store), None) => eprintln!(
+                "sweep cancelled; finished cells are stored in {} — rerun with \
+                 --resume (or NOMAD_RESUME=1) to reuse them",
+                store.dir().display()
+            ),
+            _ => eprintln!("sweep cancelled; discarding partial grid"),
+        }
+        std::process::exit(130);
+    }
+}
+
+/// The nodes an off-process grid goes to, from the values of
+/// `NOMAD_FLEET_ADDRS` and `NOMAD_SERVE_ADDR`: the fleet list when it
+/// names any address, else `NOMAD_SERVE_ADDR` parsed the same way (one
+/// address is a fleet of one), else `None` for the in-process executor.
+fn service_addrs(fleet: Option<&str>, serve: Option<&str>) -> Option<Vec<String>> {
+    [fleet, serve]
+        .into_iter()
+        .flatten()
+        .map(nomad_fleet::parse_addrs)
+        .find(|addrs| !addrs.is_empty())
+}
+
+/// The mean of `metric` over a group of reports.
+fn mean(group: &[RunReport], metric: fn(&RunReport) -> f64) -> f64 {
+    group.iter().map(metric).sum::<f64>() / group.len().max(1) as f64
 }
 
 /// A generic result row: one (workload × scheme) measurement with the
@@ -90,111 +247,24 @@ impl Row {
     }
 }
 
-/// Run `specs × workloads` and collect rows — across `scale.jobs`
-/// worker threads, with results in `workloads × specs` submission
-/// order, so the output is byte-identical at every job count (the
-/// `par_parity` suite holds this against the `jobs == 1` oracle).
-pub fn sweep(scale: &Scale, specs: &[SchemeSpec], workloads: &[WorkloadProfile]) -> Vec<Row> {
-    let cells: Vec<(WorkloadProfile, SchemeSpec)> = workloads
-        .iter()
-        .flat_map(|w| specs.iter().map(move |spec| (w.clone(), spec.clone())))
-        .collect();
-    let axes: Vec<String> = specs
-        .iter()
-        .map(|s| s.label().to_string())
-        .chain(workloads.iter().map(|w| w.name.clone()))
-        .collect();
-    let key = grid_key("sweep", scale, &axes);
-    let scale = *scale;
-    run_cells_journaled_or_exit(scale.jobs, &key, cells, |(w, spec), cancel| {
-        let r = run_cell(&scale, spec, w, cancel)?;
-        let row = Row::from_report(&r, w.class.label());
-        eprintln!("  [{}/{}] ipc {:.3}", w.name, spec.label(), row.ipc);
-        Some(row)
-    })
-}
-
-/// Like [`sweep`], but runs the grid through the fleet router
-/// (`nomad_fleet::FleetClient::run_grid`) over the nomad-serve nodes at
-/// `addrs`; a single server is a fleet of one. Each cell routes to its
-/// consistent-hash owner, any node's cache can answer it, and dead
-/// nodes fail over (past the last one the cells run in-process).
-/// `scale.jobs` sets the router's worker count. Rows come back
-/// byte-identical to [`sweep`] at any fleet size and width. The nodes'
-/// result caches are what a rerun reuses, so this path does not
-/// journal locally.
-pub fn sweep_via_fleet(
-    addrs: &[String],
+/// Run `specs × workloads` and collect rows, in `workloads × specs`
+/// order at any executor and width.
+pub fn sweep(
+    exec: &Executor,
     scale: &Scale,
     specs: &[SchemeSpec],
     workloads: &[WorkloadProfile],
 ) -> Vec<Row> {
-    let pairs: Vec<(&WorkloadProfile, &SchemeSpec)> = workloads
+    let cells: Vec<JobSpec> = workloads
         .iter()
-        .flat_map(|w| specs.iter().map(move |spec| (w, spec)))
+        .flat_map(|w| specs.iter().map(move |spec| scale.job(spec, w)))
         .collect();
-    let cells = pairs
-        .iter()
-        .map(|&(w, spec)| nomad_serve::JobSpec {
-            cfg: scale.config(),
-            spec: spec.clone(),
-            profile: w.clone(),
-            instructions: scale.instructions,
-            warmup: scale.warmup,
-            seed: scale.seed,
-        })
-        .collect();
-    let fleet = nomad_fleet::FleetClient::new(addrs);
-    let reports = match fleet.run_grid(cells, scale.jobs, par::sweep_token()) {
-        Ok(reports) => reports,
-        Err(e) if par::sweep_token().is_cancelled() => {
-            eprintln!("sweep cancelled during fleet submission ({e}); discarding partial grid");
-            std::process::exit(130);
-        }
-        Err(e) => panic!("grid submission to the fleet {addrs:?} failed: {e}"),
-    };
-    pairs
+    let reports = exec.run_or_exit(scale.jobs, &cells);
+    cells
         .iter()
         .zip(&reports)
-        .map(|(&(w, spec), r)| {
-            eprintln!(
-                "  [{}/{}] ipc {:.3} (via fleet)",
-                w.name,
-                spec.label(),
-                r.ipc()
-            );
-            Row::from_report(r, w.class.label())
-        })
+        .map(|(job, r)| Row::from_report(r, job.profile.class.label()))
         .collect()
-}
-
-/// The nodes an off-process sweep goes to, from the values of
-/// `NOMAD_FLEET_ADDRS` and `NOMAD_SERVE_ADDR`: the fleet list when it
-/// names any address, else `NOMAD_SERVE_ADDR` parsed the same way (one
-/// address is a fleet of one), else `None` for the in-process sweep.
-fn service_addrs(fleet: Option<&str>, serve: Option<&str>) -> Option<Vec<String>> {
-    [fleet, serve]
-        .into_iter()
-        .flatten()
-        .map(nomad_fleet::parse_addrs)
-        .find(|addrs| !addrs.is_empty())
-}
-
-/// `sweep` locally, or via [`sweep_via_fleet`] when
-/// `NOMAD_FLEET_ADDRS` (the line `nomad-fleet local N` prints) or
-/// `NOMAD_SERVE_ADDR` (the line `nomad-serve` prints) names a node;
-/// the fleet takes precedence.
-pub fn sweep_maybe_serviced(
-    scale: &Scale,
-    specs: &[SchemeSpec],
-    workloads: &[WorkloadProfile],
-) -> Vec<Row> {
-    let fleet = std::env::var("NOMAD_FLEET_ADDRS").ok();
-    let serve = std::env::var("NOMAD_SERVE_ADDR").ok();
-    match service_addrs(fleet.as_deref(), serve.as_deref()) {
-        Some(addrs) => sweep_via_fleet(&addrs, scale, specs, workloads),
-        None => sweep(scale, specs, workloads),
-    }
 }
 
 /// Table I — workload characteristics under the ideal OS-managed
@@ -225,30 +295,34 @@ pub mod table1 {
         pub paper_footprint_gb: f64,
     }
 
-    /// Measure all 15 workloads under the Ideal scheme (one parallel
-    /// cell per workload).
-    pub fn run(scale: &Scale) -> Vec<T1Row> {
+    /// Measure all 15 workloads under the Ideal scheme (one cell per
+    /// workload).
+    pub fn run(exec: &Executor, scale: &Scale) -> Vec<T1Row> {
         let cfg = scale.config();
         let workloads = WorkloadProfile::all();
-        let axes: Vec<String> = workloads.iter().map(|w| w.name.clone()).collect();
-        let key = grid_key("table1", scale, &axes);
-        let scale = *scale;
-        run_cells_journaled_or_exit(scale.jobs, &key, workloads, |w, cancel| {
-            let r = run_with_cfg_cell(&cfg, &scale, &SchemeSpec::Ideal, w, cancel)?;
-            eprintln!("  [{}] rmhb {:.1}", w.name, r.rmhb_gbps());
-            let d = w.derive(cfg.pages_per_gb, cfg.l3_reach_pages());
-            Some(T1Row {
-                class: w.class.label().to_string(),
-                abbr: w.name.clone(),
-                workload: w.full_name.clone(),
-                rmhb_gbps: r.rmhb_gbps(),
-                paper_rmhb: w.rmhb_gbps,
-                llc_mpms: r.llc_mpms(),
-                paper_mpms: w.llc_mpms,
-                footprint_mb: d.footprint_pages as f64 * 4096.0 / 1e6,
-                paper_footprint_gb: w.footprint_gb,
+        let cells: Vec<JobSpec> = workloads
+            .iter()
+            .map(|w| scale.job(&SchemeSpec::Ideal, w))
+            .collect();
+        let reports = exec.run_or_exit(scale.jobs, &cells);
+        workloads
+            .iter()
+            .zip(&reports)
+            .map(|(w, r)| {
+                let d = w.derive(cfg.pages_per_gb, cfg.l3_reach_pages());
+                T1Row {
+                    class: w.class.label().to_string(),
+                    abbr: w.name.clone(),
+                    workload: w.full_name.clone(),
+                    rmhb_gbps: r.rmhb_gbps(),
+                    paper_rmhb: w.rmhb_gbps,
+                    llc_mpms: r.llc_mpms(),
+                    paper_mpms: w.llc_mpms,
+                    footprint_mb: d.footprint_pages as f64 * 4096.0 / 1e6,
+                    paper_footprint_gb: w.footprint_gb,
+                }
             })
-        })
+            .collect()
     }
 
     /// Print the table.
@@ -354,35 +428,23 @@ pub mod fig02 {
         pub rmhb_gbps: f64,
     }
 
-    /// Run the six-workload comparison (one parallel cell per
-    /// workload × scheme, paired back up in submission order). Each
-    /// cell journals only the `[ipc, rmhb]` pair it contributes — the
-    /// full `RunReport` is not serializable, and the pairing below
-    /// needs nothing more.
-    pub fn run(scale: &Scale) -> Vec<F2Row> {
+    /// Run the six-workload comparison (one cell per workload ×
+    /// scheme, paired back up in submission order).
+    pub fn run(exec: &Executor, scale: &Scale) -> Vec<F2Row> {
         let set = WorkloadProfile::fig2_set();
-        let cells: Vec<(WorkloadProfile, SchemeSpec)> = set
+        let cells: Vec<JobSpec> = set
             .iter()
-            .flat_map(|w| [SchemeSpec::Tdc, SchemeSpec::Tid].map(|spec| (w.clone(), spec)))
+            .flat_map(|w| [SchemeSpec::Tdc, SchemeSpec::Tid].map(|spec| scale.job(&spec, w)))
             .collect();
-        let axes: Vec<String> = set.iter().map(|w| w.name.clone()).collect();
-        let key = grid_key("fig02", scale, &axes);
-        let scale = *scale;
-        let measured: Vec<[f64; 2]> =
-            run_cells_journaled_or_exit(scale.jobs, &key, cells, |(w, spec), cancel| {
-                let r = run_cell(&scale, spec, w, cancel)?;
-                eprintln!("  [{}/{}] ipc {:.3}", w.name, spec.label(), r.ipc());
-                Some([r.ipc(), r.rmhb_gbps()])
-            });
+        let reports = exec.run_or_exit(scale.jobs, &cells);
         set.iter()
-            .zip(measured.chunks_exact(2))
+            .zip(reports.chunks_exact(2))
             .map(|(w, pair)| {
                 let (tdc, tid) = (&pair[0], &pair[1]);
-                eprintln!("  [{}] tdc/tid {:.2}", w.name, tdc[0] / tid[0]);
                 F2Row {
                     workload: w.name.clone(),
-                    tdc_over_tid: tdc[0] / tid[0],
-                    rmhb_gbps: tdc[1],
+                    tdc_over_tid: tdc.ipc() / tid.ipc(),
+                    rmhb_gbps: tdc.rmhb_gbps(),
                 }
             })
             .collect()
@@ -413,10 +475,14 @@ pub mod fig02 {
 pub mod fig09 {
     use super::*;
 
-    /// Run the full cross product — in-process, or through the fleet
-    /// router when `NOMAD_FLEET_ADDRS` or `NOMAD_SERVE_ADDR` is set.
-    pub fn run(scale: &Scale) -> Vec<Row> {
-        sweep_maybe_serviced(scale, &SchemeSpec::fig9_set(), &WorkloadProfile::all())
+    /// Run the full cross product.
+    pub fn run(exec: &Executor, scale: &Scale) -> Vec<Row> {
+        sweep(
+            exec,
+            scale,
+            &SchemeSpec::fig9_set(),
+            &WorkloadProfile::all(),
+        )
     }
 
     /// Print the table plus headline summary.
@@ -502,10 +568,10 @@ pub mod fig_headtohead {
         "Baseline", "TiD", "TDRAM", "Banshee", "TDC", "NOMAD", "Ideal",
     ];
 
-    /// Run the full 7-scheme cross product over every workload —
-    /// in-process, or via a serve/fleet tier per the usual env vars.
-    pub fn run(scale: &Scale) -> Vec<Row> {
-        sweep_maybe_serviced(
+    /// Run the full 7-scheme cross product over every workload.
+    pub fn run(exec: &Executor, scale: &Scale) -> Vec<Row> {
+        sweep(
+            exec,
             scale,
             &SchemeSpec::headtohead_set(),
             &WorkloadProfile::all(),
@@ -580,8 +646,9 @@ pub mod fig10 {
     use super::*;
 
     /// Run the three DC schemes over all workloads.
-    pub fn run(scale: &Scale) -> Vec<Row> {
+    pub fn run(exec: &Executor, scale: &Scale) -> Vec<Row> {
         sweep(
+            exec,
             scale,
             &[SchemeSpec::Tid, SchemeSpec::Tdc, SchemeSpec::Nomad],
             &WorkloadProfile::all(),
@@ -625,8 +692,9 @@ pub mod fig11 {
     use super::*;
 
     /// Run TDC and NOMAD over all workloads.
-    pub fn run(scale: &Scale) -> Vec<Row> {
+    pub fn run(exec: &Executor, scale: &Scale) -> Vec<Row> {
         sweep(
+            exec,
             scale,
             &[SchemeSpec::Tdc, SchemeSpec::Nomad],
             &WorkloadProfile::all(),
@@ -712,59 +780,37 @@ pub mod pcshr_sweeps {
     }
 
     /// Fig. 12: per-class average IPC and off-package bandwidth vs
-    /// PCSHR count. Cells are (class, count, workload) triples run in
-    /// parallel; class averages are folded afterwards in submission
-    /// order, so rows are identical at every job count.
-    pub fn fig12(scale: &Scale, counts: &[usize]) -> Vec<SweepRow> {
+    /// PCSHR count. Cells are (class, count, workload) triples; class
+    /// averages are folded afterwards in submission order, so rows are
+    /// identical at every job count.
+    pub fn fig12(exec: &Executor, scale: &Scale, counts: &[usize]) -> Vec<SweepRow> {
         let mut groups: Vec<(WorkloadClass, usize, usize)> = Vec::new();
-        let mut cells: Vec<(usize, WorkloadProfile)> = Vec::new();
+        let mut cells: Vec<JobSpec> = Vec::new();
         for class in WorkloadClass::ALL {
             let ws = WorkloadProfile::of_class(class);
             for &n in counts {
                 groups.push((class, n, ws.len()));
-                cells.extend(ws.iter().map(|w| (n, w.clone())));
+                cells.extend(ws.iter().map(|w| scale.job(&nomad_with(n), w)));
             }
         }
-        let axes: Vec<String> = counts
-            .iter()
-            .map(|n| n.to_string())
-            .chain(cells.iter().map(|(_, w)| w.name.clone()))
-            .collect();
-        let key = grid_key("fig12", scale, &axes);
-        let scale = *scale;
-        let reports: Vec<[f64; 4]> =
-            run_cells_journaled_or_exit(scale.jobs, &key, cells, |(n, w), cancel| {
-                let r = run_cell(&scale, &nomad_with(*n), w, cancel)?;
-                eprintln!("  [{}/{n} PCSHRs] ipc {:.3}", w.name, r.ipc());
-                Some([
-                    r.ipc(),
-                    r.ddr_total_gbps(),
-                    r.os_stall_ratio(),
-                    r.tag_mgmt_latency(),
-                ])
-            });
-        let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        let mut rows = Vec::new();
+        let reports = exec.run_or_exit(scale.jobs, &cells);
         let mut rest = reports.as_slice();
-        for (class, n, len) in groups {
-            let (group, tail) = rest.split_at(len);
-            rest = tail;
-            let ipcs: Vec<f64> = group.iter().map(|g| g[0]).collect();
-            let bw: Vec<f64> = group.iter().map(|g| g[1]).collect();
-            let stall: Vec<f64> = group.iter().map(|g| g[2]).collect();
-            let lat: Vec<f64> = group.iter().map(|g| g[3]).collect();
-            eprintln!("  [{class}/{n} PCSHRs] ipc {:.3}", avg(&ipcs));
-            rows.push(SweepRow {
-                workload: class.label().to_string(),
-                pcshrs: n,
-                cores: scale.cores,
-                ipc: avg(&ipcs),
-                ddr_gbps: avg(&bw),
-                os_stall_ratio: avg(&stall),
-                tag_mgmt_latency: avg(&lat),
-            });
-        }
-        rows
+        groups
+            .into_iter()
+            .map(|(class, n, len)| {
+                let (group, tail) = rest.split_at(len);
+                rest = tail;
+                SweepRow {
+                    workload: class.label().to_string(),
+                    pcshrs: n,
+                    cores: scale.cores,
+                    ipc: mean(group, RunReport::ipc),
+                    ddr_gbps: mean(group, RunReport::ddr_total_gbps),
+                    os_stall_ratio: mean(group, RunReport::os_stall_ratio),
+                    tag_mgmt_latency: mean(group, RunReport::tag_mgmt_latency),
+                }
+            })
+            .collect()
     }
 
     /// Print Fig. 12.
@@ -798,51 +844,38 @@ pub mod pcshr_sweeps {
     /// counts, normalized to the 32-PCSHR setup. The core-count sweep
     /// is flattened into (cores, count, workload) cells so even the
     /// different-sized systems fill the worker pool together.
-    pub fn fig13(scale: &Scale, counts: &[usize], cores: &[usize]) -> Vec<SweepRow> {
+    pub fn fig13(
+        exec: &Executor,
+        scale: &Scale,
+        counts: &[usize],
+        cores: &[usize],
+    ) -> Vec<SweepRow> {
         let excess = WorkloadProfile::of_class(WorkloadClass::Excess);
-        let cells: Vec<(usize, usize, WorkloadProfile)> = cores
+        let points: Vec<(usize, usize)> = cores
             .iter()
-            .flat_map(|&c| {
-                let excess = &excess;
-                counts
-                    .iter()
-                    .flat_map(move |&n| excess.iter().map(move |w| (c, n, w.clone())))
+            .flat_map(|&c| counts.iter().map(move |&n| (c, n)))
+            .collect();
+        let cells: Vec<JobSpec> = points
+            .iter()
+            .flat_map(|&(c, n)| {
+                let scale = scale.with_cores(c);
+                excess.iter().map(move |w| scale.job(&nomad_with(n), w))
             })
             .collect();
-        let axes: Vec<String> = cores
-            .iter()
-            .map(|c| format!("{c}c"))
-            .chain(counts.iter().map(|n| n.to_string()))
-            .chain(excess.iter().map(|w| w.name.clone()))
-            .collect();
-        let key = grid_key("fig13", scale, &axes);
-        let scale = *scale;
-        let ipcs: Vec<f64> =
-            run_cells_journaled_or_exit(scale.jobs, &key, cells, |(c, n, w), cancel| {
-                let r = run_cell(&scale.with_cores(*c), &nomad_with(*n), w, cancel)?;
-                eprintln!("  [{c} cores / {n} PCSHRs / {}] ipc {:.3}", w.name, r.ipc());
-                Some(r.ipc())
-            });
-        let mut rows = Vec::new();
-        let mut rest = ipcs.as_slice();
-        for &c in cores {
-            for &n in counts {
-                let (group, tail) = rest.split_at(excess.len());
-                rest = tail;
-                let ipc = group.iter().sum::<f64>() / group.len().max(1) as f64;
-                eprintln!("  [{c} cores / {n} PCSHRs] ipc {ipc:.3}");
-                rows.push(SweepRow {
-                    workload: "Excess".into(),
-                    pcshrs: n,
-                    cores: c,
-                    ipc,
-                    ddr_gbps: 0.0,
-                    os_stall_ratio: 0.0,
-                    tag_mgmt_latency: 0.0,
-                });
-            }
-        }
-        rows
+        let reports = exec.run_or_exit(scale.jobs, &cells);
+        points
+            .into_iter()
+            .zip(reports.chunks_exact(excess.len()))
+            .map(|((c, n), group)| SweepRow {
+                workload: "Excess".into(),
+                pcshrs: n,
+                cores: c,
+                ipc: mean(group, RunReport::ipc),
+                ddr_gbps: 0.0,
+                os_stall_ratio: 0.0,
+                tag_mgmt_latency: 0.0,
+            })
+            .collect()
     }
 
     /// Print Fig. 13.
@@ -877,38 +910,32 @@ pub mod pcshr_sweeps {
 
     /// Fig. 14: stall rate + tag latency for cact (highest RMHB) and
     /// libq (bursty RMHB) vs PCSHRs.
-    pub fn fig14(scale: &Scale, counts: &[usize]) -> Vec<SweepRow> {
-        let cells: Vec<(WorkloadProfile, usize)> = ["cact", "libq"]
+    pub fn fig14(exec: &Executor, scale: &Scale, counts: &[usize]) -> Vec<SweepRow> {
+        let points: Vec<(WorkloadProfile, usize)> = ["cact", "libq"]
             .into_iter()
             .flat_map(|name| {
                 let w = WorkloadProfile::by_name(name).expect("known");
                 counts.iter().map(move |&n| (w.clone(), n))
             })
             .collect();
-        let axes: Vec<String> = counts
+        let cells: Vec<JobSpec> = points
             .iter()
-            .map(|n| n.to_string())
-            .chain(["cact".to_string(), "libq".to_string()])
+            .map(|(w, n)| scale.job(&nomad_with(*n), w))
             .collect();
-        let key = grid_key("fig14", scale, &axes);
-        let scale = *scale;
-        run_cells_journaled_or_exit(scale.jobs, &key, cells, |(w, n), cancel| {
-            let r = run_cell(&scale, &nomad_with(*n), w, cancel)?;
-            eprintln!(
-                "  [{}/{n}] stall {:.1}%",
-                w.name,
-                100.0 * r.os_stall_ratio()
-            );
-            Some(SweepRow {
-                workload: w.name.clone(),
-                pcshrs: *n,
+        let reports = exec.run_or_exit(scale.jobs, &cells);
+        points
+            .into_iter()
+            .zip(&reports)
+            .map(|((w, n), r)| SweepRow {
+                workload: w.name,
+                pcshrs: n,
                 cores: scale.cores,
                 ipc: r.ipc(),
                 ddr_gbps: r.ddr_total_gbps(),
                 os_stall_ratio: r.os_stall_ratio(),
                 tag_mgmt_latency: r.tag_mgmt_latency(),
             })
-        })
+            .collect()
     }
 
     /// Print Fig. 14.
@@ -963,37 +990,37 @@ pub mod fig15 {
     }
 
     /// Run the (n, m) grid on libq and gems.
-    pub fn run(scale: &Scale, grid: &[(usize, usize)]) -> Vec<F15Row> {
-        let cells: Vec<(WorkloadProfile, usize, usize)> = ["libq", "gems"]
+    pub fn run(exec: &Executor, scale: &Scale, grid: &[(usize, usize)]) -> Vec<F15Row> {
+        let points: Vec<(WorkloadProfile, usize, usize)> = ["libq", "gems"]
             .into_iter()
             .flat_map(|name| {
                 let w = WorkloadProfile::by_name(name).expect("known");
                 grid.iter().map(move |&(n, m)| (w.clone(), n, m))
             })
             .collect();
-        let axes: Vec<String> = grid
+        let cells: Vec<JobSpec> = points
             .iter()
-            .map(|(n, m)| format!("{n}x{m}"))
-            .chain(["libq".to_string(), "gems".to_string()])
+            .map(|(w, n, m)| {
+                let spec = SchemeSpec::NomadWith(NomadSpec {
+                    pcshrs: *n,
+                    buffers: Some(*m),
+                    ..NomadSpec::default()
+                });
+                scale.job(&spec, w)
+            })
             .collect();
-        let key = grid_key("fig15", scale, &axes);
-        let scale = *scale;
-        run_cells_journaled_or_exit(scale.jobs, &key, cells, |(w, n, m), cancel| {
-            let spec = SchemeSpec::NomadWith(NomadSpec {
-                pcshrs: *n,
-                buffers: Some(*m),
-                ..NomadSpec::default()
-            });
-            let r = run_cell(&scale, &spec, w, cancel)?;
-            eprintln!("  [{} ({n},{m})] ipc {:.3}", w.name, r.ipc());
-            Some(F15Row {
-                workload: w.name.clone(),
-                pcshrs: *n,
-                buffers: *m,
+        let reports = exec.run_or_exit(scale.jobs, &cells);
+        points
+            .into_iter()
+            .zip(&reports)
+            .map(|((w, n, m), r)| F15Row {
+                workload: w.name,
+                pcshrs: n,
+                buffers: m,
                 ipc: r.ipc(),
                 tag_mgmt_latency: r.tag_mgmt_latency(),
             })
-        })
+            .collect()
     }
 
     /// Print the grid.
@@ -1052,60 +1079,42 @@ pub mod fig16 {
     /// (4 back-ends) organizations over class-representative workloads.
     /// Cells are (backends, total, workload) triples; the per-point
     /// averages fold afterwards in submission order.
-    pub fn run(scale: &Scale, totals: &[usize]) -> Vec<F16Row> {
-        let set = ["cact", "libq", "mcf", "pr"];
+    pub fn run(exec: &Executor, scale: &Scale, totals: &[usize]) -> Vec<F16Row> {
+        let set: Vec<WorkloadProfile> = ["cact", "libq", "mcf", "pr"]
+            .into_iter()
+            .map(|name| WorkloadProfile::by_name(name).expect("known"))
+            .collect();
+        // (back-ends, PCSHRs per back-end) for each point.
         let points: Vec<(usize, usize)> = [1usize, 4]
             .iter()
-            .flat_map(|&backends| totals.iter().map(move |&total| (backends, total)))
-            .collect();
-        let cells: Vec<(usize, usize, WorkloadProfile)> = points
-            .iter()
-            .flat_map(|&(backends, total)| {
-                set.iter().map(move |name| {
-                    let w = WorkloadProfile::by_name(name).expect("known");
-                    (backends, total, w)
-                })
+            .flat_map(|&backends| {
+                totals
+                    .iter()
+                    .map(move |&total| (backends, (total / backends).max(1)))
             })
             .collect();
-        let axes: Vec<String> = points
+        let cells: Vec<JobSpec> = points
             .iter()
-            .map(|(b, t)| format!("{b}be{t}"))
-            .chain(set.iter().map(|s| s.to_string()))
-            .collect();
-        let key = grid_key("fig16", scale, &axes);
-        let scale = *scale;
-        let measured: Vec<[f64; 2]> =
-            run_cells_journaled_or_exit(scale.jobs, &key, cells, |(backends, total, w), cancel| {
-                let per = (total / backends).max(1);
+            .flat_map(|&(backends, per)| {
                 let spec = SchemeSpec::NomadWith(NomadSpec {
                     pcshrs: per,
-                    backends: *backends,
+                    backends,
                     ..NomadSpec::default()
                 });
-                let r = run_cell(&scale, &spec, w, cancel)?;
-                eprintln!(
-                    "  [{backends} BE x {per} PCSHRs / {}] ipc {:.3}",
-                    w.name,
-                    r.ipc()
-                );
-                Some([r.ipc(), r.tag_mgmt_latency()])
-            });
-        let mut rows = Vec::new();
-        let mut rest = measured.as_slice();
-        for (backends, total) in points {
-            let (group, tail) = rest.split_at(set.len());
-            rest = tail;
-            let per = (total / backends).max(1);
-            let ipc = group.iter().map(|g| g[0]).sum::<f64>() / group.len() as f64;
-            eprintln!("  [{backends} BE x {per} PCSHRs] ipc {ipc:.3}");
-            rows.push(F16Row {
+                set.iter().map(move |w| scale.job(&spec, w))
+            })
+            .collect();
+        let reports = exec.run_or_exit(scale.jobs, &cells);
+        points
+            .into_iter()
+            .zip(reports.chunks_exact(set.len()))
+            .map(|((backends, per), group)| F16Row {
                 backends,
                 total_pcshrs: per * backends,
-                ipc,
-                tag_mgmt_latency: group.iter().map(|g| g[1]).sum::<f64>() / group.len() as f64,
-            });
-        }
-        rows
+                ipc: mean(group, RunReport::ipc),
+                tag_mgmt_latency: mean(group, RunReport::tag_mgmt_latency),
+            })
+            .collect()
     }
 
     /// Print the comparison.
@@ -1139,7 +1148,52 @@ pub mod fig16 {
 
 #[cfg(test)]
 mod tests {
-    use super::service_addrs;
+    use super::{service_addrs, Executor};
+    use crate::Scale;
+    use nomad_serve::ResultStore;
+    use nomad_sim::SchemeSpec;
+    use nomad_trace::WorkloadProfile;
+    use nomad_types::CancelToken;
+
+    /// A planted store document is read only under resume: without it
+    /// the executor runs the cell (and overwrites the document), with
+    /// it the planted report comes back as is.
+    #[test]
+    fn only_resume_reads_a_planted_document() {
+        let dir = std::env::temp_dir().join(format!("nomad-bench-planted-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scale = Scale {
+            instructions: 2_000,
+            warmup: 0,
+            cores: 1,
+            seed: 3,
+            jobs: 1,
+        };
+        let job = scale.job(&SchemeSpec::Baseline, &WorkloadProfile::tc());
+        let real = job.run_local();
+        let mut planted = real.clone();
+        planted.cycles += 1;
+        let store = ResultStore::new(&dir);
+        let plant = || {
+            store
+                .put(job.content_key(), &job.canonical_json(), &planted)
+                .expect("plant");
+        };
+        let run = |resume| {
+            let exec = Executor {
+                store: Some(store.clone()),
+                resume,
+                ..Executor::default()
+            };
+            let reports = exec.run(1, &CancelToken::new(), std::slice::from_ref(&job));
+            reports.expect("uncancelled").remove(0).to_json()
+        };
+        plant();
+        assert_eq!(run(false), real.to_json(), "without resume the cell runs");
+        plant();
+        assert_eq!(run(true), planted.to_json(), "resume reads the store");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn service_addrs_prefers_fleet_then_serve_then_local() {

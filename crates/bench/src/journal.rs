@@ -1,427 +1,42 @@
-//! Crash-safe sweep journal: append-only per-grid progress records
-//! enabling `--resume` after a SIGINT or crash.
+//! Whether harness cells are recorded in the result store, and whether
+//! they are read back from it.
 //!
-//! A journal lives at `results/journal/<grid-hash>.jsonl`, where the
-//! grid hash is the FNV-1a 64 of the grid's *key* — a string encoding
-//! everything that determines the grid's rows (harness tag, scale,
-//! parameter lists). The first line is a header `{"grid": "<key>"}`;
-//! every following line is one completed cell, `{"idx": N, "row":
-//! <serialized row>}`, appended and fsync'd the moment the cell
-//! finishes, in completion order (row order is restored from `idx`).
+//! With recording on, every cell a harness finishes in-process is
+//! written to the workspace's `results/cache/` store (see
+//! [`crate::figs::Executor::from_env`]) the moment it completes — the
+//! store `nomad-serve` spills to by default, in the same format.
+//! [`crate::harness_init`] turns recording on, so harness binaries
+//! record and library users and tests do not.
 //!
-//! On a clean completion the journal is deleted. After a SIGINT or
-//! crash it remains; rerunning the harness with `--resume` (or
-//! `NOMAD_RESUME=1`) restores the recorded rows and re-runs only the
-//! missing cells. Because cells are pure and JSON round-trips floats
-//! exactly (shortest-representation printing, exact parsing), a
-//! resumed sweep's artifacts are byte-identical to a clean run's.
-//!
-//! Torn final lines — the fsync'd append can still be cut mid-line by
-//! a crash — parse as garbage and are skipped: that cell simply
-//! re-runs. Journaling is enabled by [`crate::harness_init`] (so
-//! harness binaries get it and in-process test sweeps do not) and can
-//! be forced off with `NOMAD_JOURNAL=0`.
+//! Resume (`--resume` / `NOMAD_RESUME=1`) also reads: every cell the
+//! store already holds for the same `JobSpec` and
+//! [`nomad_sim::MODEL_EPOCH`] is taken from it instead of re-run —
+//! after a SIGINT or a crash, or from any earlier run. Cells are pure
+//! and stored reports round-trip exactly, so a resumed harness's
+//! artifacts are byte-identical to a clean run's.
 
-use crate::par;
-use nomad_types::CancelToken;
-use serde::{Deserialize, Serialize, Value};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
-/// Whether sweeps journal their progress. Off by default so library
-/// consumers and in-process tests leave no `results/journal/` files;
-/// [`crate::harness_init`] turns it on for harness binaries (unless
-/// `NOMAD_JOURNAL=0`).
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Whether an existing journal should be restored (`--resume` /
-/// `NOMAD_RESUME=1`) rather than overwritten.
 static RESUME: AtomicBool = AtomicBool::new(false);
 
-/// Enable or disable journaling for this process.
+/// Turn recording finished cells in the store on or off for this
+/// process.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether sweeps journal their progress.
+/// Whether finished cells are recorded in the store.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Request (or cancel) resume-from-journal for this process.
+/// Request (or cancel) reading stored cells instead of re-running them.
 pub fn set_resume(on: bool) {
     RESUME.store(on, Ordering::Relaxed);
 }
 
-/// Whether an existing journal should be restored.
+/// Whether stored cells are read instead of re-run.
 pub fn resume_requested() -> bool {
     RESUME.load(Ordering::Relaxed)
-}
-
-/// `results/journal/` at the workspace root (same anchoring as
-/// [`crate::save_json`]).
-fn journal_dir() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root exists")
-        .join("results")
-        .join("journal")
-}
-
-/// The journal file path for grid `key`. The grid hash is the
-/// workspace content hash ([`nomad_types::hash::fnv1a`]) — the same
-/// function the serve cache and the fleet ring key on.
-pub fn journal_path(key: &str) -> PathBuf {
-    journal_dir().join(format!(
-        "{:016x}.jsonl",
-        nomad_types::hash::fnv1a(key.as_bytes())
-    ))
-}
-
-/// One open journal: an append-mode file handle plus its path (for
-/// deletion on completion).
-struct Journal {
-    path: PathBuf,
-    file: Mutex<File>,
-}
-
-impl Journal {
-    /// Open the journal for `key`, returning it plus any rows restored
-    /// from a previous run (empty unless [`resume_requested`] and a
-    /// journal with a matching header exists). Without resume, any
-    /// stale journal is truncated.
-    fn open(key: &str) -> std::io::Result<(Journal, Vec<(usize, Value)>)> {
-        let path = journal_path(key);
-        std::fs::create_dir_all(path.parent().expect("journal dir has a parent"))?;
-        let mut restored = Vec::new();
-        let mut header_ok = false;
-        if resume_requested() {
-            if let Ok(f) = File::open(&path) {
-                for (lineno, line) in BufReader::new(f).lines().map_while(Result::ok).enumerate() {
-                    let Ok(value) = serde_json::from_str::<Value>(&line) else {
-                        // A torn final line (or any corruption): skip
-                        // — the cell re-runs.
-                        continue;
-                    };
-                    let Value::Object(fields) = &value else {
-                        continue;
-                    };
-                    if lineno == 0 {
-                        header_ok = fields
-                            .iter()
-                            .any(|(k, v)| k == "grid" && *v == Value::Str(key.to_string()));
-                        if !header_ok {
-                            // A foreign journal under our hash (key
-                            // collision, or a changed grid definition):
-                            // restore nothing, start fresh.
-                            break;
-                        }
-                        continue;
-                    }
-                    let idx = fields.iter().find(|(k, _)| k == "idx").and_then(|(_, v)| {
-                        if let Value::U64(n) = v {
-                            Some(*n as usize)
-                        } else {
-                            None
-                        }
-                    });
-                    let row = fields.iter().find(|(k, _)| k == "row").map(|(_, v)| v);
-                    if let (Some(idx), Some(row)) = (idx, row) {
-                        restored.push((idx, row.clone()));
-                    }
-                }
-            }
-        }
-        let file = if header_ok {
-            // Keep the existing records and append new ones.
-            OpenOptions::new().append(true).open(&path)?
-        } else {
-            let mut f = File::create(&path)?;
-            writeln!(
-                f,
-                "{}",
-                serde_json::to_string(&Value::Object(vec![(
-                    "grid".to_string(),
-                    Value::Str(key.to_string()),
-                )]))
-                .expect("header serializes")
-            )?;
-            f.sync_data()?;
-            f
-        };
-        Ok((
-            Journal {
-                path,
-                file: Mutex::new(file),
-            },
-            restored,
-        ))
-    }
-
-    /// Append one completed cell and fsync, so the record survives a
-    /// crash immediately after. Failures are reported, not fatal — a
-    /// full disk degrades resumability, never the sweep itself.
-    fn record(&self, idx: usize, row: &Value) {
-        let line = serde_json::to_string(&Value::Object(vec![
-            ("idx".to_string(), Value::U64(idx as u64)),
-            ("row".to_string(), row.clone()),
-        ]))
-        .expect("record serializes");
-        let mut file = self.file.lock().expect("journal lock");
-        if let Err(e) = writeln!(file, "{line}").and_then(|()| file.sync_data()) {
-            eprintln!(
-                "warning: could not journal cell {idx} to {}: {e}",
-                self.path.display()
-            );
-        }
-    }
-
-    /// The sweep completed: the journal has served its purpose.
-    fn finish(self) {
-        drop(self.file);
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// [`par::run_cells`] with crash-safe progress journaling under grid
-/// `key`. When journaling is [`enabled`], every completed cell is
-/// appended to the grid's journal; with [`resume_requested`], rows
-/// already recorded by an interrupted run are restored (counted in
-/// `resilience.journal_cells_resumed`) and only the missing cells
-/// re-run. Returns `None` on cancellation — with the journal left in
-/// place, so the next `--resume` run picks up from here.
-pub fn run_cells_journaled<C, R, F>(
-    jobs: usize,
-    cancel: &CancelToken,
-    key: &str,
-    cells: Vec<C>,
-    f: F,
-) -> Option<Vec<R>>
-where
-    C: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&C, &CancelToken) -> Option<R> + Sync,
-{
-    if !enabled() {
-        return par::run_cells(jobs, cancel, cells, f);
-    }
-    let (journal, restored_raw) = match Journal::open(key) {
-        Ok(opened) => opened,
-        Err(e) => {
-            eprintln!("warning: journal unavailable for this sweep ({e}); running unjournaled");
-            return par::run_cells(jobs, cancel, cells, f);
-        }
-    };
-    let total = cells.len();
-    let mut restored: Vec<(usize, R)> = Vec::new();
-    for (idx, raw) in restored_raw {
-        if idx >= total || restored.iter().any(|(i, _)| *i == idx) {
-            continue;
-        }
-        // An undecodable row (schema drift between runs) just re-runs.
-        if let Ok(row) = serde_json::from_value::<R>(&raw) {
-            restored.push((idx, row));
-        }
-    }
-    if !restored.is_empty() {
-        nomad_obs::resilience()
-            .journal_cells_resumed
-            .add(restored.len() as u64);
-        eprintln!(
-            "[resumed {}/{} cells from {}]",
-            restored.len(),
-            total,
-            journal.path.display()
-        );
-    }
-    let todo: Vec<(usize, C)> = cells
-        .into_iter()
-        .enumerate()
-        .filter(|(idx, _)| !restored.iter().any(|(i, _)| i == idx))
-        .collect();
-    let fresh = par::run_cells(jobs, cancel, todo, |(idx, cell), cancel| {
-        let row = f(cell, cancel)?;
-        journal.record(*idx, &serde_json::to_value(&row).expect("row serializes"));
-        Some((*idx, row))
-    })?;
-    let mut all = restored;
-    all.extend(fresh);
-    all.sort_by_key(|(idx, _)| *idx);
-    debug_assert_eq!(all.len(), total, "every cell restored or re-run");
-    journal.finish();
-    Some(all.into_iter().map(|(_, row)| row).collect())
-}
-
-/// [`run_cells_journaled`] under the process-wide
-/// [`par::sweep_token`], exiting 130 on cancellation — the journaled
-/// counterpart of [`par::run_cells_or_exit`], and what every figure
-/// harness calls. On cancellation the journal survives, and the exit
-/// message says how to resume.
-pub fn run_cells_journaled_or_exit<C, R, F>(jobs: usize, key: &str, cells: Vec<C>, f: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&C, &CancelToken) -> Option<R> + Sync,
-{
-    match run_cells_journaled(jobs, par::sweep_token(), key, cells, f) {
-        Some(out) => out,
-        None => {
-            if enabled() {
-                eprintln!(
-                    "sweep cancelled; completed cells are journaled — rerun with --resume \
-                     (or NOMAD_RESUME=1) to continue"
-                );
-            } else {
-                eprintln!("sweep cancelled; discarding partial grid");
-            }
-            std::process::exit(130);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Tests toggle the process-wide ENABLED/RESUME switches;
-    /// serialize them.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_journaling<Ret>(resume: bool, f: impl FnOnce() -> Ret) -> Ret {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        set_resume(resume);
-        let out = f();
-        set_enabled(false);
-        set_resume(false);
-        out
-    }
-
-    #[test]
-    fn disabled_journaling_is_plain_run_cells() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let key = "test:disabled";
-        let out = run_cells_journaled(2, &CancelToken::new(), key, vec![1u64, 2, 3], |&c, _| {
-            Some(c * 10)
-        })
-        .expect("uncancelled");
-        assert_eq!(out, vec![10, 20, 30]);
-        assert!(!journal_path(key).exists(), "no journal file when off");
-    }
-
-    #[test]
-    fn completed_sweep_removes_its_journal() {
-        with_journaling(false, || {
-            let key = "test:completes";
-            let out =
-                run_cells_journaled(1, &CancelToken::new(), key, vec![1u64, 2], |&c, _| Some(c))
-                    .expect("uncancelled");
-            assert_eq!(out, vec![1, 2]);
-            assert!(!journal_path(key).exists(), "journal deleted on success");
-        });
-    }
-
-    #[test]
-    fn interrupted_sweep_resumes_without_rerunning_recorded_cells() {
-        with_journaling(false, || {
-            let key = "test:resume";
-            let cells: Vec<u64> = (0..6).collect();
-            // First run: cancel after three cells complete.
-            let cancel = CancelToken::new();
-            let ran = std::sync::atomic::AtomicUsize::new(0);
-            let out = run_cells_journaled(1, &cancel, key, cells.clone(), |&c, cancel| {
-                if ran.fetch_add(1, Ordering::Relaxed) == 2 {
-                    cancel.cancel();
-                }
-                Some(c * 7)
-            });
-            assert!(out.is_none(), "cancelled mid-sweep");
-            assert!(journal_path(key).exists(), "journal survives cancellation");
-
-            // Second run, resuming: only the missing cells execute.
-            set_resume(true);
-            let reran = std::sync::atomic::AtomicUsize::new(0);
-            let out = run_cells_journaled(1, &CancelToken::new(), key, cells, |&c, _| {
-                reran.fetch_add(1, Ordering::Relaxed);
-                Some(c * 7)
-            })
-            .expect("resumed run completes");
-            assert_eq!(out, (0..6).map(|c| c * 7).collect::<Vec<_>>());
-            assert_eq!(
-                reran.load(Ordering::Relaxed),
-                3,
-                "three cells were journaled"
-            );
-            assert!(!journal_path(key).exists(), "journal deleted on completion");
-        });
-    }
-
-    #[test]
-    fn torn_final_line_is_tolerated() {
-        with_journaling(false, || {
-            let key = "test:torn";
-            // Fabricate an interrupted journal with a torn final line.
-            let path = journal_path(key);
-            std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-            std::fs::write(
-                &path,
-                format!(
-                    "{}\n{}\n{}",
-                    "{\"grid\":\"test:torn\"}", "{\"idx\":0,\"row\":5}", "{\"idx\":1,\"ro"
-                ),
-            )
-            .expect("write journal");
-            set_resume(true);
-            let reran = std::sync::atomic::AtomicUsize::new(0);
-            let out = run_cells_journaled(1, &CancelToken::new(), key, vec![5u64, 6], |&c, _| {
-                reran.fetch_add(1, Ordering::Relaxed);
-                Some(c)
-            })
-            .expect("completes");
-            assert_eq!(out, vec![5, 6]);
-            assert_eq!(
-                reran.load(Ordering::Relaxed),
-                1,
-                "cell 0 restored, torn cell 1 re-ran"
-            );
-        });
-    }
-
-    #[test]
-    fn foreign_header_restores_nothing() {
-        with_journaling(false, || {
-            let key = "test:foreign";
-            let path = journal_path(key);
-            std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-            std::fs::write(
-                &path,
-                "{\"grid\":\"some-other-grid\"}\n{\"idx\":0,\"row\":999}\n",
-            )
-            .expect("write journal");
-            set_resume(true);
-            let out = run_cells_journaled(1, &CancelToken::new(), key, vec![1u64], |&c, _| Some(c))
-                .expect("completes");
-            assert_eq!(out, vec![1], "foreign row 999 must not be restored");
-        });
-    }
-
-    #[test]
-    fn without_resume_a_stale_journal_is_overwritten() {
-        with_journaling(false, || {
-            let key = "test:stale";
-            let path = journal_path(key);
-            std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-            std::fs::write(
-                &path,
-                "{\"grid\":\"test:stale\"}\n{\"idx\":0,\"row\":999}\n",
-            )
-            .expect("write journal");
-            let out = run_cells_journaled(1, &CancelToken::new(), key, vec![4u64], |&c, _| Some(c))
-                .expect("completes");
-            assert_eq!(out, vec![4], "stale journal ignored without --resume");
-        });
-    }
 }

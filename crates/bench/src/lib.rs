@@ -22,19 +22,17 @@
 //! * `NOMAD_ARENA=0` — disable per-thread [`System`](nomad_sim::System)
 //!   reuse and build every sweep cell from scratch (default: recycle;
 //!   see [`arena`]);
-//! * `NOMAD_FLEET_ADDRS` — run the harness grids through the fleet
+//! * `NOMAD_FLEET_ADDRS` — run every harness grid through the fleet
 //!   router over these `nomad-serve` nodes instead of in-process (see
-//!   [`figs::sweep_maybe_serviced`]); `NOMAD_SERVE_ADDR` alone is a
-//!   fleet of one. A node's `results/cache/` spill is what memoizes
-//!   finished cells across runs.
+//!   [`figs::Executor`]); `NOMAD_SERVE_ADDR` alone is a fleet of one.
 //!
 //! Resilience knobs (see DESIGN.md §12):
 //!
 //! * `NOMAD_CELL_RETRIES` — re-runs granted to a panicking sweep cell
 //!   before the panic propagates (default 2);
-//! * `NOMAD_JOURNAL=0` — disable the crash-safe sweep [`journal`];
-//!   `--resume` / `NOMAD_RESUME=1` restores an interrupted sweep's
-//!   completed cells from it;
+//! * `--resume` / `NOMAD_RESUME=1` — take every cell the result store
+//!   `results/cache/` already holds instead of re-running it (harnesses
+//!   record each finished cell there; see [`journal`]);
 //! * `NOMAD_FAULTS` — arm a deterministic fault-injection plan
 //!   (`nomad_faults`; chaos testing only, unset = zero overhead);
 //! * `NOMAD_SERVE_*` — the fleet router's per-node recovery budgets,
@@ -48,6 +46,7 @@ pub mod measure;
 pub mod par;
 pub mod signal;
 
+use nomad_serve::JobSpec;
 use nomad_sim::{runner, RunReport, SchemeSpec, SystemConfig};
 use nomad_trace::WorkloadProfile;
 use nomad_types::CancelToken;
@@ -116,6 +115,19 @@ impl Scale {
     pub fn with_cores(&self, cores: usize) -> Self {
         Scale { cores, ..*self }
     }
+
+    /// The job that runs `spec` on `profile` at this scale: one cell of
+    /// a harness grid.
+    pub fn job(&self, spec: &SchemeSpec, profile: &WorkloadProfile) -> JobSpec {
+        JobSpec {
+            cfg: self.config(),
+            spec: spec.clone(),
+            profile: profile.clone(),
+            instructions: self.instructions,
+            warmup: self.warmup,
+            seed: self.seed,
+        }
+    }
 }
 
 /// Common harness prologue; every bench `main` calls this first.
@@ -127,10 +139,9 @@ impl Scale {
 /// * Installs the `SIGINT` handler ([`signal::install_sigint`]) so
 ///   Ctrl-C latches the sweep token and the harness exits 130 after
 ///   in-flight cells wind down, instead of dying mid-write.
-/// * Enables the crash-safe sweep [`journal`] (force off with
-///   `NOMAD_JOURNAL=0`); `--resume` or `NOMAD_RESUME=1` restores the
-///   completed cells of an interrupted sweep instead of re-running
-///   them.
+/// * Turns on recording finished cells in the result store
+///   ([`journal`]); `--resume` or `NOMAD_RESUME=1` also reads stored
+///   cells instead of re-running them.
 /// * Arms the deterministic fault plan from `NOMAD_FAULTS`
 ///   ([`nomad_faults::init_from_env`]; a no-op when unset) and mirrors
 ///   injections into the `resilience.*` observability counters.
@@ -139,10 +150,7 @@ pub fn harness_init() {
         nomad_obs::set_enabled(true);
     }
     signal::install_sigint();
-    journal::set_enabled(!matches!(
-        std::env::var("NOMAD_JOURNAL").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    ));
+    journal::set_enabled(true);
     if std::env::args().any(|a| a == "--resume")
         || matches!(
             std::env::var("NOMAD_RESUME").as_deref(),
@@ -171,16 +179,22 @@ pub fn save_obs_artifacts(name: &str, report: &RunReport) {
     save_raw(&format!("traces/{name}.trace.json"), &obs.trace);
 }
 
-/// Write a pre-serialized JSON document under `results/` (same root
-/// anchoring as [`save_json`], but the payload is already a string —
-/// obs exporters serialize themselves).
-pub fn save_raw(rel: &str, contents: &str) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+/// `results/` at the workspace root, where every artifact and the
+/// result store live. Bench targets run with the package directory as
+/// cwd, so this is anchored at the workspace, not the cwd.
+pub(crate) fn results_dir() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("workspace root exists")
-        .to_path_buf();
-    let path = root.join("results").join(rel);
+        .join("results")
+}
+
+/// Write a pre-serialized JSON document under `results/` (like
+/// [`save_json`], but the payload is already a string — obs exporters
+/// serialize themselves).
+pub fn save_raw(rel: &str, contents: &str) {
+    let path = results_dir().join(rel);
     if let Some(dir) = path.parent() {
         if !dir.exists() && std::fs::create_dir_all(dir).is_err() {
             eprintln!("warning: could not create {}", dir.display());
@@ -269,14 +283,7 @@ pub fn run_with_cfg_cell(
 /// Write a JSON artifact under `results/` (best effort: failures are
 /// reported but do not abort the harness).
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    // Bench targets run with the package directory as cwd; anchor the
-    // artifacts at the workspace root instead.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root exists")
-        .to_path_buf();
-    let dir = root.join("results");
+    let dir = results_dir();
     let dir = dir.as_path();
     let path = if dir.exists() || std::fs::create_dir_all(dir).is_ok() {
         dir.join(format!("{name}.json"))
@@ -307,18 +314,12 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Read a JSON artifact previously saved under `results/` (same root
-/// anchoring as [`save_json`]): the committed baseline a speed harness
-/// reports deltas against. `None` when the file is missing or does not
-/// parse as `T` — callers treat that as "no baseline" and skip the
-/// comparison.
+/// Read a JSON artifact previously saved under `results/`: the
+/// committed baseline a speed harness reports deltas against. `None`
+/// when the file is missing or does not parse as `T` — callers treat
+/// that as "no baseline" and skip the comparison.
 pub fn load_json<T: serde::Deserialize>(name: &str) -> Option<T> {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root exists")
-        .to_path_buf();
-    let path = root.join("results").join(format!("{name}.json"));
+    let path = results_dir().join(format!("{name}.json"));
     let text = std::fs::read_to_string(path).ok()?;
     serde_json::from_str(&text).ok()
 }

@@ -10,12 +10,46 @@
 //! nodes, those nodes' workers probe node 0's cache and fetch instead
 //! of recomputing — observable as `fleet.probe_hits` /
 //! `fleet.remote_fetches`.
+//!
+//! Every harness goes through the same executor, so a figure whose
+//! rows are folded from several cells (Fig. 14 here) holds the same
+//! bar through a 2-node fleet.
+//!
+//! Both tests read the process-global `fleet.*` counters, so they run
+//! one at a time.
 
-use nomad_bench::figs::{sweep, sweep_via_fleet, Row};
+use nomad_bench::figs::{pcshr_sweeps, sweep, Executor, Row};
 use nomad_bench::Scale;
 use nomad_serve::{serve, ServerConfig, ServerHandle};
 use nomad_sim::SchemeSpec;
 use nomad_trace::WorkloadProfile;
+use std::sync::Mutex;
+
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+/// `n` live nodes with two workers each, plus their addresses.
+fn nodes(n: usize) -> (Vec<ServerHandle>, Vec<String>) {
+    let handles: Vec<ServerHandle> = (0..n)
+        .map(|_| {
+            serve(ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                ..ServerConfig::default()
+            })
+            .expect("bind")
+        })
+        .collect();
+    let addrs = handles.iter().map(|h| h.local_addr().to_string()).collect();
+    (handles, addrs)
+}
+
+/// The executor that runs every cell through the fleet over `addrs`.
+fn via_fleet(addrs: &[String]) -> Executor {
+    Executor {
+        fleet: Some(addrs.to_vec()),
+        ..Executor::default()
+    }
+}
 
 fn assert_rows_identical(oracle: &[Row], got: &[Row], what: &str) {
     assert_eq!(oracle.len(), got.len(), "{what}: row count");
@@ -30,6 +64,7 @@ fn assert_rows_identical(oracle: &[Row], got: &[Row], what: &str) {
 
 #[test]
 fn fleet_rows_match_local_at_every_size_and_width() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let scale = Scale {
         instructions: 6_000,
         warmup: 500,
@@ -45,19 +80,9 @@ fn fleet_rows_match_local_at_every_size_and_width() {
     ];
     let workloads = [WorkloadProfile::tc(), WorkloadProfile::libq()];
 
-    let oracle = sweep(&scale, &specs, &workloads);
+    let oracle = sweep(&Executor::default(), &scale, &specs, &workloads);
 
-    let handles: Vec<ServerHandle> = (0..4)
-        .map(|_| {
-            serve(ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                ..ServerConfig::default()
-            })
-            .expect("bind")
-        })
-        .collect();
-    let addrs: Vec<String> = handles.iter().map(|h| h.local_addr().to_string()).collect();
+    let (handles, addrs) = nodes(4);
 
     let fleet = nomad_obs::fleet();
     let routed_before = fleet.value("fleet.cells_routed").expect("metric");
@@ -68,7 +93,7 @@ fn fleet_rows_match_local_at_every_size_and_width() {
     for size in [1usize, 2, 4] {
         for jobs in [1usize, 4] {
             let scale = Scale { jobs, ..scale };
-            let rows = sweep_via_fleet(&addrs[..size], &scale, &specs, &workloads);
+            let rows = sweep(&via_fleet(&addrs[..size]), &scale, &specs, &workloads);
             assert_rows_identical(&oracle, &rows, &format!("fleet size {size}, jobs {jobs}"));
             grids += 1;
         }
@@ -93,4 +118,37 @@ fn fleet_rows_match_local_at_every_size_and_width() {
     for handle in handles {
         handle.shutdown();
     }
+}
+
+/// Fig. 14 at one PCSHR count — rows built per report rather than by
+/// `sweep` — is byte-identical in-process and through a 2-node fleet,
+/// and every cell of it is routed.
+#[test]
+fn fig14_rows_match_local_through_a_fleet() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let scale = Scale {
+        instructions: 6_000,
+        warmup: 500,
+        cores: 2,
+        seed: 17,
+        jobs: 2,
+    };
+    let json = |rows: &[pcshr_sweeps::SweepRow]| serde_json::to_string(rows).expect("rows json");
+    let oracle = pcshr_sweeps::fig14(&Executor::default(), &scale, &[8]);
+    assert_eq!(oracle.len(), 2, "cact and libq");
+
+    let (handles, addrs) = nodes(2);
+    let routed_before = nomad_obs::fleet()
+        .value("fleet.cells_routed")
+        .expect("metric");
+    let rows = pcshr_sweeps::fig14(&via_fleet(&addrs), &scale, &[8]);
+    let routed = nomad_obs::fleet()
+        .value("fleet.cells_routed")
+        .expect("metric")
+        - routed_before;
+    for handle in handles {
+        handle.shutdown();
+    }
+    assert_eq!(routed, 2, "both cells go through the router");
+    assert_eq!(json(&rows), json(&oracle), "rows must match bit-for-bit");
 }

@@ -1,20 +1,24 @@
-//! Crash-safe journal + fault-injection acceptance tests over *real*
-//! simulation cells: an interrupted sweep resumed from its journal
-//! must serialize byte-identically to a clean run (floats included —
-//! the vendored JSON round-trips `f64` exactly), and a sweep running
-//! under an armed `NOMAD_FAULTS` plan must heal within the retry
-//! budget and still produce byte-identical rows at any executor width.
+//! Resume + fault-injection acceptance tests over *real* simulation
+//! cells: a sweep interrupted part-way and resumed from its result
+//! store must serialize byte-identically to a clean run (floats
+//! included — the vendored JSON round-trips `f64` exactly) and re-run
+//! only the cells the store is missing, and a sweep running under an
+//! armed `NOMAD_FAULTS` plan must heal within the retry budget and
+//! still produce byte-identical rows at any executor width.
 //!
-//! Journaling switches and fault plans are process-global, so every
-//! test serializes on one mutex.
+//! Fault plans are process-global, so every test serializes on one
+//! mutex. Stores live in scratch directories under the system temp
+//! dir, never under the repo's `results/`.
 
-use nomad_bench::figs::Row;
-use nomad_bench::{journal, par, run_cell, Scale};
+use nomad_bench::figs::{sweep, Executor, Row};
+use nomad_bench::{par, run_cell, Scale};
+use nomad_serve::ResultStore;
 use nomad_sim::SchemeSpec;
 use nomad_trace::WorkloadProfile;
 use nomad_types::CancelToken;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 use std::sync::Mutex;
+use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -28,8 +32,21 @@ fn tiny_scale(jobs: usize) -> Scale {
     }
 }
 
-fn cells() -> Vec<(WorkloadProfile, SchemeSpec)> {
+fn specs() -> [SchemeSpec; 4] {
+    [
+        SchemeSpec::Nomad,
+        SchemeSpec::Tdc,
+        SchemeSpec::Tid,
+        SchemeSpec::Baseline,
+    ]
+}
+
+fn workloads() -> [WorkloadProfile; 2] {
     [WorkloadProfile::tc(), WorkloadProfile::mcf()]
+}
+
+fn cells() -> Vec<(WorkloadProfile, SchemeSpec)> {
+    workloads()
         .into_iter()
         .flat_map(|w| [SchemeSpec::Nomad, SchemeSpec::Tdc].map(move |spec| (w.clone(), spec)))
         .collect()
@@ -50,59 +67,85 @@ fn to_json(rows: &[Row]) -> String {
     serde_json::to_string(&rows.to_vec()).expect("rows serialize")
 }
 
+/// Documents in a store directory (0 if it does not exist yet).
+fn stored(dir: &Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, |entries| {
+        entries
+            .flatten()
+            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+            .count()
+    })
+}
+
+fn cells_resumed() -> u64 {
+    nomad_obs::resilience()
+        .rows()
+        .into_iter()
+        .find(|(name, _)| name == "resilience.journal_cells_resumed")
+        .expect("counter registered")
+        .1
+}
+
 #[test]
 fn resumed_sweep_is_byte_identical_to_a_clean_run() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let scale = tiny_scale(1);
-    let key = "journal_resume:test-grid";
+    let total = specs().len() * workloads().len();
+    let dir = std::env::temp_dir().join(format!("nomad-journal-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
-    let clean = par::run_cells(1, &CancelToken::new(), cells(), cell_fn(scale))
-        .expect("clean run completes");
+    let clean = sweep(&Executor::default(), &scale, &specs(), &workloads());
 
-    journal::set_enabled(true);
-    // Interrupted run: cancel after the first two cells complete.
-    let done = AtomicUsize::new(0);
-    let interrupted =
-        journal::run_cells_journaled(1, &CancelToken::new(), key, cells(), |cell, cancel| {
-            if done.fetch_add(1, Ordering::Relaxed) == 2 {
-                cancel.cancel();
-                return None;
+    // Interrupted run: cancel once the first finished cell is stored,
+    // the way SIGINT latches the sweep token mid-grid.
+    let recording = Executor {
+        store: Some(ResultStore::new(&dir)),
+        ..Executor::default()
+    };
+    let cancel = CancelToken::new();
+    let cells: Vec<_> = workloads()
+        .iter()
+        .flat_map(|w| specs().map(|spec| scale.job(&spec, w)))
+        .collect();
+    let interrupted = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while stored(&dir) == 0 && !cancel.is_cancelled() {
+                std::thread::sleep(Duration::from_micros(200));
             }
-            cell_fn(scale)(cell, cancel)
+            cancel.cancel();
         });
+        let out = recording.run(scale.jobs, &cancel, &cells);
+        cancel.cancel();
+        out
+    });
     assert!(interrupted.is_none(), "the sweep was cancelled mid-grid");
+    let kept = stored(&dir);
     assert!(
-        journal::journal_path(key).exists(),
-        "completed cells must be journaled"
+        (1..total).contains(&kept),
+        "{kept} of {total} cells stored when interrupted"
     );
 
-    // Resumed run: only the missing cells execute, and the merged rows
-    // serialize byte-identically to the clean run.
-    journal::set_resume(true);
-    let reran = AtomicUsize::new(0);
-    let resumed =
-        journal::run_cells_journaled(1, &CancelToken::new(), key, cells(), |cell, cancel| {
-            reran.fetch_add(1, Ordering::Relaxed);
-            cell_fn(scale)(cell, cancel)
-        })
-        .expect("resumed run completes");
-    journal::set_resume(false);
-    journal::set_enabled(false);
-
+    // Resumed run: the stored cells are read, only the missing ones
+    // run, and the rows serialize byte-identically to the clean run.
+    let resuming = Executor {
+        resume: true,
+        ..recording
+    };
+    let before = cells_resumed();
+    let resumed = sweep(&resuming, &scale, &specs(), &workloads());
     assert_eq!(
-        reran.load(Ordering::Relaxed),
-        2,
-        "two of four cells were journaled, two re-ran"
+        cells_resumed() - before,
+        kept as u64,
+        "every stored cell is resumed, so only the {} missing ones re-ran",
+        total - kept
     );
+    assert_eq!(stored(&dir), total, "the re-run cells are stored too");
     assert_eq!(
         to_json(&resumed),
         to_json(&clean),
         "resume must be byte-identical — floats round-trip exactly"
     );
-    assert!(
-        !journal::journal_path(key).exists(),
-        "journal deleted after the resumed run completes"
-    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An armed `bench.cell` panic plan heals inside the retry budget and

@@ -4,7 +4,7 @@
 //! small-scale Fig. 9 grid at several worker counts against the
 //! `jobs = 1` sequential oracle.
 
-use nomad_bench::figs::sweep;
+use nomad_bench::figs::{sweep, Executor};
 use nomad_bench::Scale;
 use nomad_sim::SchemeSpec;
 use nomad_trace::WorkloadProfile;
@@ -28,12 +28,22 @@ fn parallel_sweep_rows_match_sequential_oracle() {
     let specs = SchemeSpec::headtohead_set();
     let workloads = [WorkloadProfile::tc(), WorkloadProfile::libq()];
 
-    let oracle = sweep(&scale.with_jobs(1), &specs, &workloads);
+    let oracle = sweep(
+        &Executor::default(),
+        &scale.with_jobs(1),
+        &specs,
+        &workloads,
+    );
     assert_eq!(oracle.len(), specs.len() * workloads.len());
     let oracle_json = serde_json::to_string(&oracle).expect("rows json");
 
     for jobs in [2usize, 8] {
-        let rows = sweep(&scale.with_jobs(jobs), &specs, &workloads);
+        let rows = sweep(
+            &Executor::default(),
+            &scale.with_jobs(jobs),
+            &specs,
+            &workloads,
+        );
         assert_eq!(
             serde_json::to_string(&rows).expect("rows json"),
             oracle_json,
@@ -47,7 +57,12 @@ fn parallel_sweep_keeps_submission_order() {
     let scale = small_scale();
     let specs = [SchemeSpec::Baseline, SchemeSpec::Nomad];
     let workloads = [WorkloadProfile::tc(), WorkloadProfile::libq()];
-    let rows = sweep(&scale.with_jobs(4), &specs, &workloads);
+    let rows = sweep(
+        &Executor::default(),
+        &scale.with_jobs(4),
+        &specs,
+        &workloads,
+    );
     let got: Vec<(String, String)> = rows
         .iter()
         .map(|r| (r.workload.clone(), r.scheme.clone()))

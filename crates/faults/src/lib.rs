@@ -1,11 +1,11 @@
 //! nomad-faults: seeded, deterministic fault injection.
 //!
 //! The resilience layer of this workspace (cell retries, reconnecting
-//! sweep clients, the crash-safe journal) only earns trust if its
-//! failure paths are *exercised*, and failure paths are exactly the
-//! code ordinary runs never reach. This crate provides the chaos:
+//! sweep clients, the crash-safe result store) only earns trust if
+//! its failure paths are *exercised*, and failure paths are exactly
+//! the code ordinary runs never reach. This crate provides the chaos:
 //! named **fail points** threaded through the serve transport, the
-//! worker pool, the cache spill/reload path, and the bench executor's
+//! worker pool, the result store's writes and reads, and the bench executor's
 //! cell closure, driven by a [`FaultPlan`] so every injected fault is
 //! reproducible from a seed.
 //!
@@ -211,8 +211,8 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a 64 (same parameters as `nomad_serve::hash`), used to fold
-/// site names and grid keys into the decision hash.
+/// FNV-1a 64 (same parameters as `nomad_types::hash::fnv1a`), used to
+/// fold site names into the decision hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -1,10 +1,10 @@
 //! Process-wide resilience counters.
 //!
 //! The self-healing layer (fault injection, cell retries, serve
-//! reconnects, local fallbacks, journal resume) spans three crates —
-//! nomad-faults, nomad-serve and nomad-bench — so its counters live in
-//! one shared registry here rather than in any per-`System` or
-//! per-server registry. They are process-global by design: a sweep
+//! reconnects, local fallbacks, resume from the result store) spans
+//! three crates — nomad-faults, nomad-serve and nomad-bench — so its
+//! counters live in one shared registry here rather than in any
+//! per-`System` or per-server registry. They are process-global by design: a sweep
 //! wants one answer to "how many faults were injected / cells retried
 //! / cells resumed this run", no matter which layer absorbed the
 //! damage.
@@ -34,8 +34,8 @@ pub struct Resilience {
     /// Cells executed in-process because the server stayed unreachable
     /// past the reconnect budget (`resilience.local_fallbacks`).
     pub local_fallbacks: Counter,
-    /// Cells restored from a sweep journal instead of re-run
-    /// (`resilience.journal_cells_resumed`).
+    /// Harness cells read from the result store under `--resume`
+    /// instead of re-run (`resilience.journal_cells_resumed`).
     pub journal_cells_resumed: Counter,
 }
 
@@ -71,7 +71,7 @@ impl Resilience {
                 "resilience.journal_cells_resumed",
                 "cells",
                 "resilience",
-                "Cells restored from a sweep journal instead of re-run",
+                "Harness cells read from the result store under --resume instead of re-run",
             ),
             registry,
         }

@@ -18,9 +18,11 @@
 //!
 //! — so scripts (and the fleet harnesses) can launch a server on
 //! `--port 0` and scrape the address they should export. Completed
-//! results are spilled to `results/cache/` by default (override with
-//! `--cache-dir`, disable with `--no-cache-dir`) so a restarted
-//! daemon keeps serving hits for experiments it already ran.
+//! results are spilled to the result store `results/cache/` by default
+//! (override with `--cache-dir`, disable with `--no-cache-dir`) so a
+//! restarted daemon keeps serving hits for experiments it already ran
+//! at the current model epoch. Run from the workspace root, that is
+//! the store the figure harnesses record their cells in.
 //!
 //! With observability enabled (`NOMAD_OBS=1`), a Chrome trace of every
 //! executed job is written to `results/serve.trace.json` on shutdown.

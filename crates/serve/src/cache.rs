@@ -17,18 +17,18 @@
 //!
 //! # Persistence
 //!
-//! With [`ResultCache::with_dir`], every `Ready` entry is spilled to
-//! `<dir>/<key:016x>.json` as a `{canonical, report}` document and
-//! reloaded on the next startup, so a restarted server keeps serving
-//! hits for experiments it has already run. Spills are best-effort
-//! (I/O failures are ignored) and happen outside the map lock; on
-//! reload, corrupt or partially written files are silently skipped —
-//! a bad spill degrades to a cache miss, never to a crash or a wrong
-//! report. Reloaded entries are re-keyed by hashing their canonical
-//! string, so a hit still verifies the full job identity.
+//! With [`ResultCache::with_dir`], the cache sits on a
+//! [`ResultStore`] in that directory: it starts out holding every
+//! entry the store can read, and every `Ready` entry is written to the
+//! store, so a restarted server keeps serving hits for experiments it
+//! has already run. Writes are best-effort (I/O failures are ignored)
+//! and happen outside the map lock; what the store cannot read (torn,
+//! stale or foreign files) is a cache miss, never a crash or a wrong
+//! report. Loaded entries are keyed by hashing their canonical string,
+//! so a hit still verifies the full job identity.
 
+use crate::store::ResultStore;
 use nomad_sim::RunReport;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -191,21 +191,14 @@ pub enum Claim {
     RunUncached,
 }
 
-/// On-disk form of one completed cache entry.
-#[derive(Serialize, Deserialize)]
-struct PersistedEntry {
-    canonical: String,
-    report: RunReport,
-}
-
 /// The shared result cache.
 #[derive(Default)]
 pub struct ResultCache {
     map: Mutex<HashMap<u64, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Spill directory for completed entries; `None` = memory-only.
-    dir: Option<PathBuf>,
+    /// Where completed entries persist; `None` = memory-only.
+    store: Option<ResultStore>,
 }
 
 impl ResultCache {
@@ -214,87 +207,25 @@ impl ResultCache {
         Self::default()
     }
 
-    /// A cache that spills completed entries to `dir` (see the
-    /// module-level *Persistence* section) and starts out warmed with
-    /// whatever valid entries `dir` already holds. `None` behaves like
+    /// A cache over the [`ResultStore`] in `dir` (see the
+    /// module-level *Persistence* section), starting out warmed with
+    /// every entry the store can read. `None` behaves like
     /// [`new`](Self::new).
     pub fn with_dir(dir: Option<PathBuf>) -> Self {
-        let cache = ResultCache {
-            dir,
+        let store = dir.map(ResultStore::new);
+        let map = store
+            .iter()
+            .flat_map(ResultStore::load_all)
+            .map(|(canonical, report)| {
+                let key = nomad_types::hash::fnv1a(canonical.as_bytes());
+                let report = Arc::new(report);
+                (key, Slot::Ready { canonical, report })
+            })
+            .collect();
+        ResultCache {
+            map: Mutex::new(map),
+            store,
             ..Self::default()
-        };
-        cache.reload();
-        cache
-    }
-
-    /// Load every parseable spill file from the directory. Corrupt,
-    /// partial, or foreign files are skipped, not fatal.
-    fn reload(&self) {
-        let Some(dir) = &self.dir else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        let mut map = self.map.lock().expect("cache lock");
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            // Fault site `serve.cache.reload`: any injected fault
-            // skips this file, exactly like an unreadable spill.
-            if nomad_faults::inject("serve.cache.reload").is_some() {
-                continue;
-            }
-            let Ok(bytes) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(persisted) = serde_json::from_str::<PersistedEntry>(&bytes) else {
-                continue;
-            };
-            // Re-key from the canonical string (not the file name) so
-            // a renamed or mislabeled spill still lands under the key
-            // `claim` will actually probe.
-            let key = crate::hash::fnv1a(persisted.canonical.as_bytes());
-            map.entry(key).or_insert(Slot::Ready {
-                canonical: persisted.canonical,
-                report: Arc::new(persisted.report),
-            });
-        }
-    }
-
-    /// Best-effort spill of one completed entry (called outside the
-    /// map lock). Written to a temp file and renamed so readers never
-    /// observe a partial document under the final name.
-    fn spill(&self, key: u64, canonical: &str, report: &RunReport) {
-        let Some(dir) = &self.dir else { return };
-        let entry = PersistedEntry {
-            canonical: canonical.to_string(),
-            report: report.clone(),
-        };
-        let Ok(json) = serde_json::to_string(&entry) else {
-            return;
-        };
-        // Fault site `serve.cache.spill`: `Torn` simulates a crash
-        // mid-write by leaving half a document *at the final path*
-        // (deliberately defeating the tmp+rename discipline, so reload
-        // tolerance gets exercised); `Io`/`Panic` drop the spill.
-        match nomad_faults::inject("serve.cache.spill") {
-            Some(nomad_faults::Fault::Torn) => {
-                let _ = std::fs::write(
-                    dir.join(format!("{key:016x}.json")),
-                    &json.as_bytes()[..json.len() / 2],
-                );
-                return;
-            }
-            Some(_) => return,
-            None => {}
-        }
-        let tmp = dir.join(format!("{key:016x}.json.tmp"));
-        if std::fs::write(&tmp, json).is_ok() {
-            let _ = std::fs::rename(&tmp, dir.join(format!("{key:016x}.json")));
         }
     }
 
@@ -379,8 +310,8 @@ impl ResultCache {
         // Wake waiters before touching the disk: persistence must not
         // add latency to coalesced submissions.
         flight.complete(result);
-        if let Some((canonical, report)) = spilled {
-            self.spill(key, &canonical, &report);
+        if let (Some(store), Some((canonical, report))) = (&self.store, spilled) {
+            let _ = store.put(key, &canonical, &report);
         }
     }
 
@@ -487,7 +418,7 @@ mod tests {
     fn ready_entries_survive_reload() {
         let dir = scratch_dir("reload");
         let canonical = "job-a";
-        let key = crate::hash::fnv1a(canonical.as_bytes());
+        let key = nomad_types::hash::fnv1a(canonical.as_bytes());
         let r = report();
         {
             let cache = ResultCache::with_dir(Some(dir.clone()));

@@ -23,6 +23,11 @@
 //!   wire, so a fleet router (`nomad-fleet`) can treat every node's
 //!   cache as one shared tier — any node can answer any previously
 //!   computed cell regardless of ring placement.
+//! * **Result store** ([`store`]) — the on-disk side of the cache: one
+//!   `<key>.json` document per finished job, stamped with
+//!   [`nomad_sim::MODEL_EPOCH`]. A node spills to it and reloads from
+//!   it on start-up; the figure harnesses record their cells in the
+//!   same format.
 //! * **Overload protection** ([`overload`]) — per-job deadline
 //!   budgets carried on the wire (`Request::SubmitDeadline`), an
 //!   admission controller that sheds work whose estimated wait exceeds
@@ -38,8 +43,9 @@
 //!   `METRICS.md`), and executed jobs leave Chrome-trace spans
 //!   ([`ServerHandle::trace_json`]).
 //!
-//! Simulations are deterministic, so cached reports never go stale and
-//! a cache hit is byte-identical to re-running the job.
+//! Simulations are deterministic, so within one model epoch cached
+//! reports never go stale and a cache hit is byte-identical to
+//! re-running the job.
 //!
 //! # Quick start
 //!
@@ -54,12 +60,12 @@
 
 pub mod cache;
 pub mod client;
-pub mod hash;
 pub mod overload;
 pub mod proto;
 pub mod queue;
 pub mod server;
 pub mod stats;
+pub mod store;
 pub mod worker;
 
 pub use cache::{JobFailure, ResultCache};
@@ -68,6 +74,7 @@ pub use overload::OverloadConfig;
 pub use proto::{JobSpec, MetricRow, Request, Response, StatsSnapshot};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use stats::ServiceStats;
+pub use store::ResultStore;
 
 /// Mirror every fault the `NOMAD_FAULTS` plan injects into the
 /// process-wide `resilience.faults_injected` counter. Idempotent;

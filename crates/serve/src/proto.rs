@@ -27,7 +27,6 @@
 //! WorkloadProfile, instructions, warmup, seed)` tuples serialize
 //! identically.
 
-use crate::hash::fnv1a;
 use nomad_sim::runner;
 use nomad_sim::{RunReport, SchemeSpec, SystemConfig, MAX_CORES};
 use nomad_trace::WorkloadProfile;
@@ -78,7 +77,7 @@ impl JobSpec {
     /// Content-address of this job: FNV-1a 64 of
     /// [`canonical_json`](Self::canonical_json).
     pub fn content_key(&self) -> u64 {
-        fnv1a(self.canonical_json().as_bytes())
+        nomad_types::hash::fnv1a(self.canonical_json().as_bytes())
     }
 
     /// Run this job in-process (what the service's workers execute).

@@ -42,8 +42,9 @@ pub struct ServerConfig {
     pub job_timeout: Duration,
     /// Extra attempts after a panicking first attempt.
     pub retry_budget: u32,
-    /// Directory for spilling completed results to disk (reloaded on
-    /// the next startup); `None` keeps the result cache memory-only.
+    /// Directory of the [`ResultStore`](crate::ResultStore) the result
+    /// cache spills completed results to and reloads from on the next
+    /// start-up; `None` keeps the result cache memory-only.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Overload-protection knobs (deadline shedding, CoDel target).
     pub overload: OverloadConfig,
@@ -388,7 +389,7 @@ fn handle_submit(
     // Relative budget → absolute deadline, pinned at frame receipt.
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     let canonical = spec.canonical_json();
-    let key = crate::hash::fnv1a(canonical.as_bytes());
+    let key = nomad_types::hash::fnv1a(canonical.as_bytes());
     match shared.cache.claim(key, &canonical) {
         // Hits always serve: they cost no queue time, so even a zero
         // budget is met.

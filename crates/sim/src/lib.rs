@@ -42,3 +42,11 @@ pub use config::SystemConfig;
 pub use report::{ObsSeries, RunReport};
 pub use spec::{BansheeSpec, NomadSpec, SchemeSpec, TdramSpec, TidSpec};
 pub use system::{HotProfileReport, System, MAX_CORES};
+
+/// The simulator's model version. A report is a pure function of its
+/// job *and* this epoch: every stored report records the epoch that
+/// produced it, and a stored report from any other epoch is never
+/// replayed. Bump it in any change that alters simulator output;
+/// `tests/model_epoch.rs` pins a few reports' digests to it and fails
+/// until you do.
+pub const MODEL_EPOCH: u64 = 1;

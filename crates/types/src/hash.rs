@@ -1,17 +1,18 @@
 //! The workspace's one content-key hash: FNV-1a 64.
 //!
 //! Every content-addressed identity in the repo derives from this
-//! function — the serve result cache keys jobs by the FNV-1a of their
-//! canonical JSON, the bench journal names its files by the FNV-1a of
-//! the grid key, and the fleet router places cells on its hash ring by
-//! the same digests — so the three layers agree on what "the same
-//! experiment" means byte-for-byte. FNV is not cryptographic; every
-//! consumer stores the canonical string alongside the key and verifies
-//! it on lookup, so a 64-bit collision degrades to a cache bypass (or
-//! an uncached run), never to a wrong result.
+//! function — a job's key is the FNV-1a of its canonical JSON; the
+//! serve result cache and the result store on disk (shared by
+//! `nomad-serve` and the figure harnesses) key on it, and the fleet
+//! router places cells on its hash ring by the same digests — so every
+//! layer agrees on what "the same experiment" means byte-for-byte. FNV
+//! is not cryptographic; every consumer stores the canonical string
+//! alongside the key and verifies it on lookup, so a 64-bit collision
+//! degrades to a cache bypass (or an uncached run), never to a wrong
+//! result.
 //!
-//! The digests are load-bearing across processes and releases: spill
-//! files, journal names and ring placement must not silently change.
+//! The digests are load-bearing across processes and releases: store
+//! file names and ring placement must not silently change.
 //! The `pinned_digests` test holds the standard FNV-1a test vectors
 //! plus repo-specific strings against hard-coded values.
 
@@ -34,17 +35,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    /// The digests are stable forever: spill files, journal names and
-    /// fleet ring placement all persist them.
+    /// The digests are stable forever: store file names and fleet ring
+    /// placement both persist them.
     #[test]
     fn pinned_digests() {
         // Standard FNV-1a 64 reference vectors.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-        // Repo-shaped inputs: a journal grid key and fleet ring vnode
-        // labels. Regenerating these values means every cached spill
-        // and journal on disk just got orphaned — don't.
+        // Repo-shaped inputs: a grid-descriptor string and fleet ring
+        // vnode labels. Regenerating these values means every stored
+        // report on disk just got orphaned — don't.
         assert_eq!(
             fnv1a(b"sweep:i6000w500c2s13:Baseline,NOMAD,tc,libq"),
             0x934e_5850_e39e_b3a9

@@ -12,7 +12,7 @@
 //!   for every metric the paper reports ([`stats`]).
 //! * **Content hashing** — the FNV-1a 64 function every
 //!   content-addressed identity in the workspace derives from: serve
-//!   cache keys, journal grid hashes, fleet ring placement ([`hash`]).
+//!   cache and result-store keys, fleet ring placement ([`hash`]).
 //! * **Environment knobs** — the shared parse/clamp/warn-on-garbage
 //!   reader behind every `NOMAD_*` tuning variable ([`mod@env`]).
 //!
