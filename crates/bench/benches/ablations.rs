@@ -5,7 +5,8 @@
 // 3. FIFO fully-associative vs 16-way set-associative LRU DC miss
 //    rates (the paper claims ~23% fewer misses for FIFO+full-assoc);
 // 4. proactive batch eviction vs reactive (threshold-1) eviction.
-use nomad_bench::{par, run_cell, save_json, Scale};
+use nomad_bench::figs::Executor;
+use nomad_bench::{par, save_json, Scale};
 use nomad_cache::CacheArray;
 use nomad_core::{NomadConfig, NomadScheme};
 use nomad_dcache::CacheFrames;
@@ -25,11 +26,11 @@ struct Ablation {
 
 /// Ablation 1 + 2: critical-data-first off (which also removes most
 /// buffer-hit servicing value for streaming workloads). Cells are
-/// (workload, spec) pairs run across the sweep worker pool and paired
+/// (workload, spec) jobs run through the one grid executor and paired
 /// back up in submission order.
 fn ablate_cdf(scale: &Scale, out: &mut Vec<Ablation>) {
     println!("\nAblation: critical-data-first scheduling (cact, libq)");
-    let cells: Vec<(WorkloadProfile, SchemeSpec)> = ["cact", "libq"]
+    let cells: Vec<_> = ["cact", "libq"]
         .into_iter()
         .flat_map(|name| {
             let w = WorkloadProfile::by_name(name).expect("known");
@@ -40,13 +41,10 @@ fn ablate_cdf(scale: &Scale, out: &mut Vec<Ablation>) {
                     ..NomadSpec::default()
                 }),
             ]
-            .map(|spec| (w.clone(), spec))
+            .map(|spec| scale.job(&spec, &w))
         })
         .collect();
-    let scale_v = *scale;
-    let reports = par::run_cells_or_exit(scale.jobs, cells, |(w, spec), cancel| {
-        run_cell(&scale_v, spec, w, cancel)
-    });
+    let reports = Executor::from_env().run_or_exit(scale.jobs, &cells);
     for pair in reports.chunks_exact(2) {
         let (on, off) = (&pair[0], &pair[1]);
         let name = on.workload.clone();
@@ -174,7 +172,9 @@ fn ablate_evict(scale: &Scale, out: &mut Vec<Ablation>) {
                 cancel,
             )
         } else {
-            run_cell(&scale_v, &SchemeSpec::Nomad, w, cancel)
+            scale_v
+                .job(&SchemeSpec::Nomad, w)
+                .run_local_cancellable(cancel)
         }
     });
     for pair in reports.chunks_exact(2) {

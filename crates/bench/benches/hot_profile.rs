@@ -23,10 +23,9 @@
 // ```
 //
 // Besides the tick-phase split, each cell reports its *setup* lap —
-// wall time and allocation count to construct the `System` fresh,
-// and to recycle it through `System::reset_for_cell` (the arena path
-// sweeps take by default) — plus the allocations of the measured run
-// itself, which the zero-alloc-churn contract keeps near zero.
+// wall time and allocation count to construct the `System`, as every
+// cell does — plus the allocations of the measured run itself, which
+// stay near zero.
 //
 // Scale knobs: `NOMAD_INSTR` (default 200 000 measured instructions),
 // `NOMAD_WARMUP` (default 20 000), `NOMAD_SEED` (default 42),
@@ -92,12 +91,6 @@ struct Row {
     setup_fresh_secs: f64,
     /// Heap allocations performed by that fresh construction.
     setup_fresh_allocs: u64,
-    /// Wall seconds to recycle the finished system via
-    /// `reset_for_cell` (the arena path).
-    setup_reset_secs: f64,
-    /// Heap allocations performed by the recycle (scheme box + traces
-    /// only — the components keep their buffers).
-    setup_reset_allocs: u64,
     /// Heap allocations during the measured run itself.
     run_allocs: u64,
 }
@@ -190,17 +183,6 @@ fn main() {
             let run_allocs = allocs() - run_a0;
             let cycles = sys.cycle() - start_cycle;
             let hot = sys.hot_profile().expect("profile armed");
-
-            // The arena path's setup lap: recycle the finished system
-            // for the same cell (scheme box + traces are rebuilt,
-            // everything else reuses its buffers) and prewarm, exactly
-            // what `run_one_pooled` does per cell.
-            let reset_t0 = Instant::now();
-            let reset_a0 = allocs();
-            sys.reset_for_cell(spec.build(&cfg), make_traces(&cfg, &profile, seed));
-            sys.prewarm();
-            let setup_reset_secs = reset_t0.elapsed().as_secs_f64();
-            let setup_reset_allocs = allocs() - reset_a0;
             (
                 secs,
                 (
@@ -209,24 +191,11 @@ fn main() {
                     run_allocs,
                     setup_fresh_secs,
                     setup_fresh_allocs,
-                    setup_reset_secs,
-                    setup_reset_allocs,
                 ),
             )
         };
         let best = measure::best_of(reps, &mut [&mut cell]);
-        let (
-            secs,
-            (
-                cycles,
-                hot,
-                run_allocs,
-                setup_fresh_secs,
-                setup_fresh_allocs,
-                setup_reset_secs,
-                setup_reset_allocs,
-            ),
-        ) = best[0];
+        let (secs, (cycles, hot, run_allocs, setup_fresh_secs, setup_fresh_allocs)) = best[0];
 
         let total_nanos = secs * 1e9;
         let accounted = hot.cpu_nanos + hot.cache_nanos + hot.dcache_nanos + hot.dram_nanos;
@@ -262,26 +231,22 @@ fn main() {
             other_nanos,
             setup_fresh_secs,
             setup_fresh_allocs,
-            setup_reset_secs,
-            setup_reset_allocs,
             run_allocs,
         });
     }
 
-    println!("\nsetup lap (fresh construction vs arena recycle) and run allocations:");
+    println!("\nsetup lap (fresh construction) and run allocations:");
     println!(
-        "{:<10} {:<10} {:>10} {:>12} {:>10} {:>12} {:>12}",
-        "scheme", "workload", "fresh ms", "fresh alloc", "reset ms", "reset alloc", "run alloc"
+        "{:<10} {:<10} {:>10} {:>12} {:>12}",
+        "scheme", "workload", "fresh ms", "fresh alloc", "run alloc"
     );
     for row in &rows {
         println!(
-            "{:<10} {:<10} {:>10.2} {:>12} {:>10.2} {:>12} {:>12}",
+            "{:<10} {:<10} {:>10.2} {:>12} {:>12}",
             row.scheme,
             row.workload,
             row.setup_fresh_secs * 1e3,
             row.setup_fresh_allocs,
-            row.setup_reset_secs * 1e3,
-            row.setup_reset_allocs,
             row.run_allocs,
         );
     }

@@ -55,8 +55,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(1);
-    let spec = SchemeSpec::Nomad;
-    let profile = WorkloadProfile::mcf();
+    let job = scale.job(&SchemeSpec::Nomad, &WorkloadProfile::mcf());
     eprintln!(
         "obs_overhead: mcf × NOMAD, {} instr, best of {reps} per mode",
         scale.instructions
@@ -68,11 +67,11 @@ fn main() {
     // one carries its report (needed below for the stripping check),
     // so both return `Option<RunReport>`.
     nomad_obs::set_enabled(false);
-    let disabled_report = nomad_bench::run(&scale, &spec, &profile);
+    let disabled_report = job.run_local();
     let mut disabled_mode = || {
         nomad_obs::set_enabled(false);
         let t = Instant::now();
-        let r = nomad_bench::run(&scale, &spec, &profile);
+        let r = job.run_local();
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(
             r.to_json(),
@@ -84,7 +83,7 @@ fn main() {
     let mut enabled_mode = || {
         nomad_obs::set_enabled(true);
         let t = Instant::now();
-        let r = nomad_bench::run(&scale, &spec, &profile);
+        let r = job.run_local();
         (t.elapsed().as_secs_f64(), Some(r))
     };
     let mut best = measure::best_of(reps as u64, &mut [&mut disabled_mode, &mut enabled_mode]);

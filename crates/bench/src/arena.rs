@@ -1,59 +1,42 @@
-//! Per-thread [`System`] arena: zero-alloc cell churn for grid sweeps.
-//!
-//! A sweep runs hundreds of short cells, and building a [`System`] from
-//! scratch allocates every cache array, MSHR file, DRAM bank file and
-//! queue anew — a few milliseconds of pure allocator traffic per cell.
-//! The arena parks one finished [`System`] per worker thread; the next
-//! cell that thread claims recycles those allocations through
-//! [`System::reset_for_cell`] instead of rebuilding, provided the
-//! [`SystemConfig`](nomad_sim::SystemConfig) matches (config sweeps
-//! fall back to a fresh build automatically, as do observed runs).
-//!
-//! Reuse is gated on byte-identical reports: the `arena_parity` suite
-//! in `nomad-sim` holds recycled-vs-fresh runs to the same serialized
-//! [`RunReport`](nomad_sim::RunReport), including after a cancelled
-//! cell parks a half-run system. Set `NOMAD_ARENA=0` to disable reuse
-//! and build every cell fresh (the reference path).
-//!
-//! A `thread_local` slot needs no locks and maps one-to-one onto the
-//! [`par::run_cells`](crate::par::run_cells) executor, where each
-//! worker thread owns the cells it claims.
+//! Shims for the repository benchmark (`perfbench/`), which still calls
+//! these names. No in-tree code does: every cell builds a fresh
+//! [`System`] through `nomad_sim::runner::run_one`, so the slot
+//! [`with_slot`] hands out is always empty, and whatever `f` leaves in
+//! it is dropped when `f` returns.
 
 use nomad_sim::System;
-use std::cell::RefCell;
 
-thread_local! {
-    static SLOT: RefCell<Option<System>> = const { RefCell::new(None) };
-}
-
-/// Whether arena reuse is enabled (`NOMAD_ARENA`, default on;
-/// `0`/`false`/`off`/`no` disable). Read per call so tests and
-/// harnesses can flip it between cells; the lookup is noise next to a
-/// multi-millisecond cell.
-pub fn enabled() -> bool {
-    nomad_types::env::bool_or("NOMAD_ARENA", true)
-}
-
-/// Run `f` against this thread's parked-system slot. `f` is expected to
-/// park the system back (as [`nomad_sim::runner::run_one_pooled`] does)
-/// so the next cell on this thread can recycle it.
+/// Run `f` against an empty slot. A system `f` parks there is dropped
+/// afterwards, so a caller that checks the slot first always builds
+/// fresh.
 pub fn with_slot<R>(f: impl FnOnce(&mut Option<System>) -> R) -> R {
-    SLOT.with(|slot| f(&mut slot.borrow_mut()))
+    f(&mut None)
 }
 
-/// Drop this thread's parked system, if any. Benchmarks that want a
-/// cold-start measurement call this between samples.
-pub fn clear() {
-    SLOT.with(|slot| *slot.borrow_mut() = None);
-}
+/// A no-op: nothing is ever parked.
+pub fn clear() {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nomad_sim::{SchemeSpec, SystemConfig};
+    use nomad_trace::{SyntheticTrace, TraceSource, WorkloadProfile};
 
     #[test]
     fn slot_starts_empty_and_clears() {
         clear();
+        with_slot(|slot| assert!(slot.is_none()));
+        // A system parked in the slot is dropped, so the next caller
+        // still finds it empty and builds fresh.
+        let cfg = SystemConfig::scaled(1);
+        let trace: Box<dyn TraceSource> = Box::new(SyntheticTrace::with_scale(
+            &WorkloadProfile::tc(),
+            1,
+            cfg.pages_per_gb,
+            cfg.l3_reach_pages(),
+        ));
+        let sys = System::new(cfg.clone(), SchemeSpec::Baseline.build(&cfg), vec![trace]);
+        with_slot(|slot| *slot = Some(sys));
         with_slot(|slot| assert!(slot.is_none()));
         clear();
         with_slot(|slot| assert!(slot.is_none()));

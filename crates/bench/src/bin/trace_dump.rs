@@ -45,11 +45,6 @@ fn main() {
         }
     }
     let scale = nomad_bench::Scale::from_env();
-    // Shrink the DRAM cache (1 MiB = 256 pages) so the cell exercises evictions
-    // and writebacks — the whole point of the trace is watching the
-    // copy pipeline work.
-    let mut cfg = scale.config();
-    cfg.dc_capacity = 1024 * 1024;
     let profile = WorkloadProfile::mcf();
 
     for (tag, spec) in [
@@ -59,7 +54,12 @@ fn main() {
         ("ideal", SchemeSpec::Ideal),
     ] {
         eprintln!("trace_dump: mcf × {tag} ({} instr)", scale.instructions);
-        let report = nomad_bench::run_with_cfg(&cfg, &scale, &spec, &profile);
+        let mut job = scale.job(&spec, &profile);
+        // Shrink the DRAM cache (1 MiB = 256 pages) so the cell
+        // exercises evictions and writebacks — the whole point of the
+        // trace is watching the copy pipeline work.
+        job.cfg.dc_capacity = 1024 * 1024;
+        let report = job.run_local();
         nomad_bench::save_obs_artifacts(&format!("fig09_mcf_{tag}"), &report);
     }
 }

@@ -3,7 +3,7 @@
 //! [`Executor`], and derives its rows from the returned reports; a
 //! `print(&rows)` renders the table the paper reports.
 
-use crate::{geomean, hr, journal, par, run_with_cfg_cell, Scale};
+use crate::{geomean, hr, journal, par, Scale};
 use nomad_serve::{JobSpec, ResultStore};
 use nomad_sim::{RunReport, SchemeSpec};
 use nomad_trace::{WorkloadClass, WorkloadProfile};
@@ -121,14 +121,7 @@ impl Executor {
 
     /// Run one cell in-process and record it in the store.
     fn run_here(&self, job: &JobSpec, cancel: &CancelToken) -> Option<RunReport> {
-        let scale = Scale {
-            instructions: job.instructions,
-            warmup: job.warmup,
-            cores: job.cfg.cores,
-            seed: job.seed,
-            jobs: 1,
-        };
-        let report = run_with_cfg_cell(&job.cfg, &scale, &job.spec, &job.profile, cancel)?;
+        let report = job.run_local_cancellable(cancel)?;
         eprintln!(
             "  [{}/{}] ipc {:.3}",
             report.workload,
@@ -1160,6 +1153,10 @@ mod tests {
     /// it the planted report comes back as is.
     #[test]
     fn only_resume_reads_a_planted_document() {
+        if nomad_obs::enabled() {
+            eprintln!("NOMAD_OBS turns observability on and the store off; skipping");
+            return;
+        }
         let dir = std::env::temp_dir().join(format!("nomad-bench-planted-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scale = Scale {

@@ -19,9 +19,6 @@
 //!   available parallelism; 0 or garbage clamp to 1). Results are
 //!   collected in submission order, so every table and JSON artifact
 //!   is byte-identical at any job count — see [`par`];
-//! * `NOMAD_ARENA=0` — disable per-thread [`System`](nomad_sim::System)
-//!   reuse and build every sweep cell from scratch (default: recycle;
-//!   see [`arena`]);
 //! * `NOMAD_FLEET_ADDRS` — run every harness grid through the fleet
 //!   router over these `nomad-serve` nodes instead of in-process (see
 //!   [`figs::Executor`]); `NOMAD_SERVE_ADDR` alone is a fleet of one.
@@ -207,33 +204,10 @@ pub fn save_raw(rel: &str, contents: &str) {
     }
 }
 
-/// Run one (scheme × workload) cell at this scale.
-pub fn run(scale: &Scale, spec: &SchemeSpec, profile: &WorkloadProfile) -> RunReport {
-    run_with_cfg(&scale.config(), scale, spec, profile)
-}
-
-/// Run one cell with an explicit system configuration (for config
-/// sweeps).
-pub fn run_with_cfg(
-    cfg: &SystemConfig,
-    scale: &Scale,
-    spec: &SchemeSpec,
-    profile: &WorkloadProfile,
-) -> RunReport {
-    runner::run_one(
-        cfg,
-        spec,
-        profile,
-        scale.instructions,
-        scale.warmup,
-        scale.seed,
-    )
-}
-
-/// [`run`] with cooperative cancellation — the per-cell body the
-/// parallel executor ([`par::run_cells`]) drives. Returns `None` once
-/// `cancel` is latched; an uncancelled run is byte-identical to
-/// [`run`].
+/// Run one (scheme × workload) cell at this scale, with cooperative
+/// cancellation: `scale.job(spec, profile).run_local_cancellable(cancel)`.
+/// Kept only for the repository benchmark (`perfbench/`), which still
+/// calls it; in-tree code builds [`Scale::job`] cells instead.
 pub fn run_cell(
     scale: &Scale,
     spec: &SchemeSpec,
@@ -243,10 +217,8 @@ pub fn run_cell(
     run_with_cfg_cell(&scale.config(), scale, spec, profile, cancel)
 }
 
-/// [`run_with_cfg`] with cooperative cancellation. When the arena is
-/// enabled (default; see [`arena`]) the cell recycles this worker
-/// thread's parked [`System`](nomad_sim::System) instead of building
-/// one from scratch — behaviourally identical either way.
+/// [`run_cell`] with an explicit system configuration. Kept only for
+/// the repository benchmark (`perfbench/`), which still calls it.
 pub fn run_with_cfg_cell(
     cfg: &SystemConfig,
     scale: &Scale,
@@ -254,30 +226,15 @@ pub fn run_with_cfg_cell(
     profile: &WorkloadProfile,
     cancel: &CancelToken,
 ) -> Option<RunReport> {
-    if arena::enabled() {
-        arena::with_slot(|slot| {
-            runner::run_one_pooled(
-                slot,
-                cfg,
-                spec,
-                profile,
-                scale.instructions,
-                scale.warmup,
-                scale.seed,
-                cancel,
-            )
-        })
-    } else {
-        runner::run_one_cancellable(
-            cfg,
-            spec,
-            profile,
-            scale.instructions,
-            scale.warmup,
-            scale.seed,
-            cancel,
-        )
-    }
+    runner::run_one_cancellable(
+        cfg,
+        spec,
+        profile,
+        scale.instructions,
+        scale.warmup,
+        scale.seed,
+        cancel,
+    )
 }
 
 /// Write a JSON artifact under `results/` (best effort: failures are

@@ -11,11 +11,17 @@
 //!    enabled run with the series stripped: instrumentation may
 //!    observe, never perturb, and the `obs` field vanishes from the
 //!    JSON entirely when absent.
+//! 3. The result store holds plain reports only: a resumed sweep with
+//!    observability on re-runs a stored cell (its report needs a
+//!    series) and leaves the plain document alone, and with
+//!    observability off it reads the document back.
 //!
 //! Lives in its own integration-test binary because it drives the
 //! process-global [`nomad_obs::set_enabled`] toggle.
 
-use nomad_bench::{par, run_cell, Scale};
+use nomad_bench::figs::Executor;
+use nomad_bench::{par, Scale};
+use nomad_serve::ResultStore;
 use nomad_sim::SchemeSpec;
 use nomad_trace::WorkloadProfile;
 use nomad_types::CancelToken;
@@ -34,7 +40,10 @@ fn grid() -> Vec<(WorkloadProfile, SchemeSpec)> {
 fn run_grid(scale: &Scale) -> Vec<String> {
     let token = CancelToken::new();
     par::run_cells(scale.jobs, &token, grid(), |(w, spec), cancel| {
-        run_cell(scale, spec, w, cancel).map(|r| r.to_json())
+        scale
+            .job(spec, w)
+            .run_local_cancellable(cancel)
+            .map(|r| r.to_json())
     })
     .expect("uncancelled sweep completes")
 }
@@ -86,4 +95,64 @@ fn obs_series_survive_parallel_sweeps_and_strip_to_disabled_reports() {
             "stripping the series must reproduce the disabled report byte-for-byte"
         );
     }
+
+    store_keeps_observed_reports_out(&scale, &disabled[0]);
+}
+
+fn cells_resumed() -> u64 {
+    nomad_obs::resilience()
+        .rows()
+        .into_iter()
+        .find(|(name, _)| name == "resilience.journal_cells_resumed")
+        .expect("counter registered")
+        .1
+}
+
+/// Part 3, run with observability off on entry. `plain` is the
+/// disabled report of the grid's first cell.
+fn store_keeps_observed_reports_out(scale: &Scale, plain: &str) {
+    let (w, spec) = grid().swap_remove(0);
+    let job = scale.job(&spec, &w);
+    let dir = std::env::temp_dir().join(format!("nomad-obs-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ResultStore::new(&dir);
+    let plain: nomad_sim::RunReport = serde_json::from_str(plain).expect("round-trip");
+    store
+        .put(job.content_key(), &job.canonical_json(), &plain)
+        .expect("plant a plain document");
+    let doc = dir.join(format!("{:016x}.json", job.content_key()));
+    let planted = std::fs::read(&doc).expect("planted document");
+    let exec = Executor {
+        fleet: None,
+        store: Some(store),
+        resume: true,
+    };
+    let token = CancelToken::new();
+
+    nomad_obs::set_enabled(true);
+    let before = cells_resumed();
+    let observed = exec.run(1, &token, std::slice::from_ref(&job));
+    nomad_obs::set_enabled(false);
+    let observed = observed.expect("uncancelled sweep completes");
+    assert!(
+        observed[0].obs.is_some(),
+        "an observed resume re-runs the cell instead of reading a plain report"
+    );
+    assert_eq!(cells_resumed(), before, "nothing was resumed");
+    assert_eq!(
+        std::fs::read(&doc).expect("document"),
+        planted,
+        "the observed report must not overwrite the plain document"
+    );
+
+    let resumed = exec
+        .run(1, &token, std::slice::from_ref(&job))
+        .expect("uncancelled sweep completes");
+    assert_eq!(
+        cells_resumed(),
+        before + 1,
+        "the plain resume reads the document"
+    );
+    assert_eq!(resumed[0].to_json(), plain.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
 }

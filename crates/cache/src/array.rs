@@ -80,14 +80,6 @@ impl CacheArray {
         self.num_sets() * self.assoc
     }
 
-    /// Invalidate every line and rewind the LRU stamp — the state of a
-    /// freshly built array, with the `ways` allocation retained (arena
-    /// reuse between sweep cells).
-    pub fn reset(&mut self) {
-        self.ways.fill(Way::default());
-        self.stamp = 0;
-    }
-
     #[inline]
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
         let set = self.sets.rem(key) as usize;

@@ -489,22 +489,6 @@ impl CacheLevel {
         self.stats.reset();
     }
 
-    /// Return the level to its just-constructed state — empty array,
-    /// free MSHRs, empty queues, zeroed counters — while keeping every
-    /// allocation. Attached observability handles are left in place;
-    /// arena reuse refuses observed systems, so a reset level is never
-    /// sampled against a stale registry.
-    pub fn reset(&mut self) {
-        self.array.reset();
-        self.mshrs.reset();
-        self.incoming.clear();
-        self.resp_in.clear();
-        self.to_lower.clear();
-        self.to_upper.clear();
-        self.stats.reset();
-        self.fill_scratch.clear();
-    }
-
     /// Whether the level holds no queued work (used by drain loops in
     /// tests).
     pub fn is_idle(&self) -> bool {

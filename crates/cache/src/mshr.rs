@@ -113,21 +113,6 @@ impl MshrFile {
         self.in_use
     }
 
-    /// Free every entry and restore the fresh-file token order,
-    /// keeping all allocations (the per-slot target lists retain their
-    /// capacity) — the arena-reuse path between sweep cells.
-    pub fn reset(&mut self) {
-        self.keys.fill(0);
-        for t in &mut self.targets {
-            t.clear();
-        }
-        self.fills_dirty.fill(0);
-        self.live.fill(0);
-        self.free.clear();
-        self.free.extend((0..self.keys.len()).rev());
-        self.in_use = 0;
-    }
-
     /// Total number of entries.
     pub fn capacity(&self) -> usize {
         self.keys.len()

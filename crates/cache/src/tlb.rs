@@ -189,19 +189,6 @@ impl Tlb {
         }
     }
 
-    /// Evict everything and restore the fresh-TLB slot order and
-    /// recency clock, keeping the arena allocations. Dead slots'
-    /// stamps/entries are left stale — every read path is gated on the
-    /// occupancy bit-vector or the map, so stale payloads are
-    /// unobservable.
-    pub fn reset(&mut self) {
-        self.map.clear();
-        self.live.fill(0);
-        self.free.clear();
-        self.free.extend((0..self.stamps.len()).rev());
-        self.stamp = 0;
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -266,18 +253,6 @@ impl TlbHierarchy {
     /// Configuration in use.
     pub fn cfg(&self) -> &TlbConfig {
         &self.cfg
-    }
-
-    /// Reset both levels, pending departures and hit/miss counters to
-    /// the just-constructed state, keeping allocations (arena reuse
-    /// between sweep cells).
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.departures.clear();
-        self.l1_hits = 0;
-        self.l2_hits = 0;
-        self.misses = 0;
     }
 
     /// Look up `vpn` across both levels, promoting L2 hits into L1.

@@ -217,25 +217,6 @@ impl Core {
         }
     }
 
-    /// Return the core to the just-constructed state with a new trace:
-    /// empty pipeline, zeroed counters, slot numbering restarted. The
-    /// ROB and dispatch queue keep their allocations — the arena-reuse
-    /// path between sweep cells.
-    pub fn reset_with_trace(&mut self, trace: Box<dyn TraceSource>) {
-        self.trace = trace;
-        self.rob.clear();
-        self.rob_occupancy = 0;
-        self.mem_head_slot = 0;
-        self.mem_live = 0;
-        self.mem_done_bits = 0;
-        self.dispatch_q.clear();
-        self.next_slot = 0;
-        self.gap_left = 0;
-        self.mem_pending = None;
-        self.os_stall = None;
-        self.stats = CoreStats::default();
-    }
-
     /// Register this core's sampled metrics (`cpu.<id>.*`) in `reg`.
     /// The gauges are refreshed only by [`obs_sample`](Self::obs_sample)
     /// — the timing path is untouched whether or not obs is attached.

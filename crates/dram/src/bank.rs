@@ -171,17 +171,6 @@ impl BankFile {
         }
     }
 
-    /// Return every bank to the just-constructed state (all rows
-    /// closed, no timing obligations), retaining the arrays'
-    /// allocations — the arena-reuse path between sweep cells.
-    pub fn reset(&mut self) {
-        self.open_row.fill(0);
-        self.act_at.fill(0);
-        self.cas_at.fill(0);
-        self.pre_at.fill(0);
-        self.open = 0;
-    }
-
     /// Latest timing obligation across all banks that must drain before
     /// a refresh can start.
     pub fn max_busy_until(&self) -> u64 {

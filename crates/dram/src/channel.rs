@@ -198,25 +198,6 @@ impl Channel {
         }
     }
 
-    /// Return the channel to its just-constructed state (empty queue,
-    /// idle banks, first refresh at `t_refi`), keeping every
-    /// allocation — the arena-reuse path between sweep cells.
-    pub fn reset(&mut self) {
-        self.banks.reset();
-        self.queue.clear();
-        self.queued_count.fill(0);
-        self.queued_mask = 0;
-        for h in &mut self.hits {
-            h.clear();
-        }
-        self.bus_free_at = 0;
-        self.next_act_ok = 0;
-        self.act_window = [0; 4];
-        self.next_refresh = self.timing.t_refi;
-        self.refresh_until = None;
-        self.due = self.timing.t_refi;
-    }
-
     /// Exact-or-early device cycle at which [`tick_device`](Self::tick_device)
     /// can next change channel state; an edge before it is a no-op.
     #[inline]

@@ -146,27 +146,6 @@ impl Dram {
         }
     }
 
-    /// Return the device to its just-constructed state — idle channels,
-    /// zeroed clock crossing, no in-flight completions, fresh stats —
-    /// while keeping every allocation (the arena-reuse path between
-    /// sweep cells). The profiling arm and any attached observability
-    /// handles are preserved.
-    pub fn reset(&mut self) {
-        for ch in &mut self.channels {
-            ch.reset();
-        }
-        self.stats.reset();
-        self.clock_acc = 0;
-        self.dev_cycle = 0;
-        self.cpu_cycle = 0;
-        self.pending.clear();
-        self.pending_due = u64::MAX;
-        self.queued = 0;
-        self.due = self.cfg.timing.t_refi;
-        self.scratch.clear();
-        self.profiled_raw = 0;
-    }
-
     /// Arm (or disarm) wall-clock profiling of tick time. Purely
     /// observational — simulated behaviour is identical either way.
     pub fn set_profile(&mut self, on: bool) {

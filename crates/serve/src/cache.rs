@@ -18,21 +18,22 @@
 //! # Persistence
 //!
 //! With [`ResultCache::with_dir`], the cache sits on a
-//! [`ResultStore`] in that directory: it starts out holding every
-//! entry the store can read, and every `Ready` entry is written to the
-//! store, so a restarted server keeps serving hits for experiments it
-//! has already run. Writes are best-effort (I/O failures are ignored)
-//! and happen outside the map lock; what the store cannot read (torn,
-//! stale or foreign files) is a cache miss, never a crash or a wrong
-//! report. Loaded entries are keyed by hashing their canonical string,
-//! so a hit still verifies the full job identity.
+//! [`ResultStore`] in that directory: it starts out empty, a key the
+//! map does not hold is read from the store on its first
+//! [`claim`](ResultCache::claim) or [`lookup`](ResultCache::lookup)
+//! and kept, and every `Ready` entry is written to the store. So a
+//! restarted server keeps serving hits for experiments it has already
+//! run, yet holds in memory only what it is asked for. Reads and
+//! writes happen outside the map lock; writes are best-effort (I/O
+//! failures are ignored), and what the store cannot read (torn, stale
+//! or foreign files) is a cache miss, never a crash or a wrong report.
 
 use crate::store::ResultStore;
 use nomad_sim::RunReport;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Why a job did not produce a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,32 +209,42 @@ impl ResultCache {
     }
 
     /// A cache over the [`ResultStore`] in `dir` (see the
-    /// module-level *Persistence* section), starting out warmed with
-    /// every entry the store can read. `None` behaves like
-    /// [`new`](Self::new).
+    /// module-level *Persistence* section). Nothing is read until a
+    /// job is asked for. `None` behaves like [`new`](Self::new).
     pub fn with_dir(dir: Option<PathBuf>) -> Self {
-        let store = dir.map(ResultStore::new);
-        let map = store
-            .iter()
-            .flat_map(ResultStore::load_all)
-            .map(|(canonical, report)| {
-                let key = nomad_types::hash::fnv1a(canonical.as_bytes());
-                let report = Arc::new(report);
-                (key, Slot::Ready { canonical, report })
-            })
-            .collect();
         ResultCache {
-            map: Mutex::new(map),
-            store,
+            store: dir.map(ResultStore::new),
             ..Self::default()
         }
+    }
+
+    /// The locked map, holding the stored report for `(key, canonical)`
+    /// as a `Ready` slot if the map had nothing under `key` and the
+    /// store has it. The store is read with the lock released; a slot
+    /// that appeared meanwhile wins, so concurrent readers of one
+    /// stored job all end up on the same entry.
+    fn map_with(&self, key: u64, canonical: &str) -> MutexGuard<'_, HashMap<u64, Slot>> {
+        let map = self.map.lock().expect("cache lock");
+        let Some(store) = self.store.as_ref().filter(|_| !map.contains_key(&key)) else {
+            return map;
+        };
+        drop(map);
+        let stored = store.get(key, canonical);
+        let mut map = self.map.lock().expect("cache lock");
+        if let Some(report) = stored {
+            map.entry(key).or_insert_with(|| Slot::Ready {
+                canonical: canonical.to_string(),
+                report: Arc::new(report),
+            });
+        }
+        map
     }
 
     /// Decide how to serve a job with this `(key, canonical)`
     /// identity, registering an in-flight slot when this submission
     /// becomes the runner.
     pub fn claim(&self, key: u64, canonical: &str) -> Claim {
-        let mut map = self.map.lock().expect("cache lock");
+        let mut map = self.map_with(key, canonical);
         match map.get(&key) {
             Some(Slot::Ready {
                 canonical: c,
@@ -273,10 +284,11 @@ impl ResultCache {
     /// completed report cached under this `(key, canonical)` identity,
     /// or `None` (in-flight jobs are `None` too — a probe never
     /// blocks). Unlike [`claim`](Self::claim) this touches neither
-    /// the hit/miss counters nor the map shape, so fleet probes do not
-    /// skew a node's submission statistics.
+    /// the hit/miss counters nor any in-flight slot, so fleet probes do
+    /// not skew a node's submission statistics; a stored report it
+    /// reads is kept like any other.
     pub fn lookup(&self, key: u64, canonical: &str) -> Option<Arc<RunReport>> {
-        let map = self.map.lock().expect("cache lock");
+        let map = self.map_with(key, canonical);
         match map.get(&key) {
             Some(Slot::Ready {
                 canonical: c,
@@ -325,7 +337,8 @@ impl ResultCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Completed reports currently cached.
+    /// Completed reports held in memory (not counting stored documents
+    /// no request has read yet).
     pub fn entries(&self) -> usize {
         let map = self.map.lock().expect("cache lock");
         map.values()
@@ -416,6 +429,9 @@ mod tests {
 
     #[test]
     fn ready_entries_survive_reload() {
+        if crate::store::obs_turns_the_store_off() {
+            return;
+        }
         let dir = scratch_dir("reload");
         let canonical = "job-a";
         let key = nomad_types::hash::fnv1a(canonical.as_bytes());
@@ -428,13 +444,71 @@ mod tests {
             cache.complete(key, Ok(Arc::clone(&r)));
             assert_eq!(cache.entries(), 1);
         }
-        // A brand-new cache over the same directory serves the hit.
+        // A brand-new cache over the same directory starts empty and
+        // reads the entry from the store when it is asked for.
         let cache = ResultCache::with_dir(Some(dir.clone()));
-        assert_eq!(cache.entries(), 1);
+        assert_eq!(cache.entries(), 0, "nothing is loaded up front");
         let Claim::Hit(hit) = cache.claim(key, canonical) else {
-            panic!("reloaded entry must hit");
+            panic!("stored entry must hit");
         };
         assert_eq!(hit.cycles, r.cycles);
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (1, 0, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `Probe`/`Fetch` lookup reads a stored job too, and keeps it.
+    #[test]
+    fn lookup_reads_a_stored_job() {
+        if crate::store::obs_turns_the_store_off() {
+            return;
+        }
+        let dir = scratch_dir("lookup");
+        let canonical = "job-l";
+        let key = nomad_types::hash::fnv1a(canonical.as_bytes());
+        let r = report();
+        ResultStore::new(&dir)
+            .put(key, canonical, &r)
+            .expect("plant a document");
+        let cache = ResultCache::with_dir(Some(dir.clone()));
+        assert_eq!(cache.entries(), 0);
+        assert!(
+            cache.lookup(key, "job-other").is_none(),
+            "foreign job misses"
+        );
+        let hit = cache.lookup(key, canonical).expect("stored job is found");
+        assert_eq!(hit.to_json(), r.to_json());
+        assert_eq!(cache.entries(), 1, "the read report stays in memory");
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (0, 0),
+            "lookups are not counted"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Concurrent claims of a stored job all hit: none of them runs it.
+    #[test]
+    fn concurrent_claims_of_a_stored_job_never_run_it() {
+        if crate::store::obs_turns_the_store_off() {
+            return;
+        }
+        let dir = scratch_dir("stored-flight");
+        let canonical = "job-s";
+        let key = nomad_types::hash::fnv1a(canonical.as_bytes());
+        ResultStore::new(&dir)
+            .put(key, canonical, &report())
+            .expect("plant a document");
+        let cache = ResultCache::with_dir(Some(dir.clone()));
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    assert!(matches!(cache.claim(key, canonical), Claim::Hit(_)));
+                });
+            }
+        });
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (8, 0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -455,7 +529,7 @@ mod tests {
             );
         }
         let cache = ResultCache::with_dir(Some(dir.clone()));
-        assert_eq!(cache.entries(), 0);
+        assert!(matches!(cache.claim(5, "job"), Claim::Run(_)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -464,15 +538,13 @@ mod tests {
         let dir = scratch_dir("corrupt");
         std::fs::create_dir_all(&dir).expect("scratch dir");
         std::fs::write(dir.join("0000000000000bad.json"), "{not json").expect("write");
-        std::fs::write(dir.join("wrong-shape.json"), "[1,2,3]").expect("write");
-        std::fs::write(dir.join("partial.json.tmp"), "{\"canonical\":").expect("write");
         let cache = ResultCache::with_dir(Some(dir.clone()));
-        assert_eq!(cache.entries(), 0, "garbage must not become entries");
-        // The cache still works normally on top of the garbage.
-        let Claim::Run(_) = cache.claim(3, "job") else {
-            panic!("runner");
+        // Reading the garbage under its key is a miss, and the cache
+        // still works normally on top of it.
+        let Claim::Run(_) = cache.claim(0xbad, "job") else {
+            panic!("garbage must not become an entry");
         };
-        cache.complete(3, Ok(report()));
+        cache.complete(0xbad, Ok(report()));
         assert_eq!(cache.entries(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

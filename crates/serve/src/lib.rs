@@ -25,9 +25,9 @@
 //!   computed cell regardless of ring placement.
 //! * **Result store** ([`store`]) — the on-disk side of the cache: one
 //!   `<key>.json` document per finished job, stamped with
-//!   [`nomad_sim::MODEL_EPOCH`]. A node spills to it and reloads from
-//!   it on start-up; the figure harnesses record their cells in the
-//!   same format.
+//!   [`nomad_sim::MODEL_EPOCH`]. A node spills to it and reads a
+//!   job's document on the job's first request; the figure harnesses
+//!   record their cells in the same format.
 //! * **Overload protection** ([`overload`]) — per-job deadline
 //!   budgets carried on the wire (`Request::SubmitDeadline`), an
 //!   admission controller that sheds work whose estimated wait exceeds

@@ -43,8 +43,8 @@ pub struct ServerConfig {
     /// Extra attempts after a panicking first attempt.
     pub retry_budget: u32,
     /// Directory of the [`ResultStore`](crate::ResultStore) the result
-    /// cache spills completed results to and reloads from on the next
-    /// start-up; `None` keeps the result cache memory-only.
+    /// cache spills completed results to and reads a job's result from
+    /// on its first request; `None` keeps the result cache memory-only.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Overload-protection knobs (deadline shedding, CoDel target).
     pub overload: OverloadConfig,

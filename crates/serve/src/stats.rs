@@ -108,7 +108,7 @@ impl ServiceStats {
                 "serve.cache.entries",
                 "reports",
                 "serve",
-                "Completed reports currently cached",
+                "Completed reports held in memory",
             ),
             worker_busy_ns: (0..workers)
                 .map(|i| {

@@ -297,71 +297,25 @@ impl System {
         sys
     }
 
-    /// Whether this system can be recycled for a cell running under
-    /// `cfg`: the configuration must be identical (component geometry
-    /// is baked into every allocation), the system must be un-observed,
-    /// and observability must currently be off — [`System::new`] would
-    /// install a fresh registry for an observed cell, so recycling an
-    /// obs-less system while [`nomad_obs::enabled`] would silently
-    /// produce an unobserved run. Observed cells always build from
-    /// scratch.
+    /// Whether [`reset_for_cell`](Self::reset_for_cell) can switch this
+    /// system to a cell running under `cfg`: the configurations must
+    /// be identical. Kept only for the repository benchmark
+    /// (`perfbench/`), which still calls it; every in-tree cell builds
+    /// a fresh system.
     pub fn can_reuse_for(&self, cfg: &SystemConfig) -> bool {
-        self.obs.is_none() && !nomad_obs::enabled() && self.cfg == *cfg
+        self.cfg == *cfg
     }
 
-    /// Recycle this system for a new cell: every component returns to
-    /// its just-constructed state while keeping its allocations, the
-    /// new scheme and traces are installed, and the clock rewinds to
-    /// cycle 0. The result is behaviourally indistinguishable from
-    /// `System::new(cfg, scheme, traces)` — the `arena_parity` suite
-    /// holds reused-vs-fresh runs to byte-identical [`RunReport`]s.
-    ///
-    /// Callers must check [`can_reuse_for`](Self::can_reuse_for) first.
+    /// Replace this system with a freshly built one running `scheme`
+    /// over `traces` under the same configuration: exactly
+    /// `System::new(cfg, scheme, traces)`. Kept only for the
+    /// repository benchmark (`perfbench/`), which still calls it.
     ///
     /// # Panics
     ///
     /// Panics if `traces.len()` differs from the configured core count.
     pub fn reset_for_cell(&mut self, scheme: Box<dyn DcScheme>, traces: Vec<Box<dyn TraceSource>>) {
-        assert_eq!(traces.len(), self.cfg.cores, "one trace per core");
-        debug_assert!(self.obs.is_none(), "observed systems are not reusable");
-        for (core, trace) in self.cores.iter_mut().zip(traces) {
-            core.reset_with_trace(trace);
-        }
-        for tlb in &mut self.tlbs {
-            tlb.reset();
-        }
-        for l1 in &mut self.l1s {
-            l1.reset();
-        }
-        for l2 in &mut self.l2s {
-            l2.reset();
-        }
-        self.l3.reset();
-        self.scheme = scheme;
-        self.hbm.reset();
-        self.ddr.reset();
-        self.cycle = 0;
-        for q in &mut self.walking {
-            q.clear();
-        }
-        for q in &mut self.blocked {
-            q.clear();
-        }
-        for q in &mut self.issue_q {
-            q.clear();
-        }
-        self.ev.clear();
-        self.measured_cycles = 0;
-        if self.hot.is_some() {
-            // Dram::reset cleared the devices' profiled time; restart
-            // the system-side laps to match a freshly armed profile.
-            self.hot = Some(HotProfile::default());
-        }
-        self.mem_next = 0;
-        self.cluster_due.fill(0);
-        self.ran = 0;
-        self.l3_due = 0;
-        self.idle_from.fill(0);
+        *self = System::new(self.cfg.clone(), scheme, traces);
     }
 
     /// Arm the hot-path wall-time profile (see [`HotProfileReport`]).

@@ -1,9 +1,10 @@
 //! System-assembly behaviour tests: checkpoint pre-warming, per-core
-//! address-space isolation, warm-up stat hygiene, and run-loop
-//! determinism at the `System` API level.
+//! address-space isolation, warm-up stat hygiene, run-loop
+//! determinism at the `System` API level, and the `reset_for_cell`
+//! shim the repository benchmark calls.
 
 use nomad_sim::{runner, SchemeSpec, System, SystemConfig};
-use nomad_trace::{TraceRecord, TraceSource, WorkloadProfile};
+use nomad_trace::{SyntheticTrace, TraceRecord, TraceSource, WorkloadProfile};
 use nomad_types::{AccessKind, VirtAddr, Vpn};
 
 /// A trace visiting a fixed page list round-robin.
@@ -109,4 +110,54 @@ fn report_reflects_run_identity() {
     assert_eq!(r.clock_ghz, cfg.clock_ghz);
     let json = r.to_json();
     assert!(json.contains("\"workload\": \"tc\""));
+}
+
+/// One synthetic trace per core, seeded the way `runner::run_one` seeds
+/// them.
+fn synthetic(
+    cfg: &SystemConfig,
+    profile: &WorkloadProfile,
+    seed: u64,
+) -> Vec<Box<dyn TraceSource>> {
+    (0..cfg.cores)
+        .map(|i| {
+            Box::new(SyntheticTrace::with_scale(
+                profile,
+                seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9),
+                cfg.pages_per_gb,
+                cfg.l3_reach_pages(),
+            )) as Box<dyn TraceSource>
+        })
+        .collect()
+}
+
+/// Prewarm, warm up and measure `sys`; its report as JSON.
+fn run_cell(sys: &mut System, profile: &WorkloadProfile) -> String {
+    sys.prewarm();
+    sys.warm_up(1_000);
+    sys.run(4_000);
+    sys.report(&profile.name).to_json()
+}
+
+/// A system that has run a cell and is then switched to another scheme
+/// and workload by `reset_for_cell` (kept for the repository
+/// benchmark) reports exactly what a freshly built system does.
+#[test]
+fn reset_for_cell_reports_like_a_fresh_system() {
+    let cfg = SystemConfig::scaled(2);
+    let (mcf, tc) = (WorkloadProfile::mcf(), WorkloadProfile::tc());
+    let mut sys = System::new(
+        cfg.clone(),
+        SchemeSpec::Nomad.build(&cfg),
+        synthetic(&cfg, &mcf, 42),
+    );
+    run_cell(&mut sys, &mcf);
+    assert!(sys.can_reuse_for(&cfg));
+    sys.reset_for_cell(SchemeSpec::Tdc.build(&cfg), synthetic(&cfg, &tc, 7));
+    let mut fresh = System::new(
+        cfg.clone(),
+        SchemeSpec::Tdc.build(&cfg),
+        synthetic(&cfg, &tc, 7),
+    );
+    assert_eq!(run_cell(&mut sys, &tc), run_cell(&mut fresh, &tc));
 }
