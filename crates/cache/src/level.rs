@@ -10,6 +10,13 @@
 //! * head-of-line stalling with backpressure when MSHRs or the
 //!   incoming queue fill up.
 //!
+//! A head the MSHR file refused is refused again on every retry until
+//! a fill lands (only a fill frees an entry or a target slot, or puts
+//! the line in the array), so the level leaves it out of its
+//! [`NextActivity`] until then. The event kernel may let such a level
+//! sleep and pays the one stall cycle each skipped retry would have
+//! counted through [`CacheLevel::idle_advance`].
+//!
 //! The level never talks to other components directly; the system
 //! assembly shuttles [`MemReq`]s from [`CacheLevel::pop_to_lower`] into
 //! the next level (when it [`can_accept`](CacheLevel::can_accept)) and
@@ -169,8 +176,9 @@ struct LevelObs {
 impl LevelObs {
     /// Merge consecutive stalled cycles into one span: opened on the
     /// first stalled tick, closed (and pushed) on the first tick that
-    /// makes progress again. A stalled level is ticked densely (its
-    /// head is ready), so the span is exact.
+    /// makes progress again. Only a fill ends a stall, and the level
+    /// ticks on the cycle it applies a fill whether or not it slept
+    /// through the retries in between, so the span is exact.
     fn note_stall_state(&mut self, stalled: bool, now: Cycle) {
         if stalled {
             if self.stall_open.is_none() {
@@ -204,6 +212,10 @@ pub struct CacheLevel {
     obs: Option<LevelObs>,
     /// Reused across fills so completing an MSHR allocates nothing.
     fill_scratch: Vec<MemReq>,
+    /// The incoming head was refused an MSHR and no fill has landed
+    /// since: every tick until the next fill would retry it and count
+    /// one stall cycle, and nothing else.
+    head_refused: bool,
 }
 
 impl CacheLevel {
@@ -222,6 +234,7 @@ impl CacheLevel {
             stats: CacheLevelStats::default(),
             obs: None,
             fill_scratch: Vec::new(),
+            head_refused: false,
         }
     }
 
@@ -362,8 +375,10 @@ impl CacheLevel {
                 self.incoming.pop_front();
                 budget -= 1;
             } else {
-                // Structural hazard: head-of-line stall, retry next cycle.
+                // Structural hazard: head-of-line stall, retried on every
+                // tick, and refused again until a fill lands.
                 self.stats.mshr_stall_cycles.inc();
+                self.head_refused = true;
                 stalled = true;
                 break;
             }
@@ -422,6 +437,7 @@ impl CacheLevel {
     }
 
     fn apply_fill(&mut self, resp: MemResp, now: Cycle) {
+        self.head_refused = false;
         let token = MshrToken(resp.token.0 as usize);
         let mut targets = std::mem::take(&mut self.fill_scratch);
         targets.clear();
@@ -489,6 +505,25 @@ impl CacheLevel {
         self.stats.reset();
     }
 
+    /// Whether the incoming head was refused an MSHR and no fill has
+    /// landed since: the level then owes a stall cycle for every cycle
+    /// it is not ticked.
+    #[inline]
+    pub fn head_refused(&self) -> bool {
+        self.head_refused
+    }
+
+    /// Account `delta` cycles the level was not ticked through, exactly
+    /// as ticking them would have: a refused head's retries each count
+    /// one MSHR stall cycle; any other level the event kernel lets
+    /// sleep had nothing ready, so its ticks would have done nothing.
+    #[inline]
+    pub fn idle_advance(&mut self, delta: Cycle) {
+        if self.head_refused {
+            self.stats.mshr_stall_cycles.add(delta);
+        }
+    }
+
     /// Whether the level holds no queued work (used by drain loops in
     /// tests).
     pub fn is_idle(&self) -> bool {
@@ -503,9 +538,11 @@ impl CacheLevel {
 impl NextActivity for CacheLevel {
     /// Pending fills or lower-bound traffic need the very next cycle;
     /// queued lookups and responses wake the level at their ready
-    /// times. A level whose only outstanding state is in-flight MSHRs
-    /// is reactive: nothing happens until a response arrives from
-    /// below.
+    /// times. A level whose only outstanding state is in-flight MSHRs,
+    /// or a refused head, is reactive: nothing happens until a response
+    /// arrives from below (a refused head's stall cycles are owed
+    /// through [`CacheLevel::idle_advance`] meanwhile).
+    #[inline]
     fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {
         if !self.resp_in.is_empty() || !self.to_lower.is_empty() {
             return Some(now + 1);
@@ -516,9 +553,11 @@ impl NextActivity for CacheLevel {
             next = Some(next.map_or(t, |n| n.min(t)));
         };
         // Both queues are front-gated: only the head's ready time can
-        // unlock work.
+        // unlock work, and a refused head waits for a fill.
         if let Some(&(ready, _)) = self.incoming.front() {
-            consider(ready);
+            if !self.head_refused {
+                consider(ready);
+            }
         }
         if let Some(&(ready, _)) = self.to_upper.front() {
             consider(ready);
@@ -727,8 +766,9 @@ mod tests {
 
     /// [`run_until_idle`] with next-event skipping: advance straight to
     /// the earliest of the level's own activity, the backing memory's
-    /// next fill, or `now + 1` while shuttling work. Responses and
-    /// stats must match the dense run exactly.
+    /// next fill, or `now + 1` while shuttling work, paying the jumped
+    /// cycles through [`CacheLevel::idle_advance`]. Responses and stats
+    /// must match the dense run exactly.
     fn run_event_until_idle(
         level: &mut CacheLevel,
         mem_latency: Cycle,
@@ -764,6 +804,7 @@ mod tests {
             }
             assert!(next > now, "activity must be in the future");
             assert!(next < Cycle::MAX, "non-idle level cannot sleep forever");
+            level.idle_advance(next - now - 1);
             now = next;
         }
         out
@@ -844,6 +885,33 @@ mod tests {
         }
         assert!(c.is_idle());
         assert_eq!(c.next_activity_at(499), None, "idle level is reactive");
+    }
+
+    /// A head the MSHR file refused leaves the level's next activity
+    /// until a fill lands; meanwhile `idle_advance` counts the stall
+    /// cycles its retries would have, and the fill's tick takes it.
+    #[test]
+    fn refused_head_sleeps_until_a_fill() {
+        let mut c = CacheLevel::new(mini_cfg());
+        for (i, blk) in [10u64, 20, 30].iter().enumerate() {
+            c.push_req(read(i as u64, *blk), 0);
+        }
+        c.tick(2);
+        let fetches: Vec<MemReq> = std::iter::from_fn(|| c.pop_to_lower()).collect();
+        assert_eq!(fetches.len(), 2, "two MSHRs, two fetches");
+        c.tick(3);
+        assert!(c.head_refused());
+        assert_eq!(c.stats().mshr_stall_cycles.get(), 1);
+        assert_eq!(c.next_activity_at(3), None, "only a fill can help");
+        c.idle_advance(5);
+        assert_eq!(c.stats().mshr_stall_cycles.get(), 6);
+        c.push_resp(fetches[0].response());
+        assert_eq!(c.next_activity_at(8), Some(9));
+        c.tick(9);
+        assert!(!c.head_refused());
+        assert_eq!(c.stats().primary_misses.get(), 3);
+        c.idle_advance(4);
+        assert_eq!(c.stats().mshr_stall_cycles.get(), 6);
     }
 
     #[test]

@@ -11,35 +11,8 @@
 //! performs first-touch physical-frame allocation for the synthetic
 //! workloads.
 
-use nomad_types::{Cfn, Pfn, Vpn};
+use nomad_types::{Cfn, IntMap, Pfn, Vpn};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hasher for the page table's integer keys: one multiply by a
-/// golden-ratio odd constant, high bits folded down. VPNs are
-/// attacker-free simulator state, so SipHash's flooding resistance buys
-/// nothing, and no code iterates the map, so its order never reaches a
-/// report.
-#[derive(Debug, Default, Clone, Copy)]
-struct VpnHasher(u64);
-
-impl Hasher for VpnHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-}
 
 /// What a PTE currently points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -77,13 +50,13 @@ impl Pte {
 /// physical-frame allocator.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    ptes: HashMap<u64, Pte, BuildHasherDefault<VpnHasher>>,
+    ptes: IntMap<u64, Pte>,
     /// PFN → the VPN whose first touch allocated it. PFNs are handed out
     /// densely from 0, so the PFN is the index.
     rmap: Vec<u64>,
     /// PFN → the further VPNs [`alias`](Self::alias)ed to it (shared
     /// pages), in aliasing order.
-    aliases: HashMap<u64, Vec<u64>, BuildHasherDefault<VpnHasher>>,
+    aliases: IntMap<u64, Vec<u64>>,
     next_pfn: u64,
 }
 
@@ -201,7 +174,7 @@ impl PageTable {
 /// callers holding `ptes` mutably can walk it too.
 fn reverse_map<'a>(
     rmap: &'a [u64],
-    aliases: &'a HashMap<u64, Vec<u64>, BuildHasherDefault<VpnHasher>>,
+    aliases: &'a IntMap<u64, Vec<u64>>,
     pfn: Pfn,
 ) -> impl Iterator<Item = u64> + 'a {
     let first = rmap.get(pfn.raw() as usize).copied();

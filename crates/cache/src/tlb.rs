@@ -17,9 +17,8 @@
 //! event.
 
 use crate::page_table::FrameKind;
-use nomad_types::{Cycle, NextActivity, Vpn};
+use nomad_types::{Cycle, IntMap, NextActivity, Vpn};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A cached translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +70,7 @@ impl Default for TlbConfig {
 #[derive(Debug)]
 pub struct Tlb {
     /// `vpn → slot` index into the arena.
-    map: HashMap<u64, usize>,
+    map: IntMap<u64, usize>,
     /// Per-slot recency stamps; meaningful only where `live` is set.
     stamps: Vec<u64>,
     /// Per-slot entry payloads; meaningful only where `live` is set.
@@ -97,7 +96,7 @@ impl Tlb {
             noncacheable: false,
         };
         Tlb {
-            map: HashMap::with_capacity(capacity + 1),
+            map: IntMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             stamps: vec![0; capacity],
             entries: vec![filler; capacity],
             live: vec![0; capacity.div_ceil(64)],

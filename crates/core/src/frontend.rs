@@ -26,8 +26,8 @@ use crate::config::NomadConfig;
 use nomad_cache::PageTable;
 use nomad_dcache::CacheFlush;
 use nomad_dcache::{CacheFrames, EvictCandidate};
-use nomad_types::{Cfn, CoreId, Cycle, Pfn, SubBlockIdx, Vpn};
-use std::collections::{HashSet, VecDeque};
+use nomad_types::{Cfn, CoreId, Cycle, IntSet, Pfn, SubBlockIdx, Vpn};
+use std::collections::VecDeque;
 
 /// Access to the back-end interface(s), implemented by the scheme
 /// (routes commands to the right back-end in the distributed design).
@@ -144,7 +144,7 @@ pub struct Frontend {
     active: Vec<ActiveTagMiss>,
     daemon_until: Option<Cycle>,
     daemon_queued: bool,
-    pending_vpns: HashSet<u64>,
+    pending_vpns: IntSet<u64>,
     deferred_wb: VecDeque<CopyCommand>,
     /// Reusable eviction-victim buffer, shared by the daemon body and
     /// the handler's emergency/force reclamation paths.
@@ -162,7 +162,7 @@ impl Frontend {
             active: Vec::new(),
             daemon_until: None,
             daemon_queued: false,
-            pending_vpns: HashSet::new(),
+            pending_vpns: IntSet::default(),
             deferred_wb: VecDeque::new(),
             evict_scratch: Vec::new(),
         }

@@ -467,6 +467,7 @@ impl Core {
     /// memory system ([`pop_dispatch`](Self::pop_dispatch)). Draining
     /// them is the *system's* per-cycle work, so the event kernel must
     /// not skip while this is set even if the core itself is stalled.
+    #[inline]
     pub fn dispatch_pending(&self) -> bool {
         !self.dispatch_q.is_empty()
     }
@@ -522,6 +523,7 @@ impl NextActivity for Core {
     ///
     /// Query *after* all of a cycle's completions and wakes have been
     /// delivered; the predicates read the post-delivery state.
+    #[inline]
     fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {
         if let Some((until, _)) = self.os_stall {
             if until > now + 1 {

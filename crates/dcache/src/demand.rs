@@ -3,8 +3,8 @@
 
 use crate::scheme::DcAccessReq;
 use nomad_dram::{Dram, DramRequest};
-use nomad_types::{Cycle, ReqId, TrafficClass};
-use std::collections::{HashMap, VecDeque};
+use nomad_types::{Cycle, IntMap, ReqId, TrafficClass};
+use std::collections::VecDeque;
 
 /// Routes demand accesses to one DRAM device.
 ///
@@ -14,7 +14,7 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Debug, Default)]
 pub struct DemandPath {
     pending: VecDeque<DramRequest>,
-    inflight: HashMap<u64, (DcAccessReq, Cycle)>,
+    inflight: IntMap<u64, (DcAccessReq, Cycle)>,
     next_token: u64,
     /// Token-space tag ORed into every token, so multiple traffic
     /// sources can share one DRAM device and route completions back.

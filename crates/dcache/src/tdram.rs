@@ -25,7 +25,9 @@ use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome
 use crate::stats::SchemeStats;
 use nomad_cache::{PageTable, TlbEntry};
 use nomad_dram::{Dram, DramRequest, Probe};
-use nomad_types::{AccessKind, CoreId, Cycle, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE};
+use nomad_types::{
+    AccessKind, CoreId, Cycle, IntMap, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE,
+};
 use std::collections::VecDeque;
 
 /// TDRAM configuration.
@@ -96,7 +98,7 @@ pub struct Tdram {
     /// were taken.
     retry: VecDeque<(DcAccessReq, Cycle)>,
     /// Demand reads in flight to HBM: token-seq → (req, arrival).
-    demand_inflight: std::collections::HashMap<u64, (DcAccessReq, Cycle)>,
+    demand_inflight: IntMap<u64, (DcAccessReq, Cycle)>,
     next_demand_token: u64,
     /// Latency-critical HBM traffic (demand reads/writes, miss probes).
     pending_hbm: VecDeque<DramRequest>,
@@ -124,7 +126,7 @@ impl Tdram {
             num_slots,
             mshrs: (0..cfg.mshrs).map(|_| None).collect(),
             retry: VecDeque::new(),
-            demand_inflight: std::collections::HashMap::new(),
+            demand_inflight: IntMap::default(),
             next_demand_token: 0,
             pending_hbm: VecDeque::new(),
             pending_hbm_bg: VecDeque::new(),

@@ -6,7 +6,7 @@
 //! breakdowns, same DRAM stats, same utilization denominators.
 
 use nomad_sim::spec::SchemeSpec;
-use nomad_sim::{System, SystemConfig};
+use nomad_sim::{HotProfileReport, System, SystemConfig};
 use nomad_trace::{SyntheticTrace, TraceSource, WorkloadProfile};
 use nomad_types::CancelToken;
 
@@ -59,6 +59,21 @@ fn assert_parity_with(
     warmup: u64,
     instructions: u64,
 ) {
+    assert_parity_of(cfg, spec, profile, seed, warmup, instructions, false);
+}
+
+/// The parity check itself; with `profiled`, the event system runs
+/// with its hot-path profile armed and the measured window's profile
+/// is returned.
+fn assert_parity_of(
+    cfg: &SystemConfig,
+    spec: SchemeSpec,
+    profile: WorkloadProfile,
+    seed: u64,
+    warmup: u64,
+    instructions: u64,
+    profiled: bool,
+) -> Option<HotProfileReport> {
     let mut dense = build_system(cfg, &spec, &profile, seed);
     dense.run_dense(warmup);
     dense.reset_stats();
@@ -66,6 +81,9 @@ fn assert_parity_with(
     let dense_json = serde_json::to_string(&dense.report(&profile.name)).expect("serialize");
 
     let mut event = build_system(cfg, &spec, &profile, seed);
+    if profiled {
+        event.enable_hot_profile();
+    }
     event.run(warmup);
     event.reset_stats();
     event.run(instructions);
@@ -80,6 +98,7 @@ fn assert_parity_with(
         cfg.cores
     );
     assert_eq!(dense.cycle(), event.cycle(), "final cycle diverged");
+    event.hot_profile()
 }
 
 #[test]
@@ -145,6 +164,30 @@ fn eight_core_fig9_shape_parity() {
     let cfg = SystemConfig::scaled(8);
     for (spec, seed) in [(SchemeSpec::Nomad, 17), (SchemeSpec::Tid, 18)] {
         assert_parity_with(&cfg, spec, WorkloadProfile::mcf(), seed, 2_000, 10_000);
+    }
+}
+
+/// Cache-resident cells whose cores run alone for long stretches, so
+/// the kernel's core-only cycles carry much of each run: every scheme
+/// on one core over `ast` and `tc`, and on the two-core shape with an
+/// 8 MiB DRAM cache over `ast`. Each must be byte-identical to the
+/// dense loop and must really have run core-only cycles.
+#[test]
+fn core_only_cycles_are_byte_identical() {
+    let mut two_core = SystemConfig::scaled(2);
+    two_core.dc_capacity = 8 * 1024 * 1024;
+    let cases = [
+        (parity_cfg(1), WorkloadProfile::ast()),
+        (parity_cfg(1), WorkloadProfile::tc()),
+        (two_core, WorkloadProfile::ast()),
+    ];
+    for (cfg, profile) in cases {
+        for spec in SchemeSpec::headtohead_set() {
+            let label = format!("{} / {}, {} cores", spec.label(), profile.name, cfg.cores);
+            let hot = assert_parity_of(&cfg, spec, profile.clone(), 31, WARMUP, INSTRUCTIONS, true)
+                .expect("armed");
+            assert!(hot.core_only_cycles > 0, "no core-only cycle ({label})");
+        }
     }
 }
 

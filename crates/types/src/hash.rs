@@ -1,5 +1,6 @@
-//! The workspace's one content-key hash: FNV-1a 64.
+//! The workspace's two hashes.
 //!
+//! **FNV-1a 64 ([`fnv1a`]) is the one content-key hash.**
 //! Every content-addressed identity in the repo derives from this
 //! function — a job's key is the FNV-1a of its canonical JSON; the
 //! serve result cache and the result store on disk (shared by
@@ -15,6 +16,13 @@
 //! file names and ring placement must not silently change.
 //! The `pinned_digests` test holds the standard FNV-1a test vectors
 //! plus repo-specific strings against hard-coded values.
+//!
+//! **[`IntHasher`] hashes the simulator's integer-keyed maps** ([`IntMap`],
+//! [`IntSet`]): page numbers, frame numbers, request tokens. It never
+//! leaves the process, so nothing pins its values.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -30,6 +38,39 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// Hasher for the simulator's integer keys: one multiply by a
+/// golden-ratio odd constant, high bits folded down. The keys are
+/// simulator state no outside party chooses, so SipHash's flooding
+/// resistance buys nothing, and no simulator code iterates these maps,
+/// so their order never reaches a report.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// A `HashMap` over integer keys hashed by [`IntHasher`]; build one
+/// with `IntMap::default()`.
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// A `HashSet` of integers hashed by [`IntHasher`]; build one with
+/// `IntSet::default()`.
+pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -52,6 +93,18 @@ mod tests {
         );
         assert_eq!(fnv1a(b"node-0#0"), 0x013a_67d2_f646_5dfb);
         assert_eq!(fnv1a(b"node-1#63"), 0xc8b2_8380_b268_ac23);
+    }
+
+    #[test]
+    fn int_maps_hold_distinct_keys() {
+        let mut m: IntMap<u64, u64> = IntMap::default();
+        for k in 0..10_000u64 {
+            m.insert(k << 12, k);
+        }
+        assert_eq!(m.len(), 10_000);
+        assert!((0..10_000u64).all(|k| m.get(&(k << 12)) == Some(&k)));
+        let s: IntSet<u64> = (0..100).collect();
+        assert!(s.contains(&99) && !s.contains(&100));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   [`req::MemResp`], [`req::AccessKind`], [`req::TrafficClass`]).
 //! * **Statistics** — counters, running means and latency histograms used
 //!   for every metric the paper reports ([`stats`]).
-//! * **Content hashing** — the FNV-1a 64 function every
-//!   content-addressed identity in the workspace derives from: serve
-//!   cache and result-store keys, fleet ring placement ([`hash`]).
+//! * **Hashing** — the FNV-1a 64 function every content-addressed
+//!   identity in the workspace derives from (serve cache and
+//!   result-store keys, fleet ring placement), and the one-multiply
+//!   [`IntHasher`] behind the simulator's integer-keyed maps ([`hash`]).
 //! * **Environment knobs** — the shared parse/clamp/warn-on-garbage
 //!   reader behind every `NOMAD_*` tuning variable ([`mod@env`]).
 //!
@@ -36,7 +37,7 @@ pub mod stats;
 pub use addr::{BlockAddr, CacheAddr, Cfn, PageOffset, Pfn, PhysAddr, SubBlockIdx, VirtAddr, Vpn};
 pub use event::{CancelToken, NextActivity};
 pub use geom::{Geometry, Pow2};
-pub use hash::fnv1a;
+pub use hash::{fnv1a, IntHasher, IntMap, IntSet};
 pub use req::{AccessKind, MemLevel, MemReq, MemResp, MemTarget, ReqId, TrafficClass};
 
 /// Simulation time, measured in CPU clock cycles.
