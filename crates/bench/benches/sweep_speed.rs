@@ -59,9 +59,6 @@ fn main() {
         jobs: par::jobs_from_env(),
     };
     let reps = env_u64("NOMAD_REPS", 2).max(1);
-    // In-process and unrecorded: the timings are of the executor
-    // running cells, not of store writes or a fleet.
-    let exec = Executor::default();
     let specs = SchemeSpec::fig9_set();
     let workloads = WorkloadProfile::all();
     let cells = specs.len() * workloads.len();
@@ -85,13 +82,20 @@ fn main() {
 
     // Interleaved best-of-reps (see `nomad_bench::measure`): the two
     // modes alternate so frequency scaling and scheduler noise hit
-    // both sides evenly.
+    // both sides evenly. Each pass gets its own in-process, unrecorded
+    // executor, so it runs every cell: the timings are of cells
+    // running, not of a memo, store writes or a fleet.
     let mut seq_rep = 0;
     let mut seq_mode = || {
         seq_rep += 1;
         eprintln!("— rep {seq_rep} / {reps}: sequential (jobs=1)");
         let t0 = Instant::now();
-        let rows = figs::sweep(&exec, &scale.with_jobs(1), &specs, &workloads);
+        let rows = figs::sweep(
+            &Executor::default(),
+            &scale.with_jobs(1),
+            &specs,
+            &workloads,
+        );
         (t0.elapsed().as_secs_f64(), rows)
     };
     let mut par_rep = 0;
@@ -99,7 +103,7 @@ fn main() {
         par_rep += 1;
         eprintln!("— rep {par_rep} / {reps}: parallel (jobs={})", scale.jobs);
         let t0 = Instant::now();
-        let rows = figs::sweep(&exec, &scale, &specs, &workloads);
+        let rows = figs::sweep(&Executor::default(), &scale, &specs, &workloads);
         (t0.elapsed().as_secs_f64(), rows)
     };
     let mut best = measure::best_of(reps, &mut [&mut seq_mode, &mut par_mode]);

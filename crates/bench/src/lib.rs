@@ -1,11 +1,10 @@
 //! Shared harness utilities for the table/figure reproductions.
 //!
-//! Every bench target (`cargo bench -p nomad-bench --bench figXX`)
-//! regenerates one table or figure from the paper's evaluation section:
-//! it runs the necessary (scheme × workload × parameter) grid on the
-//! scaled system configuration, prints the same rows/series the paper
-//! reports, and drops a machine-readable JSON artifact under
-//! `results/`.
+//! `cargo run --release -p nomad-bench --bin figures -- <name…|all>`
+//! regenerates the paper's evaluation: each figure in
+//! [`figs::FIGURES`] runs its (scheme × workload × parameter) grid on
+//! the scaled system through one [`figs::Executor`], prints the rows
+//! the paper reports, and drops a JSON artifact under `results/`.
 //!
 //! Scales are controlled by environment variables so the full sweep
 //! fits any time budget:
@@ -28,8 +27,9 @@
 //! * `NOMAD_CELL_RETRIES` — re-runs granted to a panicking sweep cell
 //!   before the panic propagates (default 2);
 //! * `--resume` / `NOMAD_RESUME=1` — take every cell the result store
-//!   `results/cache/` already holds instead of re-running it (harnesses
-//!   record each finished cell there; see [`journal`]);
+//!   `results/cache/` already holds instead of re-running it (`figures`
+//!   records each finished cell there; see
+//!   [`figs::Executor::from_env`]);
 //! * `NOMAD_FAULTS` — arm a deterministic fault-injection plan
 //!   (`nomad_faults`; chaos testing only, unset = zero overhead);
 //! * `NOMAD_SERVE_*` — the fleet router's per-node recovery budgets,
@@ -48,7 +48,6 @@ use nomad_sim::{runner, RunReport, SchemeSpec, SystemConfig};
 use nomad_trace::WorkloadProfile;
 use nomad_types::CancelToken;
 use serde::Serialize;
-use std::io::Write as _;
 
 /// Experiment scale knobs (see crate docs for the environment
 /// variables).
@@ -127,7 +126,7 @@ impl Scale {
     }
 }
 
-/// Common harness prologue; every bench `main` calls this first.
+/// Common harness prologue; every harness `main` calls this first.
 ///
 /// * `--obs` anywhere on the command line force-enables the
 ///   observability layer ([`nomad_obs::set_enabled`]) for this
@@ -136,9 +135,6 @@ impl Scale {
 /// * Installs the `SIGINT` handler ([`signal::install_sigint`]) so
 ///   Ctrl-C latches the sweep token and the harness exits 130 after
 ///   in-flight cells wind down, instead of dying mid-write.
-/// * Turns on recording finished cells in the result store
-///   ([`journal`]); `--resume` or `NOMAD_RESUME=1` also reads stored
-///   cells instead of re-running them.
 /// * Arms the deterministic fault plan from `NOMAD_FAULTS`
 ///   ([`nomad_faults::init_from_env`]; a no-op when unset) and mirrors
 ///   injections into the `resilience.*` observability counters.
@@ -147,15 +143,6 @@ pub fn harness_init() {
         nomad_obs::set_enabled(true);
     }
     signal::install_sigint();
-    journal::set_enabled(true);
-    if std::env::args().any(|a| a == "--resume")
-        || matches!(
-            std::env::var("NOMAD_RESUME").as_deref(),
-            Ok("1") | Ok("on") | Ok("true")
-        )
-    {
-        journal::set_resume(true);
-    }
     nomad_faults::init_from_env();
     nomad_serve::mirror_faults_to_obs();
 }
@@ -237,38 +224,11 @@ pub fn run_with_cfg_cell(
     )
 }
 
-/// Write a JSON artifact under `results/` (best effort: failures are
-/// reported but do not abort the harness).
+/// Write a JSON artifact as `results/<name>.json` (best effort:
+/// failures are reported but do not abort the harness).
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    let dir = dir.as_path();
-    let path = if dir.exists() || std::fs::create_dir_all(dir).is_ok() {
-        dir.join(format!("{name}.json"))
-    } else {
-        // Still save the artifact, but loudly: a silent fallback left
-        // stray `crates/*/results/` files behind in the past.
-        let fallback = std::path::PathBuf::from(format!("{name}.json"));
-        let cwd = std::env::current_dir()
-            .map(|d| d.display().to_string())
-            .unwrap_or_else(|_| "<unknown cwd>".to_string());
-        eprintln!(
-            "warning: could not create {}; falling back to {} in the current directory ({cwd})",
-            dir.display(),
-            fallback.display(),
-        );
-        fallback
-    };
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let s = serde_json::to_string_pretty(value).expect("plain data");
-            if let Err(e) = f.write_all(s.as_bytes()) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not create {}: {e}", path.display()),
-    }
+    let json = serde_json::to_string_pretty(value).expect("plain data");
+    save_raw(&format!("{name}.json"), &json);
 }
 
 /// Read a JSON artifact previously saved under `results/`: the

@@ -126,6 +126,7 @@ fn store_keeps_observed_reports_out(scale: &Scale, plain: &str) {
         fleet: None,
         store: Some(store),
         resume: true,
+        ..Executor::default()
     };
     let token = CancelToken::new();
 

@@ -14,9 +14,10 @@
 //! NOMAD_FLEET_ADDRS=127.0.0.1:41231,127.0.0.1:41233,...
 //! ```
 //!
-//! which is exactly the variable the bench harnesses read to route
+//! which is exactly the variable the `figures` binary reads to route
 //! sweeps through the fleet — `export` the printed line and every
-//! `cargo run -p nomad-bench --bin fig09` shards across the nodes.
+//! `cargo run -p nomad-bench --bin figures -- fig09` shards across the
+//! nodes.
 //! Each node spills its result cache to `<BASE>/node-<i>` (default
 //! base `results/fleet-cache`). The fleet serves until `shutdown`.
 //!

@@ -48,5 +48,7 @@ pub use system::{HotProfileReport, System, MAX_CORES};
 /// produced it, and a stored report from any other epoch is never
 /// replayed. Bump it in any change that alters simulator output;
 /// `tests/model_epoch.rs` pins a few reports' digests to it and fails
-/// until you do.
+/// until you do. A change that moves any committed default-scale
+/// artifact under `results/` (what `figures all` writes) alters output
+/// too, so it bumps the epoch as well.
 pub const MODEL_EPOCH: u64 = 1;

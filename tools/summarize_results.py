@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Summarize results/*.json into the EXPERIMENTS.md tables.
 
-Reads the artifacts the bench harnesses drop under results/ and prints
-paper-vs-measured tables in markdown, so EXPERIMENTS.md can be refreshed
-after a re-run with different scales.
+Reads the artifacts `figures all` (cargo run --release -p nomad-bench
+--bin figures -- all) writes under results/ and prints paper-vs-measured
+tables in markdown, so EXPERIMENTS.md can be refreshed after a re-run.
 """
 import json
 import math
