@@ -16,18 +16,19 @@
 //! at least one breaker trip).
 //!
 //! **Live mode** replays the same arrival schedule on the wall clock
-//! against a real fleet: every arrival is submitted with a per-job
-//! deadline budget ([`nomad_serve::submit_within_deadline`]) through a
-//! client-side breaker membership, outcomes and client-observed
-//! latencies are tallied, and each node's `overload.expired_executions`
-//! counter is read back over `/stats` — the zero-expired clause is
-//! checked against the *servers'* witness counters, not client
-//! bookkeeping. The report lands in `results/loadgen_live.json`
-//! (uncommitted; wall-clock numbers are host-dependent).
+//! against a real fleet: every arrival goes through
+//! [`FleetClient::submit`] with a per-job deadline budget (ring route,
+//! breaker gate with the scenario's thresholds, the node's ladder,
+//! failover), outcomes and client-observed latencies are tallied, and
+//! each node's `overload.expired_executions` counter is read back over
+//! `/stats` — the zero-expired clause is checked against the
+//! *servers'* witness counters, not client bookkeeping. The report
+//! lands in `results/loadgen_live.json` (uncommitted; wall-clock
+//! numbers are host-dependent).
 
 use nomad_bench::loadgen::{self, BreakerCounts, LoadgenConfig};
-use nomad_fleet::{parse_addrs, Membership};
-use nomad_serve::{submit_within_deadline, Client, ClientConfig, JobSpec, Response};
+use nomad_fleet::{parse_addrs, Breaker, FleetClient, FleetConfig};
+use nomad_serve::{Client, JobSpec, Response};
 use nomad_sim::SchemeSpec;
 use nomad_trace::WorkloadProfile;
 use nomad_types::stats::LogHistogram;
@@ -126,8 +127,13 @@ fn run_live(cfg: &LoadgenConfig) {
     let schedule = loadgen::arrival_schedule(cfg);
     let offered = schedule.len() as u64;
     let scale = nomad_bench::Scale::from_env();
-    let client_cfg = ClientConfig::from_env();
-    let members = Membership::with_breakers(&addrs, 64, cfg.breaker_config());
+    let fleet = FleetClient::with_config(
+        &addrs,
+        FleetConfig {
+            breaker: cfg.breaker_config(),
+            ..FleetConfig::from_env()
+        },
+    );
     let budget = Duration::from_millis(cfg.deadline_ms);
     eprintln!(
         "nomad-loadgen: live replay of {} arrivals over {} node(s), {} ms deadline each",
@@ -136,81 +142,55 @@ fn run_live(cfg: &LoadgenConfig) {
         cfg.deadline_ms
     );
 
+    let reroute_count = || {
+        nomad_obs::overload()
+            .value("overload.breaker_reroutes")
+            .expect("counter registered")
+    };
+    let reroutes_before = reroute_count();
     let next = AtomicUsize::new(0);
     let completed = AtomicU64::new(0);
     let expired = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
     let transport_errors = AtomicU64::new(0);
-    let reroutes = AtomicU64::new(0);
     let latencies = Mutex::new(LogHistogram::new());
     let senders = addrs.len().clamp(2, 8);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..senders {
-            scope.spawn(|| {
-                let mut conns: Vec<Option<Client>> = addrs.iter().map(|_| None).collect();
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&at_ms) = schedule.get(i) else {
-                        return;
-                    };
-                    let at = t0 + Duration::from_millis(at_ms);
-                    if let Some(wait) = at.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    // Route round-robin, gated by the client-side
-                    // breakers (fault site `fleet.breaker` can trip
-                    // them mid-run).
-                    let preferred = i % addrs.len();
-                    let mut target = preferred;
-                    if !members.breaker_allows(target) {
-                        if let Some(alt) = members.route_around(target) {
-                            reroutes.fetch_add(1, Ordering::Relaxed);
-                            target = alt;
-                        }
-                    }
-                    // Distinct seed per arrival: every job is a real,
-                    // uncached simulation.
-                    let job = JobSpec {
-                        cfg: scale.config(),
-                        spec: SchemeSpec::Nomad,
-                        profile: WorkloadProfile::tc(),
-                        instructions: scale.instructions,
-                        warmup: scale.warmup,
-                        seed: scale.seed.wrapping_add(i as u64),
-                    };
-                    let sent = Instant::now();
-                    let outcome = submit_within_deadline(
-                        &mut conns[target],
-                        &addrs[target],
-                        &job,
-                        budget,
-                        &client_cfg,
-                    );
-                    let took = sent.elapsed();
-                    match outcome {
-                        Ok(Response::Report { .. }) => {
-                            completed.fetch_add(1, Ordering::Relaxed);
-                            members.record_outcome(target, true, took);
-                            latencies
-                                .lock()
-                                .expect("latency lock")
-                                .record(took.as_millis() as u64);
-                        }
-                        Ok(Response::Expired { .. }) => {
-                            expired.fetch_add(1, Ordering::Relaxed);
-                            members.record_outcome(target, false, took);
-                        }
-                        Ok(_) => {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                            members.record_outcome(target, false, took);
-                        }
-                        Err(_) => {
-                            transport_errors.fetch_add(1, Ordering::Relaxed);
-                            members.record_outcome(target, false, took);
-                        }
-                    }
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::SeqCst);
+                let Some(&at_ms) = schedule.get(i) else {
+                    return;
+                };
+                let at = t0 + Duration::from_millis(at_ms);
+                if let Some(wait) = at.checked_duration_since(Instant::now()) {
+                    std::thread::sleep(wait);
                 }
+                // Distinct seed per arrival: every job is a real,
+                // uncached simulation.
+                let job = JobSpec {
+                    cfg: scale.config(),
+                    spec: SchemeSpec::Nomad,
+                    profile: WorkloadProfile::tc(),
+                    instructions: scale.instructions,
+                    warmup: scale.warmup,
+                    seed: scale.seed.wrapping_add(i as u64),
+                };
+                let sent = Instant::now();
+                let tally = match fleet.submit(&job, Some(budget)) {
+                    Ok(Response::Report { .. }) => {
+                        latencies
+                            .lock()
+                            .expect("latency lock")
+                            .record(sent.elapsed().as_millis() as u64);
+                        &completed
+                    }
+                    Ok(Response::Expired { .. }) => &expired,
+                    Ok(_) => &failed,
+                    Err(_) => &transport_errors,
+                };
+                tally.fetch_add(1, Ordering::Relaxed);
             });
         }
     });
@@ -220,30 +200,23 @@ fn run_live(cfg: &LoadgenConfig) {
     let mut server_expired = 0u64;
     for addr in &addrs {
         match Client::connect(addr).and_then(|mut c| c.stats()) {
-            Ok(s) => {
-                server_expired += s
-                    .counters
-                    .iter()
-                    .find(|r| r.name == "overload.expired_executions")
-                    .map_or(0, |r| r.value);
-            }
+            Ok(s) => server_expired += s.counter("overload.expired_executions").unwrap_or(0),
             Err(e) => eprintln!("nomad-loadgen: stats from {addr} failed ({e})"),
         }
     }
 
     let completed = completed.into_inner();
     let latencies = latencies.into_inner().expect("latency lock");
+    let fleet_sum = |count: fn(&Breaker) -> u64| -> u64 {
+        (0..addrs.len())
+            .map(|i| count(fleet.members().breaker(i)))
+            .sum()
+    };
     let breaker = BreakerCounts {
-        trips: (0..addrs.len())
-            .map(|i| members.breaker(i).trip_count())
-            .sum(),
-        probes: (0..addrs.len())
-            .map(|i| members.breaker(i).probe_count())
-            .sum(),
-        closes: (0..addrs.len())
-            .map(|i| members.breaker(i).close_count())
-            .sum(),
-        reroutes: reroutes.into_inner(),
+        trips: fleet_sum(Breaker::trip_count),
+        probes: fleet_sum(Breaker::probe_count),
+        closes: fleet_sum(Breaker::close_count),
+        reroutes: reroute_count() - reroutes_before,
     };
     let goodput_pct = (completed * 100).checked_div(offered).unwrap_or(100);
     // A seeded `fleet.breaker` plan is expected to trip a breaker
@@ -251,9 +224,15 @@ fn run_live(cfg: &LoadgenConfig) {
     let faults_armed = std::env::var("NOMAD_FAULTS")
         .map(|v| v.contains("fleet.breaker"))
         .unwrap_or(false);
-    let pass = goodput_pct >= cfg.slo.min_goodput_pct
-        && server_expired == 0
-        && (!faults_armed || breaker.trips >= 1);
+    let clauses = [
+        ("goodput", goodput_pct >= cfg.slo.min_goodput_pct),
+        ("server expired executions", server_expired == 0),
+        (
+            "breaker tripped (required with a fleet.breaker plan)",
+            !faults_armed || breaker.trips >= 1,
+        ),
+    ];
+    let pass = clauses.iter().all(|&(_, ok)| ok);
     let report = LiveReport {
         config: cfg.clone(),
         offered,
@@ -290,20 +269,7 @@ fn run_live(cfg: &LoadgenConfig) {
         report.server_expired_executions
     );
     nomad_bench::save_json("loadgen_live", &report);
-    announce_and_exit(
-        pass,
-        &[
-            ("goodput", goodput_pct >= cfg.slo.min_goodput_pct),
-            (
-                "server expired executions",
-                report.server_expired_executions == 0,
-            ),
-            (
-                "breaker tripped (required with a fleet.breaker plan)",
-                !faults_armed || report.breaker.trips >= 1,
-            ),
-        ],
-    );
+    announce_and_exit(pass, &clauses);
 }
 
 fn announce_and_exit(pass: bool, clauses: &[(&str, bool)]) -> ! {

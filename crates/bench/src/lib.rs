@@ -32,7 +32,7 @@
 //!   [`figs::Executor::from_env`]);
 //! * `NOMAD_FAULTS` — arm a deterministic fault-injection plan
 //!   (`nomad_faults`; chaos testing only, unset = zero overhead);
-//! * `NOMAD_SERVE_*` — the fleet router's per-node recovery budgets,
+//! * `NOMAD_SERVE_*` — the per-node ladder's recovery budgets,
 //!   documented on `nomad_serve::ClientConfig`.
 
 pub mod arena;

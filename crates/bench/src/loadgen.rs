@@ -22,10 +22,11 @@
 //!
 //! The `nomad-loadgen` binary also has a `--live` mode that replays
 //! the same arrival schedule in real time against a running fleet
-//! (`NOMAD_FLEET_ADDRS`), with client-side deadline budgets
-//! ([`nomad_serve::submit_within_deadline`]) and a client-side
-//! [`Membership`](nomad_fleet::Membership) of breakers, asserting the
-//! same SLO shape (see `EXPERIMENTS.md`).
+//! (`NOMAD_FLEET_ADDRS`): every arrival goes through
+//! [`FleetClient::submit`](nomad_fleet::FleetClient::submit) with a
+//! deadline budget and this scenario's breaker thresholds
+//! ([`LoadgenConfig::breaker_config`]), asserting the same SLO shape
+//! (see `EXPERIMENTS.md`).
 
 use nomad_fleet::{Breaker, BreakerConfig, BreakerState};
 use nomad_serve::overload;
@@ -174,7 +175,7 @@ impl LoadgenConfig {
     }
 
     /// The breaker thresholds as a fleet [`BreakerConfig`] (shared by
-    /// the virtual nodes and the live mode's client-side membership).
+    /// the virtual nodes and the live mode's fleet client).
     pub fn breaker_config(&self) -> BreakerConfig {
         BreakerConfig {
             window: self.breaker_window,

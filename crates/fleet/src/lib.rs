@@ -8,7 +8,7 @@
 //!   labels, so placement is reproducible across runs and ephemeral
 //!   ports, and removing a node remaps only its arc.
 //! * **Shared cache reads** ([`router`]) — before computing, the
-//!   router probes every other node's content-addressed result cache
+//!   client probes every other node's content-addressed result cache
 //!   (`Probe`/`Fetch` protocol frames); a cell any node already
 //!   finished is fetched, not recomputed.
 //! * **Cross-node work stealing** — a worker whose home node's queue
@@ -16,9 +16,11 @@
 //!   its idle home node, safe because jobs are idempotent and
 //!   content-keyed.
 //! * **Membership and failover** ([`member`]) — per-node health from
-//!   heartbeats plus the per-node reconnect ladder; a dead node's arc
-//!   is reassigned to the survivors, and past the last node the
-//!   remaining cells degrade to in-process execution.
+//!   heartbeats plus the per-node ladder
+//!   ([`nomad_serve::submit_ladder`]); a dead node's arc is reassigned
+//!   to the survivors, and past the last node the remaining cells
+//!   degrade to in-process execution (jobs sent with a budget never
+//!   do).
 //! * **Circuit breakers** ([`member::Breaker`]) — one rung below
 //!   death: a node that keeps failing, shedding, or responding slowly
 //!   trips its breaker and loses traffic for a cooldown, then earns it
@@ -26,13 +28,16 @@
 //!   the node is never declared dead, so membership stays monotone
 //!   while overload oscillates freely.
 //!
-//! [`FleetClient::run_grid`] is the only off-process grid executor: a
-//! single `nomad-serve` is just a fleet of one (the figure harnesses
-//! read `NOMAD_SERVE_ADDR` as a one-node `NOMAD_FLEET_ADDRS`). The
-//! house oracle holds at every size: a grid produces
-//! **byte-identical** `RunReport`s at any fleet size, any `jobs`
-//! width, with or without injected faults (`fleet_parity` and the
-//! chaos suite hold this).
+//! [`FleetClient`] is the only way a job leaves a process:
+//! [`FleetClient::submit`] sends one job (with an optional budget, as
+//! `nomad-loadgen --live` does per arrival), and
+//! [`FleetClient::run_grid`] runs a grid's cells over the same per-cell
+//! path. A single `nomad-serve` is just a fleet of one (the figure
+//! harnesses read `NOMAD_SERVE_ADDR` as a one-node
+//! `NOMAD_FLEET_ADDRS`). The house oracle holds at every size: a grid
+//! produces **byte-identical** `RunReport`s at any fleet size, any
+//! `jobs` width, with or without injected faults (`fleet_parity` and
+//! the chaos suite hold this).
 //!
 //! Fault sites (see `nomad-faults`): `fleet.route` (placement falls
 //! back to the first alive node), `fleet.steal` (a steal attempt is

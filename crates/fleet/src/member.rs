@@ -2,10 +2,10 @@
 //! node is declared dead.
 //!
 //! A [`Membership`] starts with every configured node alive and a
-//! [`HashRing`] over all slots. Health flows in
-//! from two sides — the router's per-node reconnect ladder (a node
-//! unreachable past the budget) and the heartbeat thread (consecutive
-//! failed pings past `heartbeat_misses`) — and both funnel into
+//! [`HashRing`] over all slots. Health flows in from two sides — the
+//! fleet client's per-node ladder (a node unreachable past the budget)
+//! and a grid's heartbeat thread (consecutive failed pings past
+//! `heartbeat_misses`) — and both funnel into
 //! [`Membership::mark_dead`], which is idempotent per node: exactly
 //! one caller wins the CAS, counts one `fleet.failovers`, and rebuilds
 //! the ring from the survivors so the dead node's arc (and only that
@@ -45,8 +45,8 @@ pub struct FleetConfig {
     /// Virtual nodes per member on the hash ring
     /// (`NOMAD_FLEET_VNODES`, default 64).
     pub vnodes: usize,
-    /// Per-node transport and reconnect budgets (the router's per-node
-    /// reconnect ladder).
+    /// Per-node transport and reconnect budgets (each node's ladder,
+    /// [`nomad_serve::submit_ladder`]).
     pub client: ClientConfig,
     /// Heartbeat cadence (`NOMAD_FLEET_HB_MS`, default 200).
     pub heartbeat_interval: Duration,
@@ -177,7 +177,7 @@ pub enum BreakerState {
 ///
 /// Every method takes `now_ms` explicitly (milliseconds on any
 /// monotonic per-process clock), so the same state machine drives both
-/// the live router (fed from [`Membership::now_ms`]) and the
+/// the live fleet client (fed from [`Membership::now_ms`]) and the
 /// virtual-time load generator — deterministic tests never sleep.
 #[derive(Debug)]
 pub struct Breaker {
@@ -317,7 +317,7 @@ struct Node {
     breaker: Breaker,
 }
 
-/// The live membership view shared by router workers and the
+/// The live membership view shared by the fleet client's callers and the
 /// heartbeat thread.
 pub struct Membership {
     nodes: Vec<Node>,
@@ -384,13 +384,18 @@ impl Membership {
     }
 
     /// The next slot after `avoid` (wrapping, in slot order) that is
-    /// alive and whose breaker admits traffic; `None` when no other
-    /// slot qualifies.
+    /// alive and whose breaker admits traffic, counted as one
+    /// `overload.breaker_reroutes`; `None` when no other slot
+    /// qualifies.
     pub fn route_around(&self, avoid: usize) -> Option<usize> {
         let n = self.nodes.len();
-        (1..n)
+        let alt = (1..n)
             .map(|step| (avoid + step) % n)
-            .find(|&idx| self.breaker_allows(idx))
+            .find(|&idx| self.breaker_allows(idx));
+        if alt.is_some() {
+            nomad_obs::overload().breaker_reroutes.inc();
+        }
+        alt
     }
 
     /// Total configured nodes (alive or dead).

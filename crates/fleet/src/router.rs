@@ -1,110 +1,69 @@
-//! The fleet router: shard a grid across nodes, read every node's
-//! cache, steal from stragglers, fail over dead arcs.
+//! The fleet client: route each job to its node, read every node's
+//! cache, fail over dead arcs — and, for grids, steal from stragglers.
 //!
-//! [`FleetClient::run_grid`] is the one remote grid executor: a single
-//! `nomad-serve` is just a fleet of one. It holds the house oracle:
-//! **byte-identical rows at any fleet size, any `jobs` width, with or
-//! without injected faults** — because cells are pure and
-//! content-addressed, it never matters *which* node (or which process)
-//! computes one.
+//! [`FleetClient::submit`] is the one way a job leaves a process, and
+//! [`FleetClient::run_grid`] runs a grid's cells over the same per-cell
+//! path; a single `nomad-serve` is a fleet of one. Cells are pure and
+//! content-addressed, so it never matters *which* node (or process)
+//! computes one: rows are **byte-identical at any fleet size, any
+//! `jobs` width, with or without injected faults**. Per cell:
 //!
-//! Per cell, the pipeline is:
+//! 1. **Route** by the content key on the ring ([`Membership::route`]);
+//!    a grid worker starts at its home node (the cell's owner, or the
+//!    idle node that stole it).
+//! 2. **Breaker gate:** a node whose breaker is open loses the cell to
+//!    the next allowed slot, if there is one (the breaker is advisory;
+//!    death is the ladder's call).
+//! 3. **Probe before compute:** any *other* alive node with a closed
+//!    breaker whose cache holds the report (`Probe`) hands it over
+//!    (`Fetch`), on the heartbeat's short budgets; a transport error or
+//!    timeout is a miss, never a node failure.
+//! 4. **The node's ladder** ([`nomad_serve::submit_ladder`]), over a
+//!    connection from the node's idle pool; it stops early once the
+//!    caller is cancelled or the node is declared dead elsewhere. Its
+//!    outcome feeds the node's breaker ([`Membership::record_outcome`]).
+//! 5. **Fail over:** a node whose ladder gives up is declared dead
+//!    ([`Membership::mark_dead`]) and the cell re-routes; a node that
+//!    keeps shedding is routed around.
+//! 6. **Degrade**, without a budget only: with every node dead or
+//!    shedding the cell runs in-process (`resilience.local_fallbacks`),
+//!    as does a cell a node `Failed` or shed. A budgeted job comes back
+//!    as the fleet left it: `Expired`, `Overloaded`, `Failed`, or the
+//!    last node's transport error.
 //!
-//! 1. **Route.** The cell's content key places it on the consistent
-//!    ring ([`Membership::route`]); its owner's queue receives it.
-//! 2. **Probe before compute.** Before submitting to the owner, the
-//!    worker probes every *other* alive node's cache (`Probe` frame);
-//!    on a hit it fetches the finished report (`Fetch`) instead of
-//!    computing — any node can answer any previously computed cell,
-//!    regardless of ring placement. Probe/fetch transport errors are
-//!    treated as misses, never as node failures.
-//! 3. **Submit with the per-node ladder.** The owner gets the job via
-//!    a recovery ladder scoped to that node: transport errors
-//!    reconnect with capped exponential backoff + deterministic
-//!    jitter; past the budget the node is declared dead
-//!    ([`Membership::mark_dead`]), its queued cells re-route to the
-//!    survivors, and the cell itself re-routes and retries. A
-//!    server-side `Failed` gets one in-process retry.
-//! 4. **Degrade past the last node.** With every node dead, remaining
-//!    cells run in-process (counting `resilience.local_fallbacks`) —
-//!    a dead fleet degrades to exactly the local sweep.
-//!
-//! **Work stealing:** a worker whose home queue is empty re-dispatches
-//! the *tail* of the longest alive peer queue to its own (idle) home
-//! node — safe duplicate-execution territory because jobs are
-//! idempotent and content-keyed. Fault site `fleet.steal` abandons an
-//! individual steal attempt; fault site `fleet.member` turns a
-//! heartbeat probe into a miss.
+//! **Grids** queue each cell at its ring owner. A worker whose home
+//! queue is empty steals the *tail* of the longest alive peer queue
+//! for its idle home node (harmless duplicate work: jobs are idempotent
+//! and content-keyed), and a dead node's queue moves to the survivors.
+//! Fault site `fleet.steal` abandons a steal attempt; `fleet.member`
+//! turns a heartbeat probe into a miss.
 
-use crate::member::{FleetConfig, Membership};
+use crate::member::{BreakerState, FleetConfig, Membership};
 use nomad_serve::proto::{JobSpec, Response};
-use nomad_serve::{Client, ClientConfig};
+use nomad_serve::{submit_ladder, Client, ClientConfig};
 use nomad_sim::RunReport;
 use nomad_types::CancelToken;
 use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-/// One routed cell: the grid index it must answer under, plus the job.
-struct WorkItem {
-    idx: usize,
-    job: JobSpec,
-}
+/// How many `Overloaded` answers a node's ladder absorbs (sleeping the
+/// server's retry-after hint each time) before the cell is routed
+/// around that node. Small on purpose: past a few rejections the right
+/// move is rerouting, not waiting.
+const LADDER_OVERLOAD_RETRIES: u32 = 8;
 
-/// Shared state of one in-flight grid run.
-struct RunState {
-    members: Arc<Membership>,
-    /// One queue per configured slot (dead slots' queues are drained
-    /// at failover; they only refill if every node is dead).
-    queues: Vec<Mutex<VecDeque<WorkItem>>>,
-    /// Cells not yet resolved into `results`.
-    remaining: AtomicUsize,
-    results: Mutex<Vec<(usize, Result<RunReport, String>)>>,
-    cfg: FleetConfig,
-}
-
-impl RunState {
-    fn push_result(&self, idx: usize, outcome: Result<RunReport, String>) {
-        self.results
-            .lock()
-            .expect("results lock")
-            .push((idx, outcome));
-        self.remaining.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Declare node `idx` dead and re-route its queued cells to the
-    /// survivors (one `fleet.failovers` total, whichever of the
-    /// ladder or the heartbeat got here first). With no survivors the
-    /// cells stay queued and the degraded path drains them locally.
-    fn fail_node(&self, idx: usize, why: &str) {
-        if !self.members.mark_dead(idx) {
-            return;
-        }
-        eprintln!(
-            "nomad-fleet: node {idx} ({}) declared dead ({why}); reassigning its arc",
-            self.members.addr(idx)
-        );
-        let orphans: Vec<WorkItem> = {
-            let mut q = self.queues[idx].lock().expect("queue lock");
-            q.drain(..).collect()
-        };
-        for item in orphans {
-            let owner = self.members.route(item.job.content_key()).unwrap_or(idx);
-            self.queues[owner]
-                .lock()
-                .expect("queue lock")
-                .push_back(item);
-        }
-    }
-}
-
-/// A handle on one fleet of nomad-serve nodes: routing state plus the
-/// budgets to reach them. Reusable across grids.
+/// A handle on one fleet of nomad-serve nodes: routing state, the
+/// budgets to reach them, and a pool of idle connections per node.
+/// Reusable across jobs and grids, and shared by any number of threads.
 pub struct FleetClient {
-    members: Arc<Membership>,
+    members: Membership,
     cfg: FleetConfig,
+    /// Idle connections per node: a job takes one (or its ladder opens
+    /// one) and gives it back unless a transport error dropped it.
+    idle: Vec<Mutex<Vec<Client>>>,
 }
 
 impl FleetClient {
@@ -116,12 +75,10 @@ impl FleetClient {
 
     /// A fleet over `addrs` with explicit budgets.
     pub fn with_config(addrs: &[String], cfg: FleetConfig) -> Self {
+        nomad_serve::mirror_faults_to_obs();
         FleetClient {
-            members: Arc::new(Membership::with_breakers(
-                addrs,
-                cfg.vnodes,
-                cfg.breaker.clone(),
-            )),
+            members: Membership::with_breakers(addrs, cfg.vnodes, cfg.breaker.clone()),
+            idle: addrs.iter().map(|_| Mutex::new(Vec::new())).collect(),
             cfg,
         }
     }
@@ -131,17 +88,31 @@ impl FleetClient {
         &self.members
     }
 
+    /// Submit one job to the fleet (see the module docs for the path).
+    /// Without a `budget` the answer is a `Report` (from a node, a
+    /// peer's cache or an in-process run) or the error of a panicking
+    /// local run. With one, no connect, exchange or sleep outlives it
+    /// (peer probes included) and nothing runs in-process: a job no
+    /// node answered in time comes back `Expired`, `Overloaded`,
+    /// `Failed` or as the last node's transport error.
+    pub fn submit(&self, job: &JobSpec, budget: Option<Duration>) -> io::Result<Response> {
+        nomad_obs::fleet().cells_routed.inc();
+        let deadline = budget.map(|budget| Instant::now() + budget);
+        self.run_cell(job, None, deadline, &CancelToken::new())
+    }
+
     /// Run a grid across the fleet; results in input order, first
     /// unrecoverable cell fails the grid (after latching `cancel` so
-    /// siblings stop submitting). See the module docs for the per-cell
-    /// pipeline and the recovery ladder.
+    /// siblings stop submitting). Every cell takes [`submit`]'s path
+    /// (without a budget) from a pool of `jobs` workers.
+    ///
+    /// [`submit`]: Self::submit
     pub fn run_grid(
         &self,
         cells: Vec<JobSpec>,
         jobs: usize,
         cancel: &CancelToken,
     ) -> io::Result<Vec<RunReport>> {
-        nomad_serve::mirror_faults_to_obs();
         if self.members.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -150,22 +121,19 @@ impl FleetClient {
         }
         let total = cells.len();
         let state = RunState {
-            members: Arc::clone(&self.members),
+            fleet: self,
             queues: (0..self.members.len())
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
             remaining: AtomicUsize::new(total),
-            results: Mutex::new(Vec::with_capacity(total)),
-            cfg: self.cfg.clone(),
+            results: Mutex::new((0..total).map(|_| None).collect()),
         };
         // Route every cell to its owner's queue, in submission order
         // (deterministic ring + deterministic keys = deterministic
-        // placement).
+        // placement). A fleet already dead queues everything at slot 0
+        // for the degraded path.
         for (idx, job) in cells.into_iter().enumerate() {
-            let owner = state
-                .members
-                .route(job.content_key())
-                .expect("all nodes start alive");
+            let owner = self.members.route(job.content_key()).unwrap_or(0);
             nomad_obs::fleet().cells_routed.inc();
             state.queues[owner]
                 .lock()
@@ -174,43 +142,267 @@ impl FleetClient {
         }
 
         let workers = jobs.max(1).min(total.max(1));
-        let hb_stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let state = &state;
-            let hb_stop = &hb_stop;
             if self.members.len() > 1 {
-                scope.spawn(move || heartbeat_loop(state, hb_stop));
+                scope.spawn(move || heartbeat_loop(state));
             }
             for t in 0..workers {
                 scope.spawn(move || worker_loop(t, state, cancel));
             }
-            // Workers exit once `remaining` hits zero; then stop the
-            // heartbeat. (The scope would otherwise join forever.)
-            // This thread doubles as the "done" watcher.
-            scope.spawn(move || {
-                while state.remaining.load(Ordering::SeqCst) > 0 {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                hb_stop.store(true, Ordering::SeqCst);
-            });
         });
 
-        let mut collected = state.results.into_inner().expect("threads joined");
-        collected.sort_by_key(|(i, _)| *i);
-        debug_assert_eq!(collected.len(), total, "every cell resolved exactly once");
-        collected
+        let results = state.results.into_inner().expect("threads joined");
+        results
             .into_iter()
-            .map(|(_, r)| r.map_err(io::Error::other))
+            .map(|r| r.expect("every cell resolved").map_err(io::Error::other))
             .collect()
+    }
+
+    /// The per-cell path (module docs, steps 1–6), starting at `home`
+    /// when given, else at the ring owner.
+    fn run_cell(
+        &self,
+        job: &JobSpec,
+        home: Option<usize>,
+        deadline: Option<Instant>,
+        cancel: &CancelToken,
+    ) -> io::Result<Response> {
+        let key = job.content_key();
+        let canonical = job.canonical_json();
+        let mut target = home.or_else(|| self.members.route(key));
+        let tried = target.is_some();
+        let mut last = Err(io::Error::new(
+            io::ErrorKind::NotConnected,
+            "every node of the fleet is dead",
+        ));
+        // Each pass answers the cell, or kills or routes around its
+        // node; `len` + 1 passes cover the fleet.
+        for _ in 0..=self.members.len() {
+            let Some(mut node) = target else { break };
+            if !self.members.breaker_allows(node) {
+                node = self.members.route_around(node).unwrap_or(node);
+            }
+            if let Some(report) = self.probe_peers(key, &canonical, node, deadline) {
+                return Ok(Response::Report {
+                    cached: true,
+                    report,
+                });
+            }
+            let sent = Instant::now();
+            let mut conn = self.idle[node].lock().expect("pool lock").pop();
+            let outcome = submit_ladder(
+                &mut conn,
+                self.members.addr(node),
+                job,
+                deadline,
+                LADDER_OVERLOAD_RETRIES,
+                &|| cancel.is_cancelled() || !self.members.is_alive(node),
+                &self.cfg.client,
+            );
+            if let Some(conn) = conn {
+                self.idle[node].lock().expect("pool lock").push(conn);
+            }
+            if cancel.is_cancelled() {
+                // Says nothing about the node: leave its breaker be.
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            // A job-level failure is not a node-health signal; shedding
+            // and silence are.
+            let answered = matches!(
+                outcome,
+                Ok(Response::Report { .. } | Response::Failed { .. })
+            );
+            self.members.record_outcome(node, answered, sent.elapsed());
+            match &outcome {
+                Ok(Response::Overloaded { .. }) => {
+                    // Shedding past the ladder's hint budget: give the
+                    // node's arc a breather rather than its life.
+                    target = self.members.route_around(node);
+                }
+                Err(_) => {
+                    self.fail_node(node, "unreachable past the reconnect budget");
+                    target = self.members.route(key);
+                }
+                Ok(Response::Failed { error, .. } | Response::Expired { error })
+                    if deadline.is_none() =>
+                {
+                    eprintln!("nomad-fleet: node {node}: {error}; running the job locally");
+                    return run_locally(job, cancel);
+                }
+                _ => return outcome,
+            }
+            last = outcome;
+        }
+        if deadline.is_some() {
+            return last;
+        }
+        // A fleet that was dead before this cell was already announced.
+        if tried {
+            let why = if last.is_ok() { "shedding" } else { "dead" };
+            eprintln!(
+                "nomad-fleet: every node is {why}; running {}/{} locally",
+                job.profile.name,
+                job.spec.label()
+            );
+        }
+        run_locally(job, cancel)
+    }
+
+    /// Ask every alive node except `target` whose breaker is closed
+    /// whether it holds this job's report; fetch on the first hit.
+    /// Each exchange runs on the control budgets, within `deadline`.
+    /// Transport errors and timeouts are cache misses, not health
+    /// signals.
+    fn probe_peers(
+        &self,
+        key: u64,
+        canonical: &str,
+        target: usize,
+        deadline: Option<Instant>,
+    ) -> Option<RunReport> {
+        for peer in self.members.alive_slots() {
+            if peer == target || self.members.breaker(peer).state() != BreakerState::Closed {
+                continue;
+            }
+            if deadline.is_some_and(|d| d <= Instant::now()) {
+                return None;
+            }
+            let cfg = self.control_cfg().within(deadline);
+            let pooled = self.idle[peer].lock().expect("pool lock").pop();
+            let client = match pooled {
+                Some(client) => client.set_io_timeout(cfg.io_timeout).map(|()| client),
+                None => Client::connect_with(self.members.addr(peer), &cfg),
+            };
+            let Ok(mut client) = client else {
+                continue;
+            };
+            let answer = client.probe(key, canonical).and_then(|hit| {
+                if !hit {
+                    return Ok(None);
+                }
+                nomad_obs::fleet().probe_hits.inc();
+                client.fetch(key, canonical)
+            });
+            let Ok(fetched) = answer else {
+                continue;
+            };
+            self.idle[peer].lock().expect("pool lock").push(client);
+            if let Some(report) = fetched {
+                nomad_obs::fleet().remote_fetches.inc();
+                return Some(report);
+            }
+        }
+        None
+    }
+
+    /// Budgets of the control exchanges (heartbeat pings, cache
+    /// probes), which a healthy node answers at once: a stalled node
+    /// costs each a short wait, never the full transport timeout.
+    fn control_cfg(&self) -> ClientConfig {
+        let client = &self.cfg.client;
+        ClientConfig {
+            connect_timeout: client.connect_timeout.min(Duration::from_millis(500)),
+            io_timeout: Some(Duration::from_millis(1_000)),
+            ..client.clone()
+        }
+    }
+
+    /// Declare node `idx` dead: one `fleet.failovers` total, whichever
+    /// of a ladder or the heartbeat gets here first. Its arc goes to
+    /// the survivors, and a running grid moves its queue after it.
+    fn fail_node(&self, idx: usize, why: &str) {
+        if self.members.mark_dead(idx) {
+            eprintln!(
+                "nomad-fleet: node {idx} ({}) declared dead ({why}); reassigning its arc",
+                self.members.addr(idx)
+            );
+        }
     }
 }
 
-/// One router worker: drain the home queue, steal from stragglers,
+/// Degraded-mode execution: run in-process, count one
+/// `resilience.local_fallbacks`, catch panics so one bad cell reports
+/// an error instead of tearing down the caller.
+fn run_locally(job: &JobSpec, cancel: &CancelToken) -> io::Result<Response> {
+    nomad_obs::resilience().local_fallbacks.inc();
+    let run = std::panic::AssertUnwindSafe(|| job.run_local_cancellable(cancel));
+    let report = std::panic::catch_unwind(run)
+        .map_err(|_| io::Error::other("local fallback panicked"))?
+        .ok_or(io::ErrorKind::Interrupted)?;
+    Ok(Response::Report {
+        cached: false,
+        report,
+    })
+}
+
+/// One routed cell: the grid index it must answer under, plus the job.
+struct WorkItem {
+    idx: usize,
+    job: JobSpec,
+}
+
+/// Shared state of one in-flight grid run.
+struct RunState<'a> {
+    fleet: &'a FleetClient,
+    /// One queue per configured slot (a dead slot's queue moves to the
+    /// survivors; with none left the degraded path drains it).
+    queues: Vec<Mutex<VecDeque<WorkItem>>>,
+    /// Cells not yet resolved into `results`.
+    remaining: AtomicUsize,
+    /// Each cell's outcome, by grid index.
+    results: Mutex<Vec<Option<Result<RunReport, String>>>>,
+}
+
+impl RunState<'_> {
+    fn push_result(&self, idx: usize, outcome: Result<RunReport, String>) {
+        self.results.lock().expect("results lock")[idx] = Some(outcome);
+        self.remaining.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Run one cell through the fleet client's per-cell path and record
+    /// its outcome; an unrecoverable cell latches `cancel` so sibling
+    /// workers stop feeding a doomed grid.
+    fn run(&self, item: WorkItem, home: Option<usize>, cancel: &CancelToken) {
+        let outcome = match self.fleet.run_cell(&item.job, home, None, cancel) {
+            Ok(Response::Report { report, .. }) => Ok(report),
+            Ok(other) => Err(format!("unexpected response: {other:?}")),
+            Err(e) => Err(e.to_string()),
+        };
+        if outcome.is_err() {
+            cancel.cancel();
+        }
+        self.push_result(item.idx, outcome);
+    }
+
+    /// Move the cells queued at dead nodes to their owners among the
+    /// survivors. With no survivor they stay queued, and the degraded
+    /// path drains them.
+    fn reroute_orphans(&self) {
+        let members = &self.fleet.members;
+        if members.alive_count() == 0 {
+            return;
+        }
+        for (idx, queue) in self.queues.iter().enumerate() {
+            if members.is_alive(idx) {
+                continue;
+            }
+            let orphans: Vec<WorkItem> = queue.lock().expect("queue lock").drain(..).collect();
+            for item in orphans {
+                let owner = members.route(item.job.content_key()).unwrap_or(idx);
+                self.queues[owner]
+                    .lock()
+                    .expect("queue lock")
+                    .push_back(item);
+            }
+        }
+    }
+}
+
+/// One grid worker: drain the home queue, steal from stragglers,
 /// degrade to local execution once the fleet is gone.
 fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
-    // Lazily-opened connections, one slot per node, reused across
-    // cells (dropped on transport errors).
-    let mut conns: Vec<Option<Client>> = (0..state.members.len()).map(|_| None).collect();
+    let members = &state.fleet.members;
     loop {
         if state.remaining.load(Ordering::SeqCst) == 0 {
             return;
@@ -230,19 +422,17 @@ fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
             }
             continue;
         }
-        let alive = state.members.alive_slots();
+        state.reroute_orphans();
+        let alive = members.alive_slots();
         if alive.is_empty() {
-            // Degraded: the whole fleet is gone; drain any queue
-            // locally (the per-cell ladder already printed why).
+            // Degraded: the whole fleet is gone; drain any queue (each
+            // cell's path runs it locally).
             let item = state
                 .queues
                 .iter()
                 .find_map(|q| q.lock().expect("queue lock").pop_front());
             match item {
-                Some(item) => {
-                    let outcome = run_cell_locally(&item.job, cancel);
-                    finish(state, item.idx, outcome, cancel);
-                }
+                Some(item) => state.run(item, None, cancel),
                 None => std::thread::sleep(Duration::from_millis(1)),
             }
             continue;
@@ -250,11 +440,11 @@ fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
         let home = alive[t % alive.len()];
         // Home work first… (popped in its own statement: the queue
         // lock must not be held while the cell runs, or workers sharing
-        // this node serialize and `fail_node(home)` self-deadlocks.)
+        // this node serialize and moving a dead home's queue
+        // self-deadlocks.)
         let item = state.queues[home].lock().expect("queue lock").pop_front();
         if let Some(item) = item {
-            let outcome = run_item(&item, home, state, &mut conns, cancel);
-            finish(state, item.idx, outcome, cancel);
+            state.run(item, Some(home), cancel);
             continue;
         }
         // …then steal the tail of the longest alive peer queue for the
@@ -275,8 +465,7 @@ fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
             let stolen = state.queues[victim].lock().expect("queue lock").pop_back();
             if let Some(item) = stolen {
                 nomad_obs::fleet().steals.inc();
-                let outcome = run_item(&item, home, state, &mut conns, cancel);
-                finish(state, item.idx, outcome, cancel);
+                state.run(item, Some(home), cancel);
             }
             continue;
         }
@@ -286,297 +475,47 @@ fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
     }
 }
 
-/// Record one outcome; an unrecoverable cell latches `cancel` so
-/// sibling workers stop feeding a doomed grid.
-fn finish(state: &RunState, idx: usize, outcome: Result<RunReport, String>, cancel: &CancelToken) {
-    if outcome.is_err() {
-        cancel.cancel();
-    }
-    state.push_result(idx, outcome);
-}
-
-/// Steps 2–4 of the per-cell pipeline: probe peers, submit to the
-/// target through the per-node ladder, re-route on node death, run
-/// locally past the last node.
-fn run_item(
-    item: &WorkItem,
-    first_target: usize,
-    state: &RunState,
-    conns: &mut [Option<Client>],
-    cancel: &CancelToken,
-) -> Result<RunReport, String> {
-    let job = &item.job;
-    let key = job.content_key();
-    let canonical = job.canonical_json();
-    let mut target = first_target;
-    // Each pass either succeeds, or kills/reroutes `target`; at most
-    // `len` passes before the fleet is empty.
-    for _ in 0..=state.members.len() {
-        if cancel.is_cancelled() {
-            return Err("cancelled during fleet submission".to_string());
+/// Ping every alive node each interval until the grid is done;
+/// `fleet.heartbeat_misses` consecutive failures (or injected
+/// `fleet.member` faults) past the threshold fail the node over — so
+/// even a node nobody is currently submitting to loses its arc
+/// promptly.
+fn heartbeat_loop(state: &RunState) {
+    let fleet = state.fleet;
+    let interval = fleet.cfg.heartbeat_interval;
+    let threshold = fleet.cfg.heartbeat_misses;
+    let running = || state.remaining.load(Ordering::SeqCst) > 0;
+    let hb_cfg = fleet.control_cfg();
+    while running() {
+        // Sleep in small slices so the grid's end is noticed promptly
+        // even under slow heartbeat cadences.
+        let beat = Instant::now() + interval;
+        while running() && Instant::now() < beat {
+            std::thread::sleep(
+                beat.saturating_duration_since(Instant::now())
+                    .min(Duration::from_millis(5)),
+            );
         }
-        // Breaker gate: a tripped target loses this cell to the next
-        // allowed slot. With no alternative we force through the
-        // original — an all-tripped fleet must stay usable (the
-        // breaker is advisory; death is the ladder's call).
-        if !state.members.breaker_allows(target) {
-            if let Some(alt) = state.members.route_around(target) {
-                nomad_obs::overload().breaker_reroutes.inc();
-                target = alt;
-            }
-        }
-        // Shared cache tier: any *other* alive node that already
-        // computed this cell answers it without a new simulation.
-        if let Some(report) = probe_peers(key, &canonical, target, state, conns) {
-            return Ok(report);
-        }
-        match submit_with_ladder(job, key, target, state, conns, cancel) {
-            LadderOutcome::Done(result) => return *result,
-            LadderOutcome::NodeDead => {
-                state.fail_node(target, "unreachable past the reconnect budget");
-                match state.members.route(key) {
-                    Some(next) => target = next,
-                    None => break,
-                }
-            }
-            LadderOutcome::Overloaded => {
-                // The node is shedding past the client's retry budget:
-                // give its arc a breather rather than its life. Another
-                // slot takes the cell, or we degrade to local.
-                match state.members.route_around(target) {
-                    Some(next) => {
-                        nomad_obs::overload().breaker_reroutes.inc();
-                        target = next;
-                    }
-                    None => return run_cell_locally(job, cancel),
-                }
-            }
-        }
-    }
-    eprintln!(
-        "nomad-fleet: no nodes left for cell {}; degrading to local execution",
-        item.idx
-    );
-    run_cell_locally(job, cancel)
-}
-
-/// Probe every alive node except `target` for a completed result;
-/// fetch on the first hit. Transport errors are cache misses, not
-/// health signals.
-fn probe_peers(
-    key: u64,
-    canonical: &str,
-    target: usize,
-    state: &RunState,
-    conns: &mut [Option<Client>],
-) -> Option<RunReport> {
-    for peer in state.members.alive_slots() {
-        if peer == target {
-            continue;
-        }
-        if conns[peer].is_none() {
-            conns[peer] = Client::connect_with(state.members.addr(peer), &state.cfg.client).ok();
-        }
-        let Some(client) = conns[peer].as_mut() else {
-            continue;
-        };
-        let hit = match client.probe(key, canonical) {
-            Ok(hit) => hit,
-            Err(_) => {
-                conns[peer] = None;
-                continue;
-            }
-        };
-        if !hit {
-            continue;
-        }
-        nomad_obs::fleet().probe_hits.inc();
-        match conns[peer]
-            .as_mut()
-            .expect("probed above")
-            .fetch(key, canonical)
-        {
-            Ok(Some(report)) => {
-                nomad_obs::fleet().remote_fetches.inc();
-                return Some(report);
-            }
-            Ok(None) => continue,
-            Err(_) => {
-                conns[peer] = None;
-                continue;
-            }
-        }
-    }
-    None
-}
-
-/// How many `Overloaded` responses the ladder absorbs (sleeping the
-/// server's retry-after hint each time) before handing the cell back
-/// to the router as [`LadderOutcome::Overloaded`]. Small on purpose:
-/// past a few rejections the right move is rerouting, not waiting.
-const LADDER_OVERLOAD_RETRIES: u32 = 8;
-
-/// What one node's recovery ladder concluded.
-enum LadderOutcome {
-    /// The cell resolved (successfully or unrecoverably).
-    Done(Box<Result<RunReport, String>>),
-    /// The node is unreachable past the budget; fail it over.
-    NodeDead,
-    /// The node kept shedding past the retry budget; route around it
-    /// without declaring it dead.
-    Overloaded,
-}
-
-/// The recovery ladder scoped to one node: reconnect with backoff, count
-/// `resilience.serve_reconnects`, give a server-side `Failed` one
-/// local retry, and report the node dead past the budget. Every
-/// submit outcome also feeds the node's circuit breaker (success,
-/// failure, or shed — with the wall-clock latency of the exchange).
-fn submit_with_ladder(
-    job: &JobSpec,
-    salt: u64,
-    target: usize,
-    state: &RunState,
-    conns: &mut [Option<Client>],
-    cancel: &CancelToken,
-) -> LadderOutcome {
-    let cfg: &ClientConfig = &state.cfg.client;
-    let addr = state.members.addr(target);
-    let mut attempt = 0u32;
-    while state.members.is_alive(target) {
-        if cancel.is_cancelled() {
-            return LadderOutcome::Done(Box::new(Err(
-                "cancelled during fleet submission".to_string()
-            )));
-        }
-        if conns[target].is_none() {
-            match Client::connect_with(addr, cfg) {
-                Ok(c) => {
-                    if attempt > 0 {
-                        nomad_obs::resilience().serve_reconnects.inc();
-                    }
-                    conns[target] = Some(c);
-                }
-                Err(_) => {
-                    attempt += 1;
-                    if attempt > cfg.reconnect_attempts {
-                        return LadderOutcome::NodeDead;
-                    }
-                    std::thread::sleep(cfg.backoff(salt, attempt));
-                    continue;
-                }
-            }
-        }
-        let client = conns[target].as_mut().expect("connected above");
-        let t0 = std::time::Instant::now();
-        match client.submit_retrying(job, LADDER_OVERLOAD_RETRIES) {
-            Ok(Response::Report { report, .. }) => {
-                state.members.record_outcome(target, true, t0.elapsed());
-                return LadderOutcome::Done(Box::new(Ok(report)));
-            }
-            Ok(Response::Failed { error, attempts }) => {
-                // The node answered; a job-level failure is not a
-                // node-health signal.
-                state.members.record_outcome(target, true, t0.elapsed());
-                eprintln!(
-                    "nomad-fleet: node {target} failed the job after {attempts} attempts \
-                     ({error}); retrying locally"
-                );
-                return LadderOutcome::Done(Box::new(run_cell_locally(job, cancel)));
-            }
-            Ok(Response::Overloaded { .. }) => {
-                state.members.record_outcome(target, false, t0.elapsed());
-                return LadderOutcome::Overloaded;
-            }
-            Ok(Response::Expired { error }) => {
-                // The node shed the job (queue-delay controller); treat
-                // like overload pressure and compute the cell locally.
-                state.members.record_outcome(target, false, t0.elapsed());
-                eprintln!("nomad-fleet: node {target} shed the job ({error}); running locally");
-                return LadderOutcome::Done(Box::new(run_cell_locally(job, cancel)));
-            }
-            Ok(other) => {
-                return LadderOutcome::Done(Box::new(Err(format!(
-                    "unexpected response: {other:?}"
-                ))))
-            }
-            Err(_) => {
-                state.members.record_outcome(target, false, t0.elapsed());
-                conns[target] = None;
-                attempt += 1;
-                if attempt > cfg.reconnect_attempts {
-                    return LadderOutcome::NodeDead;
-                }
-                std::thread::sleep(cfg.backoff(salt, attempt));
-            }
-        }
-    }
-    // Another worker (or the heartbeat) already declared this node
-    // dead while we were backing off.
-    LadderOutcome::NodeDead
-}
-
-/// Degraded-mode execution: run in-process, count one
-/// `resilience.local_fallbacks`, catch panics so one bad cell reports
-/// an error instead of tearing down the router worker.
-fn run_cell_locally(job: &JobSpec, cancel: &CancelToken) -> Result<RunReport, String> {
-    nomad_obs::resilience().local_fallbacks.inc();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        job.run_local_cancellable(cancel)
-    })) {
-        Ok(Some(report)) => Ok(report),
-        Ok(None) => Err("cancelled during local fallback".to_string()),
-        Err(_) => Err("local fallback panicked".to_string()),
-    }
-}
-
-/// Ping every alive node each interval; `fleet.heartbeat_misses`
-/// consecutive failures (or injected `fleet.member` faults) past the
-/// threshold fail the node over — so even a node nobody is currently
-/// submitting to loses its arc promptly.
-fn heartbeat_loop(state: &RunState, stop: &AtomicBool) {
-    let interval = state.cfg.heartbeat_interval;
-    let threshold = state.cfg.heartbeat_misses;
-    // Short connect/IO budgets: a heartbeat must not hang behind a
-    // stalled node for the full transport timeout.
-    let hb_cfg = ClientConfig {
-        connect_timeout: state
-            .cfg
-            .client
-            .connect_timeout
-            .min(Duration::from_millis(500)),
-        io_timeout: Some(Duration::from_millis(1_000)),
-        ..state.cfg.client.clone()
-    };
-    while !stop.load(Ordering::SeqCst) {
-        // Sleep in small slices so shutdown is prompt even under slow
-        // heartbeat cadences.
-        let mut slept = Duration::ZERO;
-        while slept < interval && !stop.load(Ordering::SeqCst) {
-            let slice = Duration::from_millis(5).min(interval - slept);
-            std::thread::sleep(slice);
-            slept += slice;
-        }
-        if stop.load(Ordering::SeqCst) {
+        if !running() {
             return;
         }
-        for idx in state.members.alive_slots() {
+        for idx in fleet.members.alive_slots() {
             // Fault site `fleet.member`: an injected fault is a missed
             // heartbeat, exercising failover without killing anything.
             let miss = if nomad_faults::inject("fleet.member").is_some() {
                 true
             } else {
-                match Client::connect_with(state.members.addr(idx), &hb_cfg) {
+                match Client::connect_with(fleet.members.addr(idx), &hb_cfg) {
                     Ok(mut c) => c.ping().is_err(),
                     Err(_) => true,
                 }
             };
             if miss {
-                if state.members.heartbeat_miss(idx, threshold) {
-                    state.fail_node(idx, "missed heartbeats past the threshold");
+                if fleet.members.heartbeat_miss(idx, threshold) {
+                    fleet.fail_node(idx, "missed heartbeats past the threshold");
                 }
             } else {
-                state.members.heartbeat_ok(idx);
+                fleet.members.heartbeat_ok(idx);
             }
         }
     }

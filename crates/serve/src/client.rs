@@ -1,18 +1,21 @@
-//! Thin synchronous client for the nomad-serve protocol.
+//! Thin synchronous client for the nomad-serve protocol, and the one
+//! per-node recovery ladder every off-process job rides.
 //!
 //! # Timeouts and reconnection
 //!
 //! Connections are opened with a connect timeout and carry read/write
 //! timeouts, so a hung or unreachable server fails a request instead
-//! of parking a sweep thread forever. Grids are not run from here: the
-//! fleet router (`nomad_fleet::FleetClient::run_grid`) drives every
-//! off-process sweep, a single server being a fleet of one. Its
-//! per-node ladder treats transport errors as transient — reconnect
-//! with [`ClientConfig::backoff`] and resubmit, safe because jobs are
-//! idempotent and content-addressed — and past the reconnect budget
-//! declares the node dead and degrades to in-process execution.
-//! [`submit_within_deadline`] is the same ladder for one job under a
-//! hard client-side budget.
+//! of parking a sweep thread forever. [`submit_ladder`] is the ladder
+//! over one node's connection slot: transport errors are transient —
+//! reconnect with [`ClientConfig::backoff`] and resubmit, safe because
+//! jobs are idempotent and content-addressed — `Overloaded` hints are
+//! slept and retried a bounded number of times, and an optional
+//! deadline caps every step by the time left. Policy lives above it:
+//! the fleet client (`nomad_fleet::FleetClient::submit`, and
+//! `run_grid` on top of it) routes each job, gates it on the node's
+//! breaker, fails a node over once its ladder gives up, and past the
+//! last node degrades to in-process execution. A single server is a
+//! fleet of one.
 //!
 //! All budgets come from [`ClientConfig`] (environment-overridable;
 //! see its field docs).
@@ -21,15 +24,15 @@ use crate::proto::{self, JobSpec, Request, Response, StatsSnapshot};
 use nomad_sim::RunReport;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Longest single backpressure sleep [`Client::submit_retrying`] will
-/// honour, so a hostile or buggy `retry_after_ms` cannot park a client
-/// thread for minutes.
+/// Longest single backpressure sleep [`submit_ladder`] will honour, so
+/// a hostile or buggy `retry_after_ms` cannot park a client thread for
+/// minutes.
 const MAX_REJECTED_SLEEP_MS: u64 = 1_000;
 
-/// Connection and recovery budgets for [`Client`] and the reconnect
-/// ladders built on it (the fleet router's, [`submit_within_deadline`]).
+/// Connection and recovery budgets for [`Client`] and the ladder built
+/// on it ([`submit_ladder`]).
 ///
 /// [`ClientConfig::from_env`] reads each field from an environment
 /// variable (falling back to the default on unset or garbage), so
@@ -43,9 +46,10 @@ pub struct ClientConfig {
     /// default 600 000 — simulations are slow, transport stalls are
     /// not; `0` disables). `None` blocks forever.
     pub io_timeout: Option<Duration>,
-    /// Reconnect attempts per job before the fleet router declares the
-    /// node dead (`NOMAD_SERVE_RECONNECTS`, default 4); past the last
-    /// node the cell runs in-process.
+    /// Reconnect attempts per job before the ladder gives up on the
+    /// node and the fleet client declares it dead
+    /// (`NOMAD_SERVE_RECONNECTS`, default 4); past the last node the
+    /// cell runs in-process.
     pub reconnect_attempts: u32,
     /// Base reconnect backoff (`NOMAD_SERVE_BACKOFF_MS`, default 50);
     /// attempt `n` sleeps `base · 2^(n-1)` + jitter, capped by
@@ -114,6 +118,19 @@ impl ClientConfig {
         let jitter = nomad_faults::splitmix64(salt ^ u64::from(attempt)) % base.max(1);
         Duration::from_millis(capped + jitter)
     }
+
+    /// These budgets with the connect and I/O timeouts capped by the
+    /// time left before `deadline` (at least 1 ms; unchanged without
+    /// one).
+    pub fn within(&self, deadline: Option<Instant>) -> ClientConfig {
+        let mut cfg = self.clone();
+        if let Some(deadline) = deadline {
+            let left = time_left(deadline).max(Duration::from_millis(1));
+            cfg.connect_timeout = cfg.connect_timeout.min(left);
+            cfg.io_timeout = Some(cfg.io_timeout.map_or(left, |io| io.min(left)));
+        }
+        cfg
+    }
 }
 
 /// One connection to a nomad-serve instance. Requests on a connection
@@ -135,29 +152,29 @@ impl Client {
     /// `cfg.io_timeout` as its read and write timeout so a hung server
     /// errors out instead of blocking a sweep thread forever.
     pub fn connect_with<A: ToSocketAddrs>(addr: A, cfg: &ClientConfig) -> io::Result<Self> {
-        let mut last_err = None;
-        let mut stream = None;
-        for resolved in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&resolved, cfg.connect_timeout) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let stream = stream.ok_or_else(|| {
-            last_err.unwrap_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
+        let mut err = io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing");
+        let stream = addr
+            .to_socket_addrs()?
+            .find_map(|a| {
+                TcpStream::connect_timeout(&a, cfg.connect_timeout)
+                    .map_err(|e| err = e)
+                    .ok()
             })
-        })?;
+            .ok_or(err)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(cfg.io_timeout)?;
-        stream.set_write_timeout(cfg.io_timeout)?;
-        Ok(Client {
+        let client = Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
-        })
+        };
+        client.set_io_timeout(cfg.io_timeout)?;
+        Ok(client)
+    }
+
+    /// Set the read and write timeout of the exchanges from now on
+    /// (`None` blocks forever).
+    pub fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.writer.set_read_timeout(timeout)?;
+        self.writer.set_write_timeout(timeout)
     }
 
     /// Send one request and wait for its response.
@@ -171,17 +188,15 @@ impl Client {
         })
     }
 
-    /// Submit one job (no backpressure retry; see
-    /// [`submit_retrying`](Self::submit_retrying)).
+    /// Submit one job: one exchange, no retry (see [`submit_ladder`]).
     pub fn submit(&mut self, job: &JobSpec) -> io::Result<Response> {
         self.request(&Request::Submit(job.clone()))
     }
 
     /// Submit one job with a relative deadline budget (milliseconds
     /// from server receipt); the server sheds it — `Expired` — instead
-    /// of executing it once the budget cannot be met. No backpressure
-    /// retry; see [`submit_within_deadline`] for the budget-splitting
-    /// retry/reconnect driver.
+    /// of executing it once the budget cannot be met. One exchange, no
+    /// retry (see [`submit_ladder`]).
     pub fn submit_with_deadline(
         &mut self,
         job: &JobSpec,
@@ -191,30 +206,6 @@ impl Client {
             job: job.clone(),
             deadline_ms: budget.as_millis() as u64,
         })
-    }
-
-    /// Submit, honouring `Overloaded { retry_after_ms }` backpressure
-    /// up to `max_attempts` total tries. The advertised sleep is capped
-    /// at 1 s per attempt (a buggy or hostile server cannot park this
-    /// thread for minutes), and the final failed attempt returns
-    /// immediately instead of sleeping a backoff nobody will use.
-    pub fn submit_retrying(&mut self, job: &JobSpec, max_attempts: u32) -> io::Result<Response> {
-        let max_attempts = max_attempts.max(1);
-        let mut last = None;
-        for attempt in 1..=max_attempts {
-            match self.submit(job)? {
-                Response::Overloaded { retry_after_ms } => {
-                    last = Some(Response::Overloaded { retry_after_ms });
-                    if attempt < max_attempts {
-                        std::thread::sleep(Duration::from_millis(
-                            retry_after_ms.min(MAX_REJECTED_SLEEP_MS),
-                        ));
-                    }
-                }
-                other => return Ok(other),
-            }
-        }
-        Ok(last.expect("at least one attempt"))
     }
 
     /// Ask whether the server's cache holds a completed result for
@@ -276,19 +267,102 @@ fn unexpected(wanted: &str, got: &Response) -> io::Error {
     )
 }
 
-/// Submit one job under a hard **client-side** deadline, splitting the
-/// remaining budget across backpressure retries and reconnects: every
-/// sleep (backoff or retry-after) is capped by the time left, every
-/// reconnect uses a connect timeout capped by the time left, and each
-/// submission hands the server only the *remaining* budget — so the
-/// total spent across all attempts never exceeds `budget`.
+/// Submit `job` to the node at `addr` through the node's recovery
+/// ladder — the one way a job reaches a node — over its connection
+/// slot `conn` (dropped on a transport error, refilled by the next
+/// connect):
 ///
-/// `conn` is the caller's reusable connection slot (dropped on
-/// transport errors, re-established lazily, exactly like the fleet
-/// router's per-node slots). When the budget runs out client-side the call returns a
-/// fabricated `Response::Expired` — the caller cannot distinguish who
-/// shed first, and does not need to. Transport errors past
-/// `cfg.reconnect_attempts` surface as the underlying `io::Error`.
+/// * a transport error sleeps [`ClientConfig::backoff`], reconnects
+///   (counting `resilience.serve_reconnects`) and resubmits — safe, as
+///   jobs are idempotent and content-addressed — until
+///   `cfg.reconnect_attempts` is spent, then returns the error;
+/// * an `Overloaded { retry_after_ms }` answer sleeps the hint (at most
+///   1 s) and resubmits, up to `overloads` answers, then is returned.
+///
+/// With a `deadline`, every connect, exchange and sleep is capped by
+/// the time left when it starts (a connection carries that cap as its
+/// I/O timeout), each `SubmitDeadline` frame carries only the budget
+/// left, and a sleep that would outlive the deadline ends the call at
+/// once with a client-side `Response::Expired`.
+///
+/// `give_up` is asked before every sleep and every connect; once it
+/// says so (the caller was cancelled, or the node was declared dead
+/// elsewhere) the call ends with an `Interrupted` error.
+pub fn submit_ladder(
+    conn: &mut Option<Client>,
+    addr: &str,
+    job: &JobSpec,
+    deadline: Option<Instant>,
+    overloads: u32,
+    give_up: &dyn Fn() -> bool,
+    cfg: &ClientConfig,
+) -> io::Result<Response> {
+    let (mut failures, mut sheds, mut pause) = (0u32, 0u32, Duration::ZERO);
+    loop {
+        if deadline.is_some_and(|d| pause >= time_left(d)) {
+            return Ok(expired());
+        }
+        if give_up() {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        std::thread::sleep(pause);
+        if give_up() {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let step = cfg.within(deadline);
+        let client = match conn {
+            Some(client) => client.set_io_timeout(step.io_timeout).map(|()| client),
+            None => Client::connect_with(addr, &step).map(|client| {
+                if failures > 0 {
+                    nomad_obs::resilience().serve_reconnects.inc();
+                }
+                conn.insert(client)
+            }),
+        };
+        let answer = client.and_then(|client| match deadline {
+            None => client.submit(job),
+            Some(d) => client.submit_with_deadline(job, time_left(d)),
+        });
+        pause = match answer {
+            Ok(Response::Overloaded { retry_after_ms }) => {
+                sheds += 1;
+                if sheds >= overloads {
+                    return Ok(Response::Overloaded { retry_after_ms });
+                }
+                Duration::from_millis(retry_after_ms.min(MAX_REJECTED_SLEEP_MS))
+            }
+            Ok(other) => return Ok(other),
+            Err(e) => {
+                // Unknown connection state: drop it and go around.
+                *conn = None;
+                failures += 1;
+                // Past the deadline the budget ran out, whatever the
+                // node did: the next pass ends the call as `Expired`.
+                let spent = deadline.is_some_and(|d| time_left(d).is_zero());
+                if failures > cfg.reconnect_attempts && !spent {
+                    return Err(e);
+                }
+                cfg.backoff(job.content_key(), failures)
+            }
+        };
+    }
+}
+
+fn time_left(deadline: Instant) -> Duration {
+    deadline.saturating_duration_since(Instant::now())
+}
+
+fn expired() -> Response {
+    Response::Expired {
+        error: "deadline expired client-side: budget exhausted across retries".to_string(),
+    }
+}
+
+/// [`submit_ladder`] under a hard client-side `budget`, absorbing
+/// `Overloaded` hints until the budget runs out. A shim for callers
+/// that keep their own connection slot per node (the repository
+/// benchmark's `serve_ladder`); everything else submits through
+/// `nomad_fleet::FleetClient::submit`.
 pub fn submit_within_deadline(
     conn: &mut Option<Client>,
     addr: &str,
@@ -296,64 +370,6 @@ pub fn submit_within_deadline(
     budget: Duration,
     cfg: &ClientConfig,
 ) -> io::Result<Response> {
-    let deadline = std::time::Instant::now() + budget;
-    let salt = job.content_key();
-    let mut attempt = 0u32;
-    let expired = || {
-        Ok(Response::Expired {
-            error: "deadline expired client-side: budget exhausted across retries".to_string(),
-        })
-    };
-    loop {
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        if remaining.is_zero() {
-            return expired();
-        }
-        if conn.is_none() {
-            let mut connect_cfg = cfg.clone();
-            connect_cfg.connect_timeout = cfg.connect_timeout.min(remaining);
-            match Client::connect_with(addr, &connect_cfg) {
-                Ok(c) => {
-                    if attempt > 0 {
-                        nomad_obs::resilience().serve_reconnects.inc();
-                    }
-                    *conn = Some(c);
-                }
-                Err(e) => {
-                    attempt += 1;
-                    if attempt > cfg.reconnect_attempts {
-                        return Err(e);
-                    }
-                    std::thread::sleep(cfg.backoff(salt, attempt).min(remaining));
-                    continue;
-                }
-            }
-        }
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        if remaining.is_zero() {
-            return expired();
-        }
-        let client = conn.as_mut().expect("connection established above");
-        match client.submit_with_deadline(job, remaining) {
-            Ok(Response::Overloaded { retry_after_ms }) => {
-                let sleep = Duration::from_millis(retry_after_ms.min(MAX_REJECTED_SLEEP_MS));
-                if sleep >= deadline.saturating_duration_since(std::time::Instant::now()) {
-                    // The advertised backoff alone outlives the budget.
-                    return expired();
-                }
-                std::thread::sleep(sleep);
-            }
-            Ok(other) => return Ok(other),
-            Err(e) => {
-                // Transport error mid-request: unknown connection
-                // state, drop it and go around the ladder.
-                *conn = None;
-                attempt += 1;
-                if attempt > cfg.reconnect_attempts {
-                    return Err(e);
-                }
-                std::thread::sleep(cfg.backoff(salt, attempt).min(remaining));
-            }
-        }
-    }
+    let deadline = Instant::now() + budget;
+    submit_ladder(conn, addr, job, Some(deadline), u32::MAX, &|| false, cfg)
 }

@@ -36,6 +36,10 @@
 //!   queue depth. Expired work is shed at admission, dequeue, and
 //!   pre-execute; with shedding disabled the `overload.expired_executions`
 //!   counter witnesses every deadline violation that ran anyway.
+//! * **Client and ladder** ([`client`]) — a synchronous [`Client`],
+//!   and [`submit_ladder`], the one per-node recovery ladder every
+//!   off-process job rides (the fleet client, `nomad-fleet`, runs it
+//!   per node; [`submit_within_deadline`] is a shim over it).
 //! * **Stats** ([`stats`], `Request::Stats`) — queue depth, cache hit
 //!   rate, per-worker utilization, p50/p99 job latency. Backed by a
 //!   [`nomad_obs::Registry`], so responses carry the same `serve.*`
@@ -69,7 +73,7 @@ pub mod store;
 pub mod worker;
 
 pub use cache::{JobFailure, ResultCache};
-pub use client::{submit_within_deadline, Client, ClientConfig};
+pub use client::{submit_ladder, submit_within_deadline, Client, ClientConfig};
 pub use overload::OverloadConfig;
 pub use proto::{JobSpec, MetricRow, Request, Response, StatsSnapshot};
 pub use server::{serve, ServerConfig, ServerHandle};
@@ -78,7 +82,7 @@ pub use store::ResultStore;
 
 /// Mirror every fault the `NOMAD_FAULTS` plan injects into the
 /// process-wide `resilience.faults_injected` counter. Idempotent;
-/// called by [`serve`] and the fleet router so both sides of the wire
+/// called by [`serve`] and the fleet client so both sides of the wire
 /// count their own injections. (nomad-faults itself is
 /// zero-dependency, so the mirroring lives here.)
 pub fn mirror_faults_to_obs() {

@@ -4,9 +4,8 @@
 //! `\n`. A connection carries a synchronous request/response stream —
 //! the server answers requests in order, and a `Submit` holds the
 //! connection until its job resolves. Clients wanting parallelism open
-//! one connection per in-flight job (the fleet router,
-//! `nomad_fleet::FleetClient::run_grid`, keeps one per worker and
-//! node).
+//! one connection per in-flight job (the fleet client,
+//! `nomad_fleet::FleetClient`, keeps a pool of idle ones per node).
 //!
 //! # Framing
 //!
@@ -22,10 +21,10 @@
 //! A job's identity is the FNV-1a 64 hash of its *canonical JSON*: the
 //! compact serialization of [`JobSpec`] with fields in declaration
 //! order (the derive preserves declaration order, and the vendored
-//! `serde_json` prints numbers deterministically). Two jobs are the
-//! same experiment iff their `(SystemConfig, SchemeSpec,
-//! WorkloadProfile, instructions, warmup, seed)` tuples serialize
-//! identically.
+//! `serde_json` prints numbers deterministically), with the scheme in
+//! its one spelling ([`SchemeSpec::canonical`]). Two jobs are the same
+//! experiment iff their `(SystemConfig, SchemeSpec, WorkloadProfile,
+//! instructions, warmup, seed)` tuples serialize identically that way.
 
 use nomad_sim::runner;
 use nomad_sim::{RunReport, SchemeSpec, SystemConfig, MAX_CORES};
@@ -69,9 +68,14 @@ impl JobSpec {
     }
 
     /// The canonical (compact, field-declaration-ordered) JSON
-    /// encoding this job is cached under.
+    /// encoding this job is cached under, with the scheme in its one
+    /// spelling ([`SchemeSpec::canonical`]).
     pub fn canonical_json(&self) -> String {
-        serde_json::to_string(self).expect("JobSpec serializes")
+        serde_json::to_string(&JobSpec {
+            spec: self.spec.canonical(),
+            ..self.clone()
+        })
+        .expect("JobSpec serializes")
     }
 
     /// Content-address of this job: FNV-1a 64 of
@@ -569,6 +573,14 @@ mod tests {
         let mut d = demo_job();
         d.spec = SchemeSpec::Baseline;
         assert_ne!(a.content_key(), d.content_key());
+    }
+
+    /// Keys of canonical spellings never move: stores, caches and ring
+    /// placement written before scheme spellings were folded stay
+    /// valid.
+    #[test]
+    fn canonical_spellings_keep_their_keys() {
+        assert_eq!(demo_job().content_key(), 0x3656_c6d5_2753_b3ec);
     }
 
     #[test]

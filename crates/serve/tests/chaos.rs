@@ -9,7 +9,7 @@
 //! test runs under one mutex and clears the plan before returning.
 
 use nomad_fleet::{FleetClient, FleetConfig};
-use nomad_serve::proto::JobSpec;
+use nomad_serve::proto::{JobSpec, Response};
 use nomad_serve::{serve, ClientConfig, ServerConfig};
 use nomad_sim::{RunReport, SchemeSpec, SystemConfig};
 use nomad_trace::WorkloadProfile;
@@ -741,4 +741,230 @@ fn fleet_injected_heartbeat_misses_fail_over() {
         fleet_metric("fleet.failovers") >= failovers_before,
         "failover count never regresses"
     );
+}
+
+// ---------------------------------------------------------------------------
+// One job at a time: `FleetClient::submit`, the path `run_grid`'s workers
+// and `nomad-loadgen --live` share.
+// ---------------------------------------------------------------------------
+
+fn local_fallbacks() -> u64 {
+    nomad_obs::resilience()
+        .rows()
+        .into_iter()
+        .find(|(n, _)| n == "resilience.local_fallbacks")
+        .expect("counter registered")
+        .1
+}
+
+/// Addresses nothing listens at (bind, then drop the listener).
+fn dead_addrs(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|_| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("addr").to_string()
+        })
+        .collect()
+}
+
+fn report_json(answer: std::io::Result<Response>) -> String {
+    match answer {
+        Ok(Response::Report { report, .. }) => report.to_json(),
+        other => panic!("expected a report, got {other:?}"),
+    }
+}
+
+/// A submitted job comes back with `run_local`'s bytes, with or without
+/// a budget.
+#[test]
+fn fleet_submit_report_matches_run_local() {
+    with_plan(None, || {
+        let cells = grid(&[400, 401]);
+        let expected = expected_jsons(&cells);
+        let (handles, addrs) = test_fleet(2);
+        let fleet = FleetClient::with_config(&addrs, fast_fleet_cfg());
+        let got = [
+            report_json(fleet.submit(&cells[0], None)),
+            report_json(fleet.submit(&cells[1], Some(Duration::from_secs(30)))),
+        ];
+        for h in handles {
+            h.shutdown();
+        }
+        assert_eq!(got.to_vec(), expected);
+    });
+}
+
+/// The job's ring owner is shut down before the call: its ladder gives
+/// up, the node is declared dead, and a survivor answers.
+#[test]
+fn fleet_submit_fails_over_from_a_node_shut_down_before_the_call() {
+    with_plan(None, || {
+        let cells = grid(&[60, 100, 110, 130, 150, 40]);
+        let owned = owners(&cells, 2);
+        let ours = owned
+            .iter()
+            .position(|&o| o == 1)
+            .expect("node 1 owns a cell");
+        let job = cells[ours].clone();
+        let expected = job.run_local().to_json();
+        let (mut handles, addrs) = test_fleet(2);
+        handles.remove(1).shutdown();
+        let failovers_before = fleet_metric("fleet.failovers");
+        let fallbacks_before = local_fallbacks();
+        let cfg = FleetConfig {
+            client: ClientConfig {
+                reconnect_attempts: 2,
+                ..fast_cfg()
+            },
+            ..fast_fleet_cfg()
+        };
+        let fleet = FleetClient::with_config(&addrs, cfg);
+        assert_eq!(report_json(fleet.submit(&job, None)), expected);
+        assert!(!fleet.members().is_alive(1), "the owner was declared dead");
+        assert!(fleet_metric("fleet.failovers") > failovers_before);
+        assert_eq!(local_fallbacks(), fallbacks_before, "a survivor answered");
+        for h in handles {
+            h.shutdown();
+        }
+    });
+}
+
+/// No node answers and there is no budget: the job runs in-process,
+/// once.
+#[test]
+fn fleet_submit_runs_locally_when_every_node_is_dead() {
+    with_plan(None, || {
+        let job = grid(&[410]).remove(0);
+        let expected = job.run_local().to_json();
+        let cfg = FleetConfig {
+            client: ClientConfig {
+                connect_timeout: Duration::from_millis(100),
+                reconnect_attempts: 1,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(5),
+                ..ClientConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let fleet = FleetClient::with_config(&dead_addrs(2), cfg);
+        let before = local_fallbacks();
+        assert_eq!(report_json(fleet.submit(&job, None)), expected);
+        assert_eq!(local_fallbacks(), before + 1, "one local run");
+        assert_eq!(fleet.members().alive_count(), 0);
+    });
+}
+
+/// No node answers and there is a budget: the call gives up within the
+/// budget and runs nothing in-process.
+#[test]
+fn fleet_submit_with_a_budget_runs_nothing_locally() {
+    with_plan(None, || {
+        let job = grid(&[420]).remove(0);
+        let fleet = FleetClient::with_config(&dead_addrs(2), FleetConfig::default());
+        let before = local_fallbacks();
+        let budget = Duration::from_millis(300);
+        let start = Instant::now();
+        let answer = fleet.submit(&job, Some(budget));
+        let took = start.elapsed();
+        assert!(
+            matches!(answer, Ok(Response::Expired { .. }) | Err(_)),
+            "expired or unreachable, got {answer:?}"
+        );
+        assert!(
+            took < budget + Duration::from_millis(100),
+            "a {budget:?} budget took {took:?}"
+        );
+        assert_eq!(local_fallbacks(), before, "nothing ran in-process");
+    });
+}
+
+/// A peer that accepts connections and never answers (stopped or
+/// partitioned) costs a job routed elsewhere one short probe timeout,
+/// not the transport timeout, and a job routed to it comes back within
+/// its budget. Nothing runs in-process.
+#[test]
+fn fleet_submit_survives_a_peer_that_never_answers() {
+    with_plan(None, || {
+        let handle = test_server(None);
+        // Never accepted: the kernel completes the handshake, takes the
+        // frame, and no answer ever comes.
+        let hung = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addrs = vec![
+            handle.local_addr().to_string(),
+            hung.local_addr().expect("addr").to_string(),
+        ];
+        let cells = grid(&[60, 100, 110, 130, 150, 40]);
+        let owned = owners(&cells, 2);
+        let owned_by = |node| {
+            let at = owned.iter().position(|&o| o == node);
+            cells[at.expect("seed choice: each node owns a cell")].clone()
+        };
+        // The default 600 s I/O timeout: only the budget bounds a wait.
+        let fleet = FleetClient::with_config(&addrs, FleetConfig::default());
+        let before = local_fallbacks();
+
+        let job = owned_by(0);
+        let budget = Duration::from_secs(3);
+        let start = Instant::now();
+        let answer = fleet.submit(&job, Some(budget));
+        let took = start.elapsed();
+        assert_eq!(report_json(answer), job.run_local().to_json());
+        assert!(took < budget, "a {budget:?} budget took {took:?}");
+
+        let budget = Duration::from_millis(500);
+        let start = Instant::now();
+        let answer = fleet.submit(&owned_by(1), Some(budget));
+        let took = start.elapsed();
+        assert!(
+            matches!(answer, Ok(Response::Expired { .. })),
+            "expired, got {answer:?}"
+        );
+        assert!(
+            took < budget + Duration::from_millis(100),
+            "a {budget:?} budget took {took:?}"
+        );
+        assert_eq!(local_fallbacks(), before, "nothing ran in-process");
+        handle.shutdown();
+    });
+}
+
+/// A grid cancelled while its ladder backs off from an unreachable node
+/// ends within one backoff sleep, not the ladder's whole reconnect
+/// budget (100 × 100 ms here), and the cancel declares no node dead.
+#[test]
+fn fleet_cancel_stops_a_ladder_mid_backoff() {
+    with_plan(None, || {
+        let cfg = FleetConfig {
+            client: ClientConfig {
+                connect_timeout: Duration::from_millis(100),
+                reconnect_attempts: 100,
+                backoff_base: Duration::from_millis(100),
+                backoff_cap: Duration::from_millis(100),
+                ..ClientConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let fleet = FleetClient::with_config(&dead_addrs(1), cfg);
+        let cancel = CancelToken::new();
+        let before = local_fallbacks();
+        let start = Instant::now();
+        let result = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(300));
+                cancel.cancel();
+            });
+            fleet.run_grid(grid(&[430]), 1, &cancel)
+        });
+        let took = start.elapsed();
+        assert!(result.is_err(), "a cancelled grid fails");
+        assert!(
+            took < Duration::from_secs(2),
+            "the cancel took {took:?} to stop the ladder"
+        );
+        assert!(
+            fleet.members().is_alive(0),
+            "a cancel declares no node dead"
+        );
+        assert_eq!(local_fallbacks(), before, "nothing ran in-process");
+    });
 }

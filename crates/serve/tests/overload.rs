@@ -8,12 +8,16 @@
 //! test in this file runs under one mutex and measures counter
 //! *deltas*.
 
-use nomad_serve::proto::{JobSpec, Response};
-use nomad_serve::{serve, Client, OverloadConfig, ServerConfig};
+use nomad_serve::proto::{self, JobSpec, Response};
+use nomad_serve::{
+    serve, submit_within_deadline, Client, ClientConfig, OverloadConfig, ServerConfig,
+};
 use nomad_sim::{SchemeSpec, SystemConfig};
 use nomad_trace::WorkloadProfile;
+use std::io::BufRead;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static OVERLOAD_LOCK: Mutex<()> = Mutex::new(());
 
@@ -244,6 +248,88 @@ fn codel_sheds_the_backlog_but_not_the_last_job() {
         assert!(
             overload_counter("overload.codel_shed") >= codel_before + sheds as u64,
             "every CoDel shed is counted"
+        );
+    });
+}
+
+/// A fake node on an ephemeral port: for its first connection it reads
+/// one request frame and hands the stream to `answer`.
+fn fake_node(answer: impl FnOnce(TcpStream) + Send + 'static) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut line = String::new();
+        std::io::BufReader::new(stream.try_clone().expect("clone"))
+            .read_line(&mut line)
+            .expect("read the request frame");
+        answer(stream);
+    });
+    addr
+}
+
+/// A ladder that loses its connection late in the budget must cap its
+/// backoff by the time left *after* the failed exchange: the node drops
+/// the connection at 380 ms of a 400 ms budget, and with a 300 ms
+/// backoff base the call must still come back `Expired` within the
+/// budget (a cap taken before the exchange lets it return at ~780 ms).
+#[test]
+fn deadline_holds_when_the_connection_drops_late() {
+    with_plan(None, || {
+        let start = Instant::now();
+        let addr = fake_node(move |stream| {
+            std::thread::sleep(
+                (start + Duration::from_millis(380)).saturating_duration_since(Instant::now()),
+            );
+            drop(stream);
+        });
+        let cfg = ClientConfig {
+            backoff_base: Duration::from_millis(300),
+            ..ClientConfig::default()
+        };
+        let budget = Duration::from_millis(400);
+        let answer = submit_within_deadline(&mut None, &addr, &job(60), budget, &cfg);
+        let took = start.elapsed();
+        assert!(
+            matches!(answer, Ok(Response::Expired { .. })),
+            "got {answer:?}"
+        );
+        assert!(
+            took <= budget + Duration::from_millis(50),
+            "a 400 ms budget took {took:?}"
+        );
+    });
+}
+
+/// A retry-after hint that outlives the remaining budget ends the call
+/// at once: nothing sleeps on a hint that cannot pay off.
+#[test]
+fn overload_hint_past_the_budget_returns_at_once() {
+    with_plan(None, || {
+        let addr = fake_node(|mut stream| {
+            let hint = Response::Overloaded {
+                retry_after_ms: 1_000,
+            };
+            proto::write_frame(&mut stream, &hint).expect("answer");
+            // Hold the connection open until the client is done.
+            let _ = std::io::BufReader::new(stream).read_line(&mut String::new());
+        });
+        let start = Instant::now();
+        let answer = submit_within_deadline(
+            &mut None,
+            &addr,
+            &job(61),
+            Duration::from_millis(400),
+            &ClientConfig::default(),
+        );
+        let took = start.elapsed();
+        assert!(
+            matches!(answer, Ok(Response::Expired { .. })),
+            "got {answer:?}"
+        );
+        assert!(
+            took < Duration::from_millis(100),
+            "the call slept on a hopeless hint: {took:?}"
         );
     });
 }

@@ -2,7 +2,7 @@
 
 use nomad_serve::proto::{self, JobSpec, Response, MAX_REQUEST_BYTES};
 use nomad_serve::{serve, Client, ServerConfig};
-use nomad_sim::{RunReport, SchemeSpec, SystemConfig, MAX_CORES};
+use nomad_sim::{NomadSpec, RunReport, SchemeSpec, SystemConfig, MAX_CORES};
 use nomad_trace::WorkloadProfile;
 use nomad_types::CancelToken;
 use std::io::{BufReader, Write};
@@ -337,5 +337,38 @@ fn oversize_request_gets_error_then_eof() {
 
     let mut client = Client::connect(addr).expect("fresh connection");
     client.ping().expect("server still answers");
+    handle.shutdown();
+}
+
+/// Every spelling of the paper's NOMAD is one job: one content key, so
+/// the server runs the first and answers the others from its cache —
+/// with the bytes each spelling produces when run on its own.
+#[test]
+fn scheme_spellings_share_one_key_and_one_report() {
+    let handle = test_server(1, 8);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let canonical = job(SchemeSpec::Nomad, WorkloadProfile::libq(), 5);
+    let spellings = [
+        SchemeSpec::Nomad,
+        SchemeSpec::NomadWith(NomadSpec::default()),
+        SchemeSpec::NomadWith(NomadSpec {
+            buffers: Some(16),
+            ..NomadSpec::default()
+        }),
+    ];
+    for (i, spec) in spellings.into_iter().enumerate() {
+        let spelled = JobSpec {
+            spec,
+            ..canonical.clone()
+        };
+        assert_eq!(spelled.content_key(), canonical.content_key());
+        match client.submit(&spelled).expect("submit") {
+            Response::Report { cached, report } => {
+                assert_eq!(cached, i > 0, "{:?}", spelled.spec);
+                assert_eq!(report.to_json(), spelled.run_local().to_json());
+            }
+            other => panic!("expected a report, got {other:?}"),
+        }
+    }
     handle.shutdown();
 }

@@ -54,12 +54,13 @@ pub struct NomadSpec {
 
 impl Default for NomadSpec {
     fn default() -> Self {
+        let paper = NomadConfig::nomad(0);
         NomadSpec {
-            pcshrs: 16,
-            buffers: None,
-            backends: 1,
-            critical_data_first: true,
-            second_touch_policy: false,
+            pcshrs: paper.pcshrs,
+            buffers: paper.buffers,
+            backends: paper.backends,
+            critical_data_first: paper.critical_data_first,
+            second_touch_policy: paper.policy == CachingPolicy::SecondTouch,
         }
     }
 }
@@ -77,10 +78,11 @@ pub struct TidSpec {
 
 impl Default for TidSpec {
     fn default() -> Self {
+        let paper = TidConfig::paper(0);
         TidSpec {
-            line_bytes: 1024,
-            assoc: 4,
-            mshrs: 16,
+            line_bytes: paper.line_bytes,
+            assoc: paper.assoc,
+            mshrs: paper.mshrs,
         }
     }
 }
@@ -97,9 +99,10 @@ pub struct TdramSpec {
 
 impl Default for TdramSpec {
     fn default() -> Self {
+        let paper = TdramConfig::paper(0);
         TdramSpec {
-            mshrs: 32,
-            buffer_latency: 10,
+            mshrs: paper.mshrs,
+            buffer_latency: paper.buffer_latency,
         }
     }
 }
@@ -120,11 +123,12 @@ pub struct BansheeSpec {
 
 impl Default for BansheeSpec {
     fn default() -> Self {
+        let paper = BansheeConfig::paper(0);
         BansheeSpec {
-            ways: 4,
-            sample_rate: 4,
-            admit_threshold: 1,
-            tag_buffer_entries: 32,
+            ways: paper.ways,
+            sample_rate: paper.sample_rate,
+            admit_threshold: paper.admit_threshold,
+            tag_buffer_entries: paper.tag_buffer_entries,
         }
     }
 }
@@ -143,25 +147,46 @@ impl SchemeSpec {
         }
     }
 
-    /// Instantiate the scheme for `cfg`.
+    /// The one spelling of this scheme that jobs are keyed on: an
+    /// `XWith(XSpec::default())` is `X` (which [`build`](Self::build)
+    /// builds as exactly that), and a NOMAD variant with one copy
+    /// buffer per PCSHR is the coupled `buffers: None`. Spellings that
+    /// build the same simulator share one key, stored report and memo
+    /// entry.
+    pub fn canonical(&self) -> SchemeSpec {
+        match *self {
+            SchemeSpec::TidWith(t) if t == TidSpec::default() => SchemeSpec::Tid,
+            SchemeSpec::TdramWith(t) if t == TdramSpec::default() => SchemeSpec::Tdram,
+            SchemeSpec::BansheeWith(b) if b == BansheeSpec::default() => SchemeSpec::Banshee,
+            SchemeSpec::NomadWith(n) if n.buffers == Some(n.pcshrs) => {
+                SchemeSpec::NomadWith(NomadSpec { buffers: None, ..n }).canonical()
+            }
+            SchemeSpec::NomadWith(n) if n == NomadSpec::default() => SchemeSpec::Nomad,
+            ref other => other.clone(),
+        }
+    }
+
+    /// Instantiate the scheme for `cfg`. A plain `X` builds as
+    /// `XWith(XSpec::default())`, so the two spellings cannot drift
+    /// apart.
     pub fn build(&self, cfg: &SystemConfig) -> Box<dyn DcScheme> {
         match self {
             SchemeSpec::Baseline => Box::new(Baseline::new()),
             SchemeSpec::Ideal => Box::new(Ideal::new(cfg.dc_capacity)),
-            SchemeSpec::Tid => Box::new(Tid::new(TidConfig::paper(cfg.dc_capacity))),
+            SchemeSpec::Tid => SchemeSpec::TidWith(TidSpec::default()).build(cfg),
             SchemeSpec::TidWith(t) => Box::new(Tid::new(TidConfig {
                 line_bytes: t.line_bytes,
                 assoc: t.assoc,
                 mshrs: t.mshrs,
                 ..TidConfig::paper(cfg.dc_capacity)
             })),
-            SchemeSpec::Tdram => Box::new(Tdram::new(TdramConfig::paper(cfg.dc_capacity))),
+            SchemeSpec::Tdram => SchemeSpec::TdramWith(TdramSpec::default()).build(cfg),
             SchemeSpec::TdramWith(t) => Box::new(Tdram::new(TdramConfig {
                 mshrs: t.mshrs,
                 buffer_latency: t.buffer_latency,
                 ..TdramConfig::paper(cfg.dc_capacity)
             })),
-            SchemeSpec::Banshee => Box::new(Banshee::new(BansheeConfig::paper(cfg.dc_capacity))),
+            SchemeSpec::Banshee => SchemeSpec::BansheeWith(BansheeSpec::default()).build(cfg),
             SchemeSpec::BansheeWith(b) => Box::new(Banshee::new(BansheeConfig {
                 ways: b.ways,
                 sample_rate: b.sample_rate,
@@ -170,7 +195,7 @@ impl SchemeSpec {
                 ..BansheeConfig::paper(cfg.dc_capacity)
             })),
             SchemeSpec::Tdc => Box::new(NomadScheme::tdc(cfg.dc_capacity, cfg.cores)),
-            SchemeSpec::Nomad => Box::new(NomadScheme::nomad(cfg.dc_capacity)),
+            SchemeSpec::Nomad => SchemeSpec::NomadWith(NomadSpec::default()).build(cfg),
             SchemeSpec::NomadWith(n) => {
                 let mut c = NomadConfig::nomad(cfg.dc_capacity);
                 c.pcshrs = n.pcshrs;
@@ -235,6 +260,32 @@ mod tests {
         }
         let labels: Vec<_> = set.iter().map(|s| s.label()).collect();
         assert!(labels.contains(&"Banshee") && labels.contains(&"TDRAM"));
+    }
+
+    #[test]
+    fn canonical_folds_default_specs_and_coupled_buffers() {
+        use SchemeSpec as S;
+        let nomad = |pcshrs, buffers| {
+            let spec = NomadSpec::default();
+            S::NomadWith(NomadSpec {
+                pcshrs,
+                buffers,
+                ..spec
+            })
+        };
+        for (spelling, canonical) in [
+            (S::TidWith(TidSpec::default()), S::Tid),
+            (S::TdramWith(TdramSpec::default()), S::Tdram),
+            (S::BansheeWith(BansheeSpec::default()), S::Banshee),
+            (S::NomadWith(NomadSpec::default()), S::Nomad),
+            (nomad(16, Some(16)), S::Nomad),
+            (nomad(32, Some(32)), nomad(32, None)),
+            (nomad(32, Some(8)), nomad(32, Some(8))),
+            (S::Tdc, S::Tdc),
+        ] {
+            assert_eq!(spelling.canonical(), canonical, "{spelling:?}");
+            assert_eq!(canonical.canonical(), canonical, "{canonical:?}");
+        }
     }
 
     #[test]
