@@ -5,12 +5,12 @@
 // cache-resident — the cells where the event kernel and the flat data
 // layout pay most) and one high-RMHB workload (`mcf`), with the
 // simulator's hot-path profile armed. Each cell reports simulated
-// cycles per wall-clock second, the kernel's work counters (dense,
-// burst and core-only ticks, skips) and the per-phase split of tick
-// time:
+// cycles per wall-clock second, the kernel's work counters (dense and
+// burst ticks, skips, the commit cycles sleeping cores replayed) and
+// the per-phase split of tick time:
 //
-// * `cpu`    — core commit/dispatch, translation, L1 injection, and
-//              the cycles on which only cores ran;
+// * `cpu`    — core commit/dispatch (with the ledger's replay of
+//              sleeping cores), translation, L1 injection;
 // * `cache`  — the SRAM hierarchy (L1/L2/L3 ticks and traffic);
 // * `dcache` — the DRAM-cache scheme tick outside the DRAM devices;
 // * `dram`   — wall time inside `Dram::tick` (HBM + DDR4);
@@ -85,7 +85,7 @@ struct Row {
     skips: u64,
     skipped_cycles: u64,
     burst_ticks: u64,
-    core_only_cycles: u64,
+    settled_commit_cycles: u64,
     cpu_nanos: u64,
     cache_nanos: u64,
     dcache_nanos: u64,
@@ -228,7 +228,7 @@ fn main() {
             skips: hot.skips,
             skipped_cycles: hot.skipped_cycles,
             burst_ticks: hot.burst_ticks,
-            core_only_cycles: hot.core_only_cycles,
+            settled_commit_cycles: hot.settled_commit_cycles,
             cpu_nanos: hot.cpu_nanos,
             cache_nanos: hot.cache_nanos,
             dcache_nanos: hot.dcache_nanos,

@@ -13,7 +13,7 @@ use nomad_types::CancelToken;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The one grid executor every figure hands its cells to: jobs in,
 /// their reports out in the same order.
@@ -23,7 +23,8 @@ use std::sync::Mutex;
 /// * With `fleet`, the cells run through the fleet router
 ///   (`nomad_fleet::FleetClient::run_grid`) over those `nomad-serve`
 ///   nodes; a single server is a fleet of one. Each node's own store
-///   remembers what it ran.
+///   remembers what it ran. One client serves every grid, so a node
+///   declared dead stays dead and idle connections are reused.
 /// * Without, they run in-process on [`par::run_cells`], and each
 ///   finished report goes into `store` under its job's key.
 /// * With `resume`, every cell `store` already holds is taken from it
@@ -41,19 +42,23 @@ pub struct Executor {
     pub store: Option<ResultStore>,
     /// Take stored cells instead of re-running them.
     pub resume: bool,
-    /// The reports this executor has returned.
+    /// The reports this executor has returned, and its fleet client.
     pub memo: Memo,
 }
 
 /// What an [`Executor`] remembers, in memory and for its own lifetime:
 /// every report it has returned, keyed by the job's canonical JSON (as
-/// the store is). Like the store, it keeps no report that carries an
-/// obs series, and it answers nothing while observability is on.
+/// the store is), and the client over its `fleet`. Like the store, it
+/// keeps no report that carries an obs series, and it answers nothing
+/// while observability is on.
 #[derive(Debug, Default)]
 pub struct Memo {
     reports: Mutex<HashMap<String, RunReport>>,
     asked: AtomicUsize,
     ran: AtomicUsize,
+    /// Built by the first grid that goes to the fleet; membership,
+    /// breakers and idle connections carry over from grid to grid.
+    client: OnceLock<nomad_fleet::FleetClient>,
 }
 
 impl Memo {
@@ -133,7 +138,10 @@ impl Executor {
         let fresh = match &self.fleet {
             Some(addrs) => {
                 let todo = todo.into_iter().cloned().collect();
-                let fleet = nomad_fleet::FleetClient::new(addrs);
+                let fleet = self
+                    .memo
+                    .client
+                    .get_or_init(|| nomad_fleet::FleetClient::new(addrs));
                 let reports = match fleet.run_grid(todo, jobs, cancel) {
                     Ok(reports) => reports,
                     Err(_) if cancel.is_cancelled() => return None,

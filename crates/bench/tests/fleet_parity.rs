@@ -51,6 +51,37 @@ fn via_fleet(addrs: &[String]) -> Executor {
     }
 }
 
+/// One executor keeps one fleet client: over a dead node, two grids
+/// declare it dead once between them (`fleet.failovers`), and both
+/// grids' rows equal the in-process ones.
+#[test]
+fn one_executor_declares_a_dead_node_dead_once() {
+    let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("NOMAD_SERVE_RECONNECTS", "1");
+    let scale = Scale {
+        instructions: 3_000,
+        warmup: 500,
+        cores: 2,
+        seed: 5,
+        jobs: 2,
+    };
+    let specs = [SchemeSpec::Baseline, SchemeSpec::Nomad];
+    let dead = via_fleet(&["127.0.0.1:1".to_string()]);
+    let failovers = || nomad_obs::fleet().value("fleet.failovers").expect("metric");
+    let before = failovers();
+    for workloads in [[WorkloadProfile::tc()], [WorkloadProfile::mcf()]] {
+        let local = sweep(&Executor::default(), &scale, &specs, &workloads);
+        let rows = sweep(&dead, &scale, &specs, &workloads);
+        assert_rows_identical(&local, &rows, "grid over a dead node");
+    }
+    std::env::remove_var("NOMAD_SERVE_RECONNECTS");
+    assert_eq!(
+        failovers() - before,
+        1,
+        "the dead node is declared dead once"
+    );
+}
+
 fn assert_rows_identical(oracle: &[Row], got: &[Row], what: &str) {
     assert_eq!(oracle.len(), got.len(), "{what}: row count");
     for (l, s) in oracle.iter().zip(got) {

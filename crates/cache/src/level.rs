@@ -505,14 +505,6 @@ impl CacheLevel {
         self.stats.reset();
     }
 
-    /// Whether the incoming head was refused an MSHR and no fill has
-    /// landed since: the level then owes a stall cycle for every cycle
-    /// it is not ticked.
-    #[inline]
-    pub fn head_refused(&self) -> bool {
-        self.head_refused
-    }
-
     /// Account `delta` cycles the level was not ticked through, exactly
     /// as ticking them would have: a refused head's retries each count
     /// one MSHR stall cycle; any other level the event kernel lets
@@ -900,7 +892,7 @@ mod tests {
         let fetches: Vec<MemReq> = std::iter::from_fn(|| c.pop_to_lower()).collect();
         assert_eq!(fetches.len(), 2, "two MSHRs, two fetches");
         c.tick(3);
-        assert!(c.head_refused());
+        assert!(c.head_refused);
         assert_eq!(c.stats().mshr_stall_cycles.get(), 1);
         assert_eq!(c.next_activity_at(3), None, "only a fill can help");
         c.idle_advance(5);
@@ -908,7 +900,7 @@ mod tests {
         c.push_resp(fetches[0].response());
         assert_eq!(c.next_activity_at(8), Some(9));
         c.tick(9);
-        assert!(!c.head_refused());
+        assert!(!c.head_refused);
         assert_eq!(c.stats().primary_misses.get(), 3);
         c.idle_advance(4);
         assert_eq!(c.stats().mshr_stall_cycles.get(), 6);

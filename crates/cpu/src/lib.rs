@@ -21,6 +21,12 @@
 //! The core is plumbing-free: the system assembly pulls dispatched
 //! memory operations from [`Core::pop_dispatch`] when the TLB/L1 can
 //! take them and reports completions back with [`Core::mem_done`].
+//!
+//! A dispatch is the only thing a core does that anything outside it
+//! sees, so the core is an event source: [`NextActivity::next_activity_at`]
+//! is the first cycle on which it could dispatch, and
+//! [`Core::advance`] replays the cycles before it — ALU commits and
+//! fetches, OS stalls, memory stalls — exactly as ticking would.
 
 use nomad_obs::{Gauge, Registry};
 use nomad_trace::TraceSource;
@@ -50,6 +56,20 @@ impl Default for CoreConfig {
             commit_width: 4,
             max_outstanding_mem: 32,
         }
+    }
+}
+
+/// `n / width`: the whole cycles that `n` instructions fill at `width`
+/// a cycle. The kernel divides by a core width for every due it takes
+/// from a core, so a power-of-two width shifts instead (a divide there
+/// cost the eight-core Fig. 9 grid about 4%; EXPERIMENTS.md, "Sleeping
+/// cores").
+#[inline]
+pub fn per_width(n: u64, width: usize) -> u64 {
+    if width.is_power_of_two() {
+        n >> width.trailing_zeros()
+    } else {
+        n / width as u64
     }
 }
 
@@ -176,6 +196,8 @@ pub struct Core {
     mem_pending: Option<(AccessKind, VirtAddr)>,
     /// OS suspension deadline and reason.
     os_stall: Option<(Cycle, OsStallReason)>,
+    /// The cycle after the last one with a commit (0 before the first).
+    commit_edge: Cycle,
     stats: CoreStats,
     /// Sampled observability gauges (`None` unless the obs layer is on).
     obs: Option<CoreObs>,
@@ -212,6 +234,7 @@ impl Core {
             gap_left: 0,
             mem_pending: None,
             os_stall: None,
+            commit_edge: 0,
             stats: CoreStats::default(),
             obs: None,
         }
@@ -349,11 +372,12 @@ impl Core {
             self.os_stall = None;
         }
 
-        let committed = self.commit();
+        let committed = self.commit(self.cfg.commit_width);
         self.fetch();
 
         if committed > 0 {
             self.stats.busy.inc();
+            self.commit_edge = now + 1;
         } else if self.head_waits_on_mem() {
             self.stats.stall_mem.inc();
         } else {
@@ -371,8 +395,9 @@ impl Core {
         }
     }
 
-    fn commit(&mut self) -> usize {
-        let mut budget = self.cfg.commit_width;
+    /// Commit up to `budget` instructions from the ROB head, stopping
+    /// at an incomplete load.
+    fn commit(&mut self, mut budget: usize) -> usize {
         let mut committed = 0;
         while budget > 0 {
             match self.rob.front_mut() {
@@ -416,11 +441,9 @@ impl Core {
     fn fetch(&mut self) {
         let mut budget = self.cfg.fetch_width;
         while budget > 0 && self.rob_occupancy < self.cfg.rob_size {
-            // Refill the record cursor.
-            if self.gap_left == 0 && self.mem_pending.is_none() {
-                let rec = self.trace.next_record();
-                self.gap_left = rec.gap;
-                self.mem_pending = Some((rec.kind, rec.vaddr));
+            // The cursor is empty only before the first record.
+            if self.mem_pending.is_none() {
+                self.load_record();
             }
             if self.gap_left > 0 {
                 let room = self.cfg.rob_size - self.rob_occupancy;
@@ -428,13 +451,7 @@ impl Core {
                 if take == 0 {
                     break;
                 }
-                if let Some(RobEntry::Ops(n)) = self.rob.back_mut() {
-                    *n += take as u32;
-                } else {
-                    self.rob.push_back(RobEntry::Ops(take as u32));
-                }
-                self.gap_left -= take as u32;
-                self.rob_occupancy += take;
+                self.push_ops(take);
                 budget -= take;
                 continue;
             }
@@ -443,6 +460,10 @@ impl Core {
                 break;
             }
             let (kind, vaddr) = self.mem_pending.take().expect("record cursor");
+            // Refill at once, so the cursor always holds the next memory
+            // op and `next_activity_at` sees how far ahead it lies. The
+            // records are read in the same order either way.
+            self.load_record();
             let slot = self.next_slot;
             self.next_slot += 1;
             // Stores are posted: done at dispatch. Loads wait.
@@ -463,6 +484,27 @@ impl Core {
         }
     }
 
+    /// Read the next trace record into the cursor.
+    fn load_record(&mut self) {
+        let rec = self.trace.next_record();
+        self.gap_left = rec.gap;
+        self.mem_pending = Some((rec.kind, rec.vaddr));
+    }
+
+    /// Fetch `n` ALU instructions of the current gap into the ROB. A
+    /// `Mem` entry closes every record, so a back `Ops` entry holds only
+    /// the current record's work: with the `n` ≤ `gap_left` added it
+    /// stays within the record's `u32` gap.
+    fn push_ops(&mut self, n: usize) {
+        if let Some(RobEntry::Ops(ops)) = self.rob.back_mut() {
+            *ops += n as u32;
+        } else {
+            self.rob.push_back(RobEntry::Ops(n as u32));
+        }
+        self.gap_left -= n as u32;
+        self.rob_occupancy += n;
+    }
+
     /// Whether dispatched memory operations await collection by the
     /// memory system ([`pop_dispatch`](Self::pop_dispatch)). Draining
     /// them is the *system's* per-cycle work, so the event kernel must
@@ -472,35 +514,123 @@ impl Core {
         !self.dispatch_q.is_empty()
     }
 
-    /// Whether a tick would be pure stall accounting: the ROB head
-    /// waits on an incomplete memory op and fetch cannot place a single
-    /// instruction (ROB full, or the pending record is a memory op and
-    /// the LSQ is full). Every escape from this state goes through an
-    /// external call (`mem_done`, `wake_os`).
-    fn quiescent(&self) -> bool {
-        let fetch_blocked = self.rob_occupancy >= self.cfg.rob_size
-            || (self.gap_left == 0
-                && self.mem_pending.is_some()
-                && self.mem_live as usize >= self.cfg.max_outstanding_mem);
-        self.head_waits_on_mem() && fetch_blocked
+    /// The cycle after the last one on which this core committed an
+    /// instruction, ticked or replayed (0 before its first commit).
+    pub fn commit_edge(&self) -> Cycle {
+        self.commit_edge
     }
 
-    /// Bulk-account `delta` skipped cycles exactly as dense ticking
-    /// would: the core must be OS-stalled past the whole window or
-    /// `quiescent` (zero commits, head waiting on
-    /// memory), so each skipped cycle increments `cycles` plus exactly
-    /// one stall counter.
-    pub fn idle_advance(&mut self, delta: Cycle) {
-        self.stats.cycles.add(delta);
-        if let Some((_, reason)) = self.os_stall {
+    /// Replay the `n` cycles `from..from + n` exactly as `n` calls of
+    /// [`tick`](Self::tick) would. The window must end by
+    /// [`next_activity_at`](NextActivity::next_activity_at), with no
+    /// completion or wake inside it, so no memory op dispatches in it
+    /// and the core's ALU work, OS stall and memory stall are all its
+    /// own. An OS-stalled stretch and a stretch with the ROB head
+    /// waiting on memory each cost the same whatever their length, and
+    /// so does a steady full-width stretch (every cycle fetches a width
+    /// of ALU work and commits a width of ALU work and completed loads)
+    /// beyond one pass over the loads it commits. Only the few cycles
+    /// between such stretches replay one tick at a time.
+    pub fn advance(&mut self, from: Cycle, n: Cycle) {
+        let end = from + n;
+        let mut now = from;
+        if let Some((until, reason)) = self.os_stall {
+            let stalled = until.clamp(now, end) - now;
+            self.stats.cycles.add(stalled);
             match reason {
-                OsStallReason::TagMiss => self.stats.stall_os_tag.add(delta),
-                OsStallReason::BlockingFill => self.stats.stall_os_fill.add(delta),
+                OsStallReason::TagMiss => self.stats.stall_os_tag.add(stalled),
+                OsStallReason::BlockingFill => self.stats.stall_os_fill.add(stalled),
             }
-        } else {
-            debug_assert!(self.quiescent(), "idle advance on an active core");
-            self.stats.stall_mem.add(delta);
+            now += stalled;
+            if now < end {
+                self.os_stall = None;
+            }
         }
+        let slot = self.next_slot;
+        let width = self.cfg.fetch_width as u64;
+        while now < end {
+            if self.head_waits_on_mem() {
+                // Nothing commits before a completion: every cycle is a
+                // memory stall, and fetch fills the ROB with the gap.
+                let cycles = end - now;
+                let room = (self.cfg.rob_size - self.rob_occupancy) as u64;
+                let gap = u64::from(self.gap_left);
+                debug_assert!(
+                    gap / width >= cycles
+                        || gap >= room
+                        || self.mem_live as usize >= self.cfg.max_outstanding_mem,
+                    "a memory op dispatches inside an advance window"
+                );
+                let fill = cycles.saturating_mul(width).min(gap).min(room);
+                if fill > 0 {
+                    self.push_ops(fill as usize);
+                }
+                self.stats.cycles.add(cycles);
+                self.stats.stall_mem.add(cycles);
+                break;
+            }
+            let steady = self.steady_cycles(end - now);
+            if steady == 0 {
+                self.tick(now);
+                now += 1;
+                continue;
+            }
+            // Fetch first: with no load waiting, the new ALU work is
+            // as committable as the rest of the ROB.
+            let alu = (steady * width) as usize;
+            self.push_ops(alu);
+            self.commit(alu);
+            self.stats.cycles.add(steady);
+            self.stats.busy.add(steady);
+            now += steady;
+            self.commit_edge = now;
+        }
+        debug_assert_eq!(
+            self.next_slot, slot,
+            "a memory op dispatched inside an advance window"
+        );
+    }
+
+    /// How many of the next cycles, up to `max`, each commit and fetch
+    /// exactly `fetch_width` instructions, the fetch all ALU work: the
+    /// cursor's gap lasts, and the instructions ahead of the first
+    /// incomplete load (the whole ROB, at least a width, when no load
+    /// waits) last. Only with `commit_width` = `fetch_width`, which
+    /// keeps the occupancy constant.
+    fn steady_cycles(&self, max: Cycle) -> Cycle {
+        let width = self.cfg.fetch_width;
+        let fetches = self.gap_left as usize / width;
+        if fetches == 0 || self.cfg.commit_width != width {
+            return 0;
+        }
+        let commits = match self.ahead_of_waiting_load() {
+            Some(ahead) => ahead / width,
+            None if self.rob_occupancy >= width => fetches,
+            None => 0,
+        };
+        (fetches.min(commits) as Cycle).min(max)
+    }
+
+    /// Instructions in the ROB ahead of its first incomplete load, or
+    /// `None` when no load in it waits.
+    fn ahead_of_waiting_load(&self) -> Option<usize> {
+        let first = (!self.mem_done_bits).trailing_zeros();
+        if first >= self.mem_live {
+            return None;
+        }
+        let mut mems = 0;
+        let mut ahead = 0;
+        for entry in &self.rob {
+            match *entry {
+                RobEntry::Ops(n) => ahead += n as usize,
+                RobEntry::Mem { .. } if mems == first => return Some(ahead),
+                RobEntry::Mem { .. } => {
+                    mems += 1;
+                    ahead += 1;
+                }
+            }
+        }
+        unreachable!("every live memory slot has its ROB entry")
     }
 
     /// Counters.
@@ -515,27 +645,42 @@ impl Core {
 }
 
 impl NextActivity for Core {
-    /// * OS-stalled past `now + 1` — the stall-expiry cycle (or `None`
-    ///   for an open-ended stall ended only by `wake_os`).
-    /// * Otherwise `Some(now + 1)` unless the core is
-    ///   `quiescent`, which only `mem_done` /
-    ///   `wake_os` can end — then `None`.
+    /// The first cycle on which the core could dispatch a memory op;
+    /// until then it only commits and fetches ALU work, which
+    /// [`Core::advance`] replays.
+    ///
+    /// * The core runs again at `now + 1`, or when a finite OS stall
+    ///   expires; an open-ended one, ended only by `wake_os`, gives
+    ///   `None`.
+    /// * From there fetch places at most `fetch_width` instructions a
+    ///   cycle, and the cursor's memory op follows `gap_left` ALU ops,
+    ///   so it cannot dispatch before `gap_left / fetch_width` cycles
+    ///   later. That is exact while fetch runs at full width.
+    /// * While the ROB head waits on an incomplete load nothing
+    ///   commits: if the ROB cannot take the gap and the op, or the LSQ
+    ///   is full, only `mem_done` lets the core dispatch, so `None`.
+    /// * Before its first record, the next cycle.
     ///
     /// Query *after* all of a cycle's completions and wakes have been
     /// delivered; the predicates read the post-delivery state.
     #[inline]
     fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {
-        if let Some((until, _)) = self.os_stall {
-            if until > now + 1 {
-                return (until != Cycle::MAX).then_some(until);
-            }
-            return Some(now + 1);
+        let start = match self.os_stall {
+            Some((Cycle::MAX, _)) => return None,
+            Some((until, _)) => until.max(now + 1),
+            None => now + 1,
+        };
+        if self.mem_pending.is_none() {
+            return Some(start);
         }
-        if self.quiescent() {
-            None
-        } else {
-            Some(now + 1)
+        let gap = self.gap_left as usize;
+        if self.head_waits_on_mem()
+            && (gap >= self.cfg.rob_size - self.rob_occupancy
+                || self.mem_live as usize >= self.cfg.max_outstanding_mem)
+        {
+            return None;
         }
+        Some(start + per_width(gap as u64, self.cfg.fetch_width))
     }
 }
 
@@ -708,8 +853,8 @@ mod tests {
     }
 
     /// The same environment as [`run`], but advancing with
-    /// `next_activity_at` + `idle_advance` instead of ticking every
-    /// cycle — the mini version of the system's event kernel.
+    /// `next_activity_at` + `advance` instead of ticking every cycle —
+    /// the mini version of the system's event kernel.
     fn run_event(core: &mut Core, cycles: Cycle, latency: Cycle) {
         let mut inflight: VecDeque<(Cycle, u64)> = VecDeque::new();
         let mut now = 0;
@@ -738,7 +883,7 @@ mod tests {
             let next = next.min(cycles);
             assert!(next > now, "next activity must be in the future");
             if next > now + 1 {
-                core.idle_advance(next - (now + 1));
+                core.advance(now + 1, next - (now + 1));
             }
             now = next;
         }
@@ -825,5 +970,259 @@ mod tests {
             None,
             "head blocked + LSQ full is reactive"
         );
+
+        // ALU work: the load after a 999-instruction gap dispatches once
+        // fetch has placed the gap, four a cycle.
+        let mut c = core_with(vec![rec(999, AccessKind::Read, 0)]);
+        c.tick(0);
+        assert_eq!(c.next_activity_at(0), Some(1 + 995 / 4));
+        c.stall_os(50, OsStallReason::TagMiss);
+        assert_eq!(c.next_activity_at(0), Some(50 + 995 / 4));
+    }
+
+    /// xorshift64*: the differential's fixed-seed randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+    }
+
+    /// What the differential's windows covered, each a count of windows.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Every cycle committed a full width, over at least 8 cycles.
+        steady: u64,
+        /// A memory op committed: the ramp after a load completed.
+        ramp: u64,
+        /// Started with the ROB full.
+        rob_full: u64,
+        /// Started with every LSQ slot waiting on memory.
+        lsq_full: u64,
+        /// An OS stall expired inside the window.
+        os_expired: u64,
+        /// Nothing could move: every cycle a memory stall.
+        quiescent: u64,
+    }
+
+    /// Two cores run `records`: `dense` ticks every cycle, `lazy` ticks
+    /// only the event cycles (its own due, a load completion, an OS wake)
+    /// and is `advance`d over each gap between them in random windows.
+    /// Loads complete after a random latency; OS stalls, finite or ended by
+    /// a wake, start at random event cycles. After every window the two
+    /// cores must agree on stats, `next_activity_at`, `outstanding_mem`
+    /// and the last commit, and the dense core must not have dispatched
+    /// inside it (the due is never late).
+    fn differential(records: &[TraceRecord], cfg: CoreConfig, seed: u64, cov: &mut Coverage) {
+        const CYCLES: Cycle = 30_000;
+        const LATENCIES: [Cycle; 6] = [1, 4, 30, 120, 400, 900];
+        let new = || Core::new(0, cfg, Box::new(Cycling(records.to_vec(), 0)));
+        let (mut dense, mut lazy) = (new(), new());
+        let mut rng = Rng(seed | 1);
+        let mut inflight: Vec<(Cycle, u64)> = Vec::new();
+        let mut wake_at = Cycle::MAX;
+        // The latest finite stall expiry set (0 once woken).
+        let mut stalled_until = 0;
+        let mut now = 0;
+        while now < CYCLES {
+            dense.tick(now);
+            lazy.tick(now);
+            while let Some(op) = dense.pop_dispatch() {
+                assert_eq!(lazy.pop_dispatch(), Some(op), "dispatch diverged at {now}");
+                if op.kind == AccessKind::Read {
+                    let latency = LATENCIES[rng.below(LATENCIES.len() as u64) as usize];
+                    inflight.push((now + latency, op.slot));
+                }
+            }
+            assert_eq!(lazy.pop_dispatch(), None, "dispatch diverged at {now}");
+            inflight.retain(|&(at, slot)| {
+                if at > now {
+                    return true;
+                }
+                dense.mem_done(slot);
+                lazy.mem_done(slot);
+                false
+            });
+            if wake_at == now {
+                dense.wake_os();
+                lazy.wake_os();
+                wake_at = Cycle::MAX;
+                stalled_until = 0;
+            }
+            if wake_at == Cycle::MAX && rng.below(64) == 0 {
+                let reason = if rng.below(2) == 0 {
+                    OsStallReason::TagMiss
+                } else {
+                    OsStallReason::BlockingFill
+                };
+                let until = now + 1 + rng.below(600);
+                if rng.below(3) == 0 {
+                    dense.stall_os(Cycle::MAX, reason);
+                    lazy.stall_os(Cycle::MAX, reason);
+                    wake_at = until;
+                } else {
+                    dense.stall_os(until, reason);
+                    lazy.stall_os(until, reason);
+                    stalled_until = stalled_until.max(until);
+                }
+            }
+            let next = inflight
+                .iter()
+                .map(|&(at, _)| at)
+                .fold(lazy.next_activity_at(now).unwrap_or(Cycle::MAX), Cycle::min)
+                .min(wake_at)
+                .min(CYCLES);
+            let mut t = now + 1;
+            while t < next {
+                let n = 1 + rng.below(next - t);
+                let before = dense.stats().clone();
+                cov.rob_full += u64::from(dense.rob_occupancy == cfg.rob_size);
+                cov.lsq_full += u64::from(dense.outstanding_mem() == cfg.max_outstanding_mem);
+                cov.os_expired += u64::from(stalled_until > t && stalled_until < t + n);
+                lazy.advance(t, n);
+                for c in t..t + n {
+                    dense.tick(c);
+                    assert!(
+                        !dense.dispatch_pending(),
+                        "dispatch at {c}, before the due {next}"
+                    );
+                }
+                t += n;
+                assert_same_stats(dense.stats(), lazy.stats());
+                assert_eq!(dense.next_activity_at(t - 1), lazy.next_activity_at(t - 1));
+                assert_eq!(dense.outstanding_mem(), lazy.outstanding_mem());
+                assert_eq!(dense.rob_occupancy, lazy.rob_occupancy);
+                assert_eq!(dense.commit_edge(), lazy.commit_edge());
+                let after = dense.stats();
+                let committed = after.instructions.get() - before.instructions.get();
+                let stalled = after.stall_mem.get() - before.stall_mem.get();
+                cov.steady += u64::from(n >= 8 && committed == cfg.commit_width as u64 * n);
+                cov.ramp += u64::from(after.mem_ops.get() > before.mem_ops.get());
+                cov.quiescent += u64::from(stalled == n);
+            }
+            now = next;
+        }
+    }
+
+    #[test]
+    fn advance_matches_ticking_over_random_windows() {
+        let mixes: Vec<Vec<TraceRecord>> = vec![
+            // Long ALU stretches between loads: steady full-width runs.
+            vec![rec(999, AccessKind::Read, 0x1000)],
+            // Loads and a store in short gaps.
+            vec![
+                rec(3, AccessKind::Read, 0x40),
+                rec(0, AccessKind::Write, 0x80),
+                rec(17, AccessKind::Read, 0xc0),
+            ],
+            // Back-to-back loads: the LSQ fills.
+            vec![
+                rec(0, AccessKind::Read, 0x40),
+                rec(1, AccessKind::Read, 0x80),
+            ],
+            // Gaps near the ROB size: the ROB fills behind a load.
+            vec![
+                rec(150, AccessKind::Read, 0x40),
+                rec(60, AccessKind::Read, 0x80),
+                rec(2, AccessKind::Write, 0xc0),
+                rec(400, AccessKind::Read, 0x100),
+            ],
+        ];
+        let configs = [
+            CoreConfig::default(),
+            CoreConfig {
+                max_outstanding_mem: 8,
+                ..CoreConfig::default()
+            },
+            // Unequal widths never take the steady jump.
+            CoreConfig {
+                commit_width: 2,
+                ..CoreConfig::default()
+            },
+            // A width that is not a power of two.
+            CoreConfig {
+                fetch_width: 3,
+                commit_width: 3,
+                ..CoreConfig::default()
+            },
+        ];
+        let mut cov = Coverage::default();
+        for (m, mix) in mixes.iter().enumerate() {
+            for (k, cfg) in configs.iter().enumerate() {
+                differential(mix, *cfg, (m * 16 + k) as u64 * 0x9e37_79b9, &mut cov);
+            }
+        }
+        assert!(
+            cov.steady > 0
+                && cov.ramp > 0
+                && cov.rob_full > 0
+                && cov.lsq_full > 0
+                && cov.os_expired > 0
+                && cov.quiescent > 0,
+            "a window kind went uncovered: {cov:?}"
+        );
+    }
+
+    /// With stores only nothing waits on a completion, so fetch runs at
+    /// full width and the due is exact, whatever the width: every
+    /// cycle's `next_activity_at` is the cycle of the next dispatch.
+    #[test]
+    fn next_activity_is_the_next_dispatch_when_nothing_waits() {
+        let gaps = [3, 8, 0, 7, 1, 12, 4, 30, 2, 5];
+        for width in [4, 3] {
+            let cfg = CoreConfig {
+                fetch_width: width,
+                commit_width: width,
+                ..CoreConfig::default()
+            };
+            let records = gaps
+                .iter()
+                .map(|&g| rec(g, AccessKind::Write, 0x40))
+                .collect();
+            let mut c = Core::new(0, cfg, Box::new(Cycling(records, 0)));
+            let mut dues = Vec::new();
+            let mut dispatches = Vec::new();
+            for now in 0..2_000 {
+                c.tick(now);
+                if c.dispatch_pending() {
+                    dispatches.push(now);
+                }
+                while c.pop_dispatch().is_some() {}
+                dues.push(c.next_activity_at(now).expect("stores never block"));
+            }
+            for (now, due) in dues.into_iter().enumerate() {
+                let Some(&next) = dispatches.iter().find(|&&d| d > now as Cycle) else {
+                    break;
+                };
+                assert_eq!(due, next, "width {width}: due after cycle {now}");
+            }
+        }
+    }
+
+    /// A gap close to `u32::MAX` is one steady window: `advance` crosses
+    /// it with the counts ticking gives (cycle 0 fetches, every later
+    /// cycle commits and fetches a width), and the load dispatches on
+    /// the due.
+    #[test]
+    fn a_gap_near_u32_max_is_one_steady_window() {
+        let mut c = core_with(vec![rec(u32::MAX, AccessKind::Read, 0x40)]);
+        c.tick(0);
+        let due = c.next_activity_at(0).expect("ALU work only");
+        c.advance(1, due - 1);
+        let s = c.stats();
+        assert_eq!(s.cycles.get(), due);
+        assert_eq!(s.busy.get(), due - 1);
+        assert_eq!(s.stall_frontend.get(), 1);
+        assert_eq!(s.instructions.get(), 4 * (due - 1));
+        assert_eq!(c.rob_occupancy, 4);
+        assert_eq!(c.commit_edge(), due);
+        assert!(!c.dispatch_pending());
+        c.tick(due);
+        assert!(c.dispatch_pending(), "the load dispatches on its due");
     }
 }

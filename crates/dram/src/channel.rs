@@ -969,6 +969,71 @@ mod tests {
         }
     }
 
+    /// Traffic in which the refresh term is the minimum due. With a
+    /// four-activate window longer than tRAS, the fifth ACT of a burst
+    /// to distinct banks waits past every bank's drain, so a refresh
+    /// falling due meanwhile is the channel's next event. A burst lands
+    /// 1 to 90 cycles before each refresh, every lead in turn; the
+    /// channel must match the dense oracle, and its due the oracle's,
+    /// after every cycle.
+    #[test]
+    fn refresh_behind_a_four_activate_wait_is_the_due() {
+        let mut cfg = DramConfig::hbm();
+        cfg.timing.t_faw = 2 * cfg.timing.t_ras;
+        let mut fast = Channel::new(&cfg);
+        let mut dense = Channel::new(&cfg);
+        let mut stats_fast = DramStats::new(&cfg);
+        let mut stats_dense = DramStats::new(&cfg);
+        let mut out_fast = Vec::new();
+        let mut out_dense = Vec::new();
+        let mut rng = 5u64;
+        let mut token = 0u64;
+        let mut lead = 1;
+        let mut refresh_first = 0;
+        for now in 0..(cfg.timing.t_refi * 92) {
+            if now + lead == fast.next_refresh {
+                for bank in 0..6 {
+                    token += 1;
+                    let row = mix(&mut rng) % 64;
+                    for ch in [&mut fast, &mut dense] {
+                        ch.try_push(
+                            ReqId(token),
+                            bank,
+                            row,
+                            AccessKind::Read,
+                            TrafficClass::DemandRead,
+                            true,
+                            now,
+                            Probe::Data,
+                        )
+                        .unwrap();
+                    }
+                }
+                lead = lead % 90 + 1;
+            }
+            fast.tick_device(now, &mut stats_fast, &mut out_fast);
+            dense.tick_device_oracle(now, &mut stats_dense, &mut out_dense);
+            assert_eq!(out_fast, out_dense, "diverged at cycle {now}");
+            fast.assert_bookkeeping(now);
+            let refresh = fast
+                .next_refresh
+                .max(fast.bus_free_at)
+                .max(fast.banks.max_busy_until());
+            let first_cmd = fast
+                .queue
+                .iter()
+                .map(|c| fast.issue_candidate(c.bank, c.row, c.kind))
+                .min();
+            refresh_first += u64::from(
+                fast.refresh_until.is_none()
+                    && refresh > now + 1
+                    && first_cmd.is_some_and(|c| c > refresh),
+            );
+        }
+        assert!(refresh_first > 0, "the refresh term was never the minimum");
+        assert_eq!(stats_fast.refreshes.get(), stats_dense.refreshes.get());
+    }
+
     /// The empty-queue early-out must not perturb refresh scheduling.
     #[test]
     fn early_out_preserves_refresh_schedule() {

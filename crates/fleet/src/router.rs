@@ -66,6 +66,14 @@ pub struct FleetClient {
     idle: Vec<Mutex<Vec<Client>>>,
 }
 
+impl std::fmt::Debug for FleetClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FleetClient")
+            .field("cfg", &self.cfg)
+            .finish_non_exhaustive()
+    }
+}
+
 impl FleetClient {
     /// A fleet over `addrs` with environment-derived budgets
     /// ([`FleetConfig::from_env`]).

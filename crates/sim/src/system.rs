@@ -4,7 +4,7 @@
 use crate::config::SystemConfig;
 use crate::report::{ObsSeries, RunReport};
 use nomad_cache::{CacheLevel, TlbHierarchy, TlbLookup};
-use nomad_cpu::{Core, PendingMemOp};
+use nomad_cpu::{per_width, Core, PendingMemOp};
 use nomad_dcache::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, SchemeStatsObs};
 use nomad_dram::Dram;
 use nomad_obs::{Registry, SnapshotLog, SpanRing, SIM_TRACKS, TRACK_LLC_MSHR};
@@ -78,8 +78,8 @@ const TRACE_COUNTERS: &[&str] = &[
 /// are converted to nanoseconds only when a report is snapshotted.
 #[derive(Debug, Default, Clone, Copy)]
 struct HotProfile {
-    /// Phases 1–3: core commit/dispatch, translation, L1 injection;
-    /// and core-only cycles.
+    /// Phases 1–3: core commit/dispatch (with the ledger's replay of
+    /// the cycles a cluster slept through), translation, L1 injection.
     cpu_raw: u64,
     /// Phase 4: the SRAM hierarchy ([`System::tick_caches`]).
     cache_raw: u64,
@@ -102,8 +102,8 @@ struct HotProfile {
     cluster_quiet_ticks: u64,
     /// Dense ticks on which the L3 slept.
     l3_quiet_ticks: u64,
-    /// Cycles on which only cores ran ([`System::core_only`]).
-    core_only_cycles: u64,
+    /// Core cycles with a commit that the stall ledger replayed.
+    settled_commit_cycles: u64,
 }
 
 /// Snapshot of the hot-path profile ([`System::hot_profile`]),
@@ -112,8 +112,7 @@ struct HotProfile {
 /// `dcache_nanos` is the rest of the scheme tick.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct HotProfileReport {
-    /// Wall nanos in the core/translation/issue phases, core-only
-    /// cycles included.
+    /// Wall nanos in the core/translation/issue phases.
     pub cpu_nanos: u64,
     /// Wall nanos in the SRAM hierarchy phase.
     pub cache_nanos: u64,
@@ -130,16 +129,16 @@ pub struct HotProfileReport {
     pub skipped_cycles: u64,
     /// Burst ticks: steps on which every cluster and the L3 slept, so
     /// only phase 5 (or the devices' quiet clocks) ran. Counted in no
-    /// other tick counter. A deterministic work counter: 0 under
-    /// [`System::run_dense`].
+    /// other tick counter, so dense and burst ticks plus the skipped
+    /// cycles are the whole window. A deterministic work counter: 0
+    /// under [`System::run_dense`].
     pub burst_ticks: u64,
-    /// Core-only cycles: cycles on which only the due cores ticked,
-    /// because every other component had nothing due (the dispatching
-    /// cycle that ends a run of them is a dense tick). Counted in no
-    /// other tick counter, so dense, burst and core-only ticks plus the
-    /// skipped cycles are the whole window. A deterministic work
-    /// counter: 0 under [`System::run_dense`].
-    pub core_only_cycles: u64,
+    /// Settled commit cycles: core cycles with at least one commit
+    /// that a sleeping cluster's stall ledger replayed in bulk
+    /// ([`nomad_cpu::Core::advance`]) instead of a tick — the ALU work
+    /// of sleeping cores. A deterministic work counter: 0 under
+    /// [`System::run_dense`].
+    pub settled_commit_cycles: u64,
     /// Dense ticks whose phase 5 was skipped because neither the scheme
     /// nor a DRAM device had anything due (memory-quiet ticks). A
     /// deterministic work counter: 0 under [`System::run_dense`].
@@ -210,17 +209,11 @@ pub struct System {
     /// when the L3 hands its L2 a fill or phase 5 wakes its core. Exact
     /// or early; the gated step runs a cluster only once it is due.
     cluster_due: Vec<Cycle>,
-    /// Per core, the same for the cluster's work besides its core —
-    /// pending dispatch, walks, translated issues, L1 and L2 — or 0
-    /// while its L1 or L2 sleeps on a refused head, whose stall cycles
-    /// only the cluster's own step pays. Core-only cycles end before
-    /// the first of them. Lowered with `cluster_due`.
-    rest_due: Vec<Cycle>,
-    /// Bit-mask of the clusters that ran since their `rest_due` was
-    /// computed. Only the core-only check reads `rest_due`, so it
-    /// recomputes these there, past its O(1) bail-outs, and steps pay
-    /// nothing for it.
-    rest_stale: u64,
+    /// Per core, the instruction count the current run ends at (0
+    /// outside a run): a core's due is capped at the first cycle on
+    /// which it could reach it, so the run ends on the dense loop's
+    /// cycle.
+    targets: Vec<u64>,
     /// Bit-mask of the clusters that ran on the last dense step: their
     /// `cluster_due` is recomputed at the start of the next one, or by
     /// [`next_due`](Self::next_due) before a skip.
@@ -229,26 +222,19 @@ pub struct System {
     /// recomputed after every L3 tick, lowered by L2 → L3 pushes and by
     /// phase-5 responses.
     l3_due: Cycle,
-    /// The stall ledger: per cluster, the first cycle whose stall
-    /// accounting is not yet in the counters of its core, L1 and L2.
-    /// Cycles a cluster sleeps through — in a sleeping cluster or a
-    /// skip — are owed here and applied through [`Core::idle_advance`]
-    /// and [`CacheLevel::idle_advance`] by [`settle`](Self::settle)
-    /// before the cluster's next tick, before a wake, before an obs
-    /// sample, at [`reset_stats`](Self::reset_stats) and when a run
-    /// returns. A core-only cycle pays it like a step's phase 1; its L1
-    /// and L2 owe nothing for that cycle (see `rest_due`).
+    /// The stall ledger: per cluster, the first cycle not yet in the
+    /// state and counters of its core, L1 and L2. Cycles a cluster
+    /// sleeps through — in a sleeping cluster or a skip — are owed here
+    /// and replayed through [`Core::advance`] (a sleeping core's ALU
+    /// work, OS stalls and memory stalls) and
+    /// [`CacheLevel::idle_advance`] by [`settle`](Self::settle) before
+    /// the cluster's next tick, before a wake, before an obs sample, at
+    /// [`reset_stats`](Self::reset_stats), when a run returns and when
+    /// the deadlock check needs the last commit.
     idle_from: Vec<Cycle>,
     /// The L3's ledger entry, kept the same way: paid before its next
     /// tick and wherever the clusters' are.
     l3_idle_from: Cycle,
-}
-
-/// Where the run loop's deadlock check stands: the cycle of the last
-/// commit and the instruction total it left.
-struct Progress {
-    cycle: Cycle,
-    total: u64,
 }
 
 /// The most cores a [`System`] simulates. It bounds the per-job work
@@ -315,8 +301,7 @@ impl System {
             hot: None,
             mem_next: 0,
             cluster_due: vec![0; cfg.cores],
-            rest_due: vec![0; cfg.cores],
-            rest_stale: 0,
+            targets: vec![0; cfg.cores],
             ran: 0,
             l3_due: 0,
             idle_from: vec![0; cfg.cores],
@@ -380,7 +365,7 @@ impl System {
             mem_quiet_ticks: h.mem_quiet_ticks,
             cluster_quiet_ticks: h.cluster_quiet_ticks,
             l3_quiet_ticks: h.l3_quiet_ticks,
-            core_only_cycles: h.core_only_cycles,
+            settled_commit_cycles: h.settled_commit_cycles,
             skips: h.skips,
             skipped_cycles: h.skipped_cycles,
         })
@@ -585,37 +570,26 @@ impl System {
 
     /// One dense cycle. With `full`, every phase runs for every
     /// cluster. Otherwise phases 1–4 run only for the clusters due this
-    /// cycle (a sleeping cluster's tick would be stall accounting
-    /// alone, which goes into the stall ledger), the L3 ticks only when
-    /// due, and phase 5 runs only when phases 1–4 called into the
-    /// scheme or the cycle reached `mem_next`; else the cycle is
+    /// cycle (a sleeping cluster's tick would be its core's own work or
+    /// stall accounting, which the stall ledger replays), the L3 ticks
+    /// only when due, and phase 5 runs only when phases 1–4 called into
+    /// the scheme or the cycle reached `mem_next`; else the cycle is
     /// memory-quiet and phase 5 reduces to the devices' O(1) clock
     /// ticks. A step on which every cluster and the L3 slept counts as
     /// a burst tick, any other as a dense tick.
     fn step(&mut self, full: bool) {
         let now = self.cycle;
-        let mark = self.hot.as_ref().map(|_| nomad_types::fastclock::now());
+        let mut mark = self.hot.as_ref().map(|_| nomad_types::fastclock::now());
         let awake = self.awake_clusters(now, full);
 
-        // 1. Cores: commit + fetch/dispatch.
+        // 1. Cores: pay each cluster's ledger, then commit +
+        // fetch/dispatch.
         for c in bits(awake) {
-            self.tick_core(c, now);
+            self.settle(c, now);
+            self.cores[c].tick(now);
+            self.idle_from[c] = now + 1;
         }
-        self.finish_step(now, awake, full, mark);
-    }
 
-    /// Phase 1 for cluster `c`: pay its ledger up to `now`, then tick
-    /// its core.
-    fn tick_core(&mut self, c: usize, now: Cycle) {
-        self.settle(c, now);
-        self.cores[c].tick(now);
-        self.idle_from[c] = now + 1;
-    }
-
-    /// Phases 2–5 of cycle `now` for the `awake` clusters, whose cores
-    /// have ticked, then close the cycle; `mark` is the open profile
-    /// lap, which phases 1–3 share.
-    fn finish_step(&mut self, now: Cycle, awake: u64, full: bool, mut mark: Option<u64>) {
         // 2. Translation: finish ready walks, start new ones.
         self.process_walks(now, awake);
         self.drain_dispatch(now, awake);
@@ -684,17 +658,21 @@ impl System {
         }
     }
 
-    /// Apply the stall cycles cluster `c` owes from its ledger entry up
-    /// to `to` (exclusive): cycles its core and caches slept through,
-    /// each of which a dense tick would have counted as one stall cycle
-    /// of the core and one of each cache holding a refused head.
+    /// Replay the cycles cluster `c` owes from its ledger entry up to
+    /// `to` (exclusive): cycles its core and caches slept through, which
+    /// its core replays as ticks would (ALU work included) and each
+    /// cache holding a refused head counts as stall cycles.
     fn settle(&mut self, c: usize, to: Cycle) {
         let from = self.idle_from[c];
         if to > from {
-            self.cores[c].idle_advance(to - from);
+            let busy = self.cores[c].stats().busy.get();
+            self.cores[c].advance(from, to - from);
             self.l1s[c].idle_advance(to - from);
             self.l2s[c].idle_advance(to - from);
             self.idle_from[c] = to;
+            if let Some(h) = self.hot.as_mut() {
+                h.settled_commit_cycles += self.cores[c].stats().busy.get() - busy;
+            }
         }
     }
 
@@ -715,11 +693,10 @@ impl System {
         self.settle_l3(to);
     }
 
-    /// Lower cluster `c`'s dues to `at`: something outside it handed
+    /// Lower cluster `c`'s due to `at`: something outside it handed
     /// its L2 a fill or woke its core.
     fn lower_cluster_due(&mut self, c: usize, at: Cycle) {
         self.cluster_due[c] = self.cluster_due[c].min(at);
-        self.rest_due[c] = self.rest_due[c].min(at);
     }
 
     /// Phase 5, first half: the scheme tick (which ticks both DRAM
@@ -995,32 +972,21 @@ impl System {
         for c in bits(self.ran) {
             self.cluster_due[c] = self.cluster_next(c, self.cycle - 1);
         }
-        self.rest_stale |= self.ran;
         self.ran = 0;
     }
 
     /// Earliest cycle after `now` at which core `c`'s cluster — its
-    /// core, then the rest ([`rest_next`](Self::rest_next)) — can act,
-    /// from post-tick state, or `Cycle::MAX` when only a fill or a
-    /// wake can end its stall; any value up to `now + 1` means the
-    /// next cycle, so a core due by then settles it alone.
+    /// core ([`core_next`](Self::core_next)), then its pending
+    /// dispatch, walks and translated issues, its L1 and L2 — can act,
+    /// from post-tick state, or `Cycle::MAX` when only a fill or a wake
+    /// can end its stall. Any value up to `now + 1` (below it for a
+    /// translated issue the L1 could not take yet) means the next
+    /// cycle.
     fn cluster_next(&self, c: usize, now: Cycle) -> Cycle {
-        let core = self.cores[c].next_activity_at(now).unwrap_or(Cycle::MAX);
-        if core <= now + 1 {
-            return core;
+        let mut t = self.core_next(c);
+        if t <= now + 1 || self.cores[c].dispatch_pending() {
+            return t.min(now + 1);
         }
-        core.min(self.rest_next(c, now))
-    }
-
-    /// The same for cluster `c`'s work besides its core: its pending
-    /// dispatch, walks and translated issues, its L1 and L2. Any value
-    /// up to `now + 1` (below it for a translated issue the L1 could
-    /// not take yet) means the next cycle.
-    fn rest_next(&self, c: usize, now: Cycle) -> Cycle {
-        if self.cores[c].dispatch_pending() {
-            return now + 1;
-        }
-        let mut t = Cycle::MAX;
         for w in &self.walking[c] {
             t = t.min(w.ready_at);
         }
@@ -1028,12 +994,31 @@ impl System {
             t = t.min(e.at);
         }
         // `blocked` ops are reactive: their cores sleep until a scheme
-        // wake, which lowers the cluster's dues itself.
+        // wake, which lowers the cluster's due itself.
         if t <= now + 1 {
             return t;
         }
         let level = |l: &CacheLevel| l.next_activity_at(now).unwrap_or(Cycle::MAX);
         t.min(level(&self.l1s[c])).min(level(&self.l2s[c]))
+    }
+
+    /// First cycle at which core `c` may act outside itself, from the
+    /// state its ledger left after cycle `idle_from - 1`: its next
+    /// possible dispatch, capped at [`target_cap`](Self::target_cap).
+    fn core_next(&self, c: usize) -> Cycle {
+        let due = self.cores[c].next_activity_at(self.idle_from[c] - 1);
+        due.unwrap_or(Cycle::MAX).min(self.target_cap(c))
+    }
+
+    /// First cycle on which core `c` could commit up to its run target
+    /// at `commit_width` a cycle, from the state its ledger left, or
+    /// `Cycle::MAX` once it has: the cycle on which the run may end.
+    fn target_cap(&self, c: usize) -> Cycle {
+        let left = self.targets[c].saturating_sub(self.cores[c].stats().instructions.get());
+        if left == 0 {
+            return Cycle::MAX;
+        }
+        self.idle_from[c] + per_width(left - 1, self.cfg.core.commit_width)
     }
 
     /// First cycle at which a gated step can do more than stall
@@ -1051,29 +1036,14 @@ impl System {
     }
 
     /// Earliest cycle at which ticking the system again could do more
-    /// than constant-rate stat accounting, from a fresh query of every
-    /// component's post-tick state; at least `self.cycle`.
+    /// than what the stall ledgers replay, from a fresh query of every
+    /// component's state; at least `self.cycle`.
     ///
     /// The check on [`next_due`](Self::next_due): test and debug
     /// builds assert that every skip target is at or before this scan,
     /// so the kept due cycles can never drift late.
     #[cfg(any(test, debug_assertions))]
     fn next_event_at_scan(&self) -> Cycle {
-        self.min_scan(true)
-    }
-
-    /// [`next_event_at_scan`](Self::next_event_at_scan) without the
-    /// cores' own activity, with an L1 or L2 holding a refused head
-    /// counted as due next cycle (it owes a stall cycle every cycle):
-    /// the first cycle that must not be core-only. The check on the
-    /// core-only horizon, asserted the same way.
-    #[cfg(any(test, debug_assertions))]
-    fn rest_event_at_scan(&self) -> Cycle {
-        self.min_scan(false)
-    }
-
-    #[cfg(any(test, debug_assertions))]
-    fn min_scan(&self, cores: bool) -> Cycle {
         // `self.cycle` was already incremented by the tick we are
         // summarizing; components speak the NextActivity contract
         // relative to the cycle that just ran.
@@ -1085,9 +1055,7 @@ impl System {
             }
         };
         for (c, core) in self.cores.iter().enumerate() {
-            if cores {
-                consider(core.next_activity_at(now));
-            }
+            consider(Some(self.core_next(c)));
             consider(core.dispatch_pending().then_some(now + 1));
             for w in &self.walking[c] {
                 consider(Some(w.ready_at));
@@ -1100,7 +1068,6 @@ impl System {
         }
         for lvl in self.l1s.iter().chain(self.l2s.iter()) {
             consider(lvl.next_activity_at(now));
-            consider((!cores && lvl.head_refused()).then_some(now + 1));
         }
         consider(self.l3.next_activity_at(now));
         consider(self.scheme.next_activity_at(now));
@@ -1129,8 +1096,8 @@ impl System {
     }
 
     /// Run until every core has committed `instructions_per_core` more
-    /// instructions, using next-event skipping and core-only cycles
-    /// between dense ticks.
+    /// instructions, skipping from each gated step to the next due
+    /// cycle.
     ///
     /// # Panics
     ///
@@ -1152,185 +1119,61 @@ impl System {
         self.run_inner(instructions_per_core, Some(cancel))
     }
 
-    /// The core-only fast path, tried before each gated step. It
-    /// applies while only cores have anything due: every cluster's
-    /// other work, the L3, phase 5, the next obs sample and the
-    /// deadlock horizon are all more than one cycle away. It then ticks
-    /// just the due cores, cycle by cycle and in core order; cores that
-    /// are not due stay in the stall ledger. The run stops at the
-    /// horizon, once every core reached its target, at a cycle with no
-    /// core due, or at a cycle on which a core dispatched a memory op,
-    /// which then finishes with phases 2–5 for the clusters that
-    /// ticked. The devices advance over the core-only cycles in bulk,
-    /// as in a skip. Returns `false`, having moved nothing, when the
-    /// path does not apply or no core is due. The O(1) half of the test
-    /// is inlined into the run loop, so a failed attempt is a few
-    /// compares.
-    #[inline]
-    fn core_only(&mut self, targets: &[u64], progress: &mut Progress) -> bool {
-        let sample = self.obs.as_ref().map_or(Cycle::MAX, |o| o.next_sample);
-        let horizon = self
-            .l3_due
-            .min(self.mem_next)
-            .min(sample)
-            .min(progress.cycle + DEADLOCK_CYCLES);
-        horizon > self.cycle + 1 && self.run_core_only(horizon, targets, progress)
-    }
-
-    /// [`core_only`](Self::core_only) past its O(1) test, with the
-    /// horizon that test found.
-    fn run_core_only(
-        &mut self,
-        mut horizon: Cycle,
-        targets: &[u64],
-        progress: &mut Progress,
-    ) -> bool {
-        let now = self.cycle;
-        self.refresh_ran_dues();
-        if self.cluster_due.iter().all(|&due| due > now) {
-            // Nothing at all is due: the gated step, a burst tick, is
-            // cheaper than recomputing any rest due.
-            return false;
-        }
-        for c in 0..self.cores.len() {
-            if self.rest_stale & (1 << c) != 0 {
-                self.rest_stale &= !(1 << c);
-                let owes = self.l1s[c].head_refused() || self.l2s[c].head_refused();
-                self.rest_due[c] = if owes { 0 } else { self.rest_next(c, now - 1) };
-            }
-            horizon = horizon.min(self.rest_due[c]);
-            if horizon <= now + 1 {
-                return false;
-            }
-        }
-        #[cfg(any(test, debug_assertions))]
-        assert!(
-            horizon <= self.rest_event_at_scan(),
-            "core-only run to {horizon} passes the min-scan's {} at cycle {now}",
-            self.rest_event_at_scan()
-        );
-        let mut mark = self.hot.as_ref().map(|_| nomad_types::fastclock::now());
-        // Until the horizon every cluster's other work sleeps, so its
-        // `cluster_due` is its core's due.
-        let mut t = now;
-        let mut dispatched = 0;
-        while t < horizon {
-            let mut ticked = 0;
-            let mut committed = 0;
-            for c in 0..self.cores.len() {
-                if self.cluster_due[c] <= t {
-                    let before = self.cores[c].stats().instructions.get();
-                    self.tick_core(c, t);
-                    committed += self.cores[c].stats().instructions.get() - before;
-                    ticked |= 1 << c;
-                }
-            }
-            if ticked == 0 {
-                break;
-            }
-            if committed > 0 {
-                progress.total += committed;
-                progress.cycle = t + 1;
-            }
-            if bits(ticked).any(|c| self.cores[c].dispatch_pending()) {
-                dispatched = ticked;
-                break;
-            }
-            for c in bits(ticked) {
-                let core = self.cores[c].next_activity_at(t).unwrap_or(Cycle::MAX);
-                self.cluster_due[c] = core.min(self.rest_due[c]);
-            }
-            t += 1;
-            if committed > 0 && reached(&self.cores, targets) {
-                break;
-            }
-        }
-        let cycles = t - now;
-        if cycles == 0 && dispatched == 0 {
-            // No core was due after all: the gated step runs the cycle,
-            // so every turn of the run loop moves the clock.
-            return false;
-        }
-        if cycles > 0 {
-            self.hbm.advance(cycles);
-            self.ddr.advance(cycles);
-            self.cycle = t;
-            self.measured_cycles += cycles;
-        }
-        if let Some(h) = self.hot.as_mut() {
-            h.core_only_cycles += cycles;
-        }
-        if dispatched == 0 {
-            self.lap(&mut mark, |h| &mut h.cpu_raw);
-        } else {
-            self.ran = dispatched;
-            self.finish_step(t, dispatched, false, mark);
-        }
-        true
-    }
-
     /// The event-kernel run loop, with the stall ledger settled on
     /// return so the cores' counters are current.
     fn run_inner(&mut self, instructions_per_core: u64, cancel: Option<&CancelToken>) -> bool {
-        let finished = self.run_events(instructions_per_core, cancel);
+        for c in 0..self.cores.len() {
+            self.targets[c] = self.cores[c].stats().instructions.get() + instructions_per_core;
+            self.cluster_due[c] = self.cluster_due[c].min(self.target_cap(c));
+        }
+        let finished = self.run_events(cancel);
         self.settle_all();
+        self.targets.fill(0);
         finished
     }
 
-    fn run_events(&mut self, instructions_per_core: u64, cancel: Option<&CancelToken>) -> bool {
-        let targets: Vec<u64> = self
-            .cores
-            .iter()
-            .map(|c| c.stats().instructions.get() + instructions_per_core)
-            .collect();
-        let mut progress = Progress {
-            cycle: self.cycle,
-            total: self.total_instructions(),
-        };
+    fn run_events(&mut self, cancel: Option<&CancelToken>) -> bool {
+        // The cycle after the last commit the loop knows of. Sleeping
+        // cores commit in their ledgers, so it can lag; the deadlock
+        // check settles them before it trusts it.
+        let mut progress = self.cycle;
         let mut iters: u64 = 0;
+        if reached(&self.cores, &self.targets) {
+            return true;
+        }
         loop {
-            if reached(&self.cores, &targets) {
-                return true;
-            }
             if let Some(token) = cancel {
                 iters = iters.wrapping_add(1);
                 if iters & 1023 == 0 && token.is_cancelled() {
                     return false;
                 }
             }
-            if self.core_only(&targets, &mut progress) {
-                // A core-only run stops where the run finishes, and
-                // keeps `progress` itself.
-                if reached(&self.cores, &targets) {
-                    return true;
-                }
-            } else {
-                self.step(false);
-                let total = self.total_instructions();
-                if total != progress.total {
-                    progress = Progress {
-                        cycle: self.cycle,
-                        total,
-                    };
-                    // Commit fast path: a committing system is almost
-                    // always busy again next cycle, so step on without
-                    // looking for a skip.
-                    continue;
+            self.step(false);
+            // A core is awake on the cycle it reaches its target (its
+            // due is capped there), so its count is current here.
+            if reached(&self.cores, &self.targets) {
+                return true;
+            }
+            if self.cycle - progress > DEADLOCK_CYCLES {
+                self.settle_all();
+                progress = self
+                    .cores
+                    .iter()
+                    .map(Core::commit_edge)
+                    .fold(progress, Cycle::max);
+                if self.cycle - progress > DEADLOCK_CYCLES {
+                    panic!(
+                        "system deadlock: no commit for 3M cycles (scheme {}, cycle {})",
+                        self.scheme.name(),
+                        self.cycle
+                    );
                 }
             }
-            if self.cycle - progress.cycle > DEADLOCK_CYCLES {
-                panic!(
-                    "system deadlock: no commit for 3M cycles (scheme {}, cycle {})",
-                    self.scheme.name(),
-                    self.cycle
-                );
-            }
-            // Skip straight to the next due cycle. No core has reached
-            // its target here, so a skip never passes a finished run.
-            // The deadlock horizon is the last cycle the dense loop
-            // would still tick before its no-progress check fires, so a
-            // dead system panics at the identical cycle.
-            let target = self.next_due().min(progress.cycle + DEADLOCK_CYCLES);
+            // Skip straight to the next due cycle, which no core's
+            // target passes. The deadlock horizon is the last cycle the
+            // dense loop would still tick before its no-progress check
+            // fires, so a dead system panics at the identical cycle.
+            let target = self.next_due().min(progress + DEADLOCK_CYCLES);
             if target > self.cycle {
                 #[cfg(any(test, debug_assertions))]
                 assert!(
@@ -1551,14 +1394,14 @@ mod tests {
         }
     }
 
-    /// The quiet-tick, burst-tick and core-only counters are
+    /// The quiet-tick, burst-tick and settled-commit counters are
     /// deterministic work counters: two runs of one cell count the same
     /// memory-quiet ticks, sleeping cluster ticks, sleeping L3 ticks,
-    /// burst ticks and core-only cycles, a stats reset zeroes them like
-    /// the other kernel counters, and the ungated reference loop skips
-    /// no phase 5, sleeps nothing and ticks no core alone. Dense, burst
-    /// and core-only ticks are every cycle that ran, so with the skipped
-    /// cycles they account for the whole measured window.
+    /// burst ticks and settled commit cycles, a stats reset zeroes them
+    /// like the other kernel counters, and the ungated reference loop
+    /// skips no phase 5 and sleeps nothing. Dense and burst ticks are
+    /// every cycle that ran, so with the skipped cycles they account
+    /// for the whole measured window.
     #[test]
     fn quiet_tick_counters_repeat_exactly_and_are_zero_under_run_dense() {
         let quiet = |h: HotProfileReport| {
@@ -1567,7 +1410,7 @@ mod tests {
                 h.cluster_quiet_ticks,
                 h.l3_quiet_ticks,
                 h.burst_ticks,
-                h.core_only_cycles,
+                h.settled_commit_cycles,
             )
         };
         let profiled = |dense: bool| {
@@ -1583,19 +1426,19 @@ mod tests {
             }
             let hot = sys.hot_profile().expect("armed");
             assert_eq!(
-                hot.dense_ticks + hot.burst_ticks + hot.core_only_cycles + hot.skipped_cycles,
+                hot.dense_ticks + hot.burst_ticks + hot.skipped_cycles,
                 sys.measured_cycles()
             );
             hot
         };
         let first = profiled(false);
         let second = profiled(false);
-        let (mem, clusters, l3, burst, core_only) = quiet(first);
+        let (mem, clusters, l3, burst, settled) = quiet(first);
         assert!(mem > 0, "tc must have memory-quiet ticks");
         assert!(clusters > 0, "tc must have sleeping clusters");
         assert!(l3 > 0, "tc must have a sleeping L3");
         assert!(burst > 0, "tc must have steps with everything asleep");
-        assert!(core_only > 0, "tc must have cycles with only the core due");
+        assert!(settled > 0, "tc must have cores committing while asleep");
         assert!(mem.max(clusters).max(l3) <= first.dense_ticks);
         assert_eq!(quiet(first), quiet(second));
         assert_eq!(first.dense_ticks, second.dense_ticks);

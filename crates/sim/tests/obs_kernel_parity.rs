@@ -110,8 +110,8 @@ fn last_sample_sum(report: &RunReport, pick: impl Fn(&str) -> bool) -> u64 {
 /// so the `cache.*.mshr_stall_cycles` gauges and the LLC's `mshr_stall`
 /// spans must come out exactly as the dense loop counts them. The
 /// eight-core cell has every cluster refused at once; on one core the
-/// core runs ALU work past its refused L1 head, where no core-only
-/// cycle may run while the L1 owes its stall cycles.
+/// core runs ALU work past its refused L1 head, so one ledger replays
+/// the core's commits and the L1's stall cycles together.
 #[test]
 fn refused_heads_stall_alike_across_kernels() {
     if std::env::var_os("NOMAD_OBS").is_some() {

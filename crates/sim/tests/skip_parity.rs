@@ -167,26 +167,41 @@ fn eight_core_fig9_shape_parity() {
     }
 }
 
-/// Cache-resident cells whose cores run alone for long stretches, so
-/// the kernel's core-only cycles carry much of each run: every scheme
-/// on one core over `ast` and `tc`, and on the two-core shape with an
-/// 8 MiB DRAM cache over `ast`. Each must be byte-identical to the
-/// dense loop and must really have run core-only cycles.
+/// Cache-resident cells whose cores run ALU work alone for long
+/// stretches, so sleeping cores carry much of each run: every scheme on
+/// one core over `ast` and `tc`, on the two-core shape with an 8 MiB
+/// DRAM cache over `ast`, and on one three-wide core over `ast`, whose
+/// due and run-target cap divide by a width that is not a power of
+/// two. Each must be byte-identical to the dense loop and must really
+/// have replayed commits from the ledger.
 #[test]
-fn core_only_cycles_are_byte_identical() {
+fn sleeping_cores_are_byte_identical() {
     let mut two_core = SystemConfig::scaled(2);
     two_core.dc_capacity = 8 * 1024 * 1024;
+    let mut three_wide = parity_cfg(1);
+    three_wide.core.fetch_width = 3;
+    three_wide.core.commit_width = 3;
     let cases = [
         (parity_cfg(1), WorkloadProfile::ast()),
         (parity_cfg(1), WorkloadProfile::tc()),
         (two_core, WorkloadProfile::ast()),
+        (three_wide, WorkloadProfile::ast()),
     ];
     for (cfg, profile) in cases {
         for spec in SchemeSpec::headtohead_set() {
-            let label = format!("{} / {}, {} cores", spec.label(), profile.name, cfg.cores);
+            let label = format!(
+                "{} / {}, {} cores {} wide",
+                spec.label(),
+                profile.name,
+                cfg.cores,
+                cfg.core.fetch_width
+            );
             let hot = assert_parity_of(&cfg, spec, profile.clone(), 31, WARMUP, INSTRUCTIONS, true)
                 .expect("armed");
-            assert!(hot.core_only_cycles > 0, "no core-only cycle ({label})");
+            assert!(
+                hot.settled_commit_cycles > 0,
+                "no core committed while asleep ({label})"
+            );
         }
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// ticked at `now` (so `now` itself is fully processed) and returns:
 ///
 /// * `Some(t)` with `t > now` — ticking the component before `t` would
-///   do nothing beyond constant per-cycle accounting, and the component
+///   do nothing any other component can see, and the component
 ///   **must** be ticked again at `t` at the latest. Returning a `t`
 ///   *earlier* than the component's true next activity is always safe
 ///   (the kernel just ticks it and asks again); returning one *later*
@@ -33,10 +33,10 @@ use std::sync::Arc;
 ///   state until someone pushes new work into it. The kernel may skip
 ///   it indefinitely.
 ///
-/// Components whose per-cycle work accrues statistics that appear in a
-/// `RunReport` (e.g. a core's stall-cycle breakdown) must provide a
-/// bulk "idle advance" so the kernel can account the skipped cycles
-/// identically to dense ticking.
+/// Components whose per-cycle work before `t` changes their own state
+/// or statistics that appear in a `RunReport` (e.g. a core's commits
+/// and stall-cycle breakdown) must provide a bulk advance that replays
+/// the skipped cycles identically to dense ticking.
 pub trait NextActivity {
     /// Earliest cycle strictly after `now` at which this component
     /// could make progress, or `None` if it is quiescent until poked.
