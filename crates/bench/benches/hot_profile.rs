@@ -12,8 +12,9 @@
 // * `cpu`    — core commit/dispatch (with the ledger's replay of
 //              sleeping cores), translation, L1 injection;
 // * `cache`  — the SRAM hierarchy (L1/L2/L3 ticks and traffic);
-// * `dcache` — the DRAM-cache scheme tick outside the DRAM devices;
-// * `dram`   — wall time inside `Dram::tick` (HBM + DDR4);
+// * `dcache` — the DRAM-cache scheme's issue and complete, and
+//              delivering what they emit;
+// * `dram`   — the HBM and DDR4 device ticks between them;
 // * `other`  — everything else (event-kernel queries, skips, stats).
 //
 // The profile is purely observational: armed or not, runs produce

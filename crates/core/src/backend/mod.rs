@@ -13,12 +13,11 @@ mod pcshr;
 pub use pcshr::{CopyCommand, CopyKind};
 use pcshr::{Pcshr, SubEntry};
 
-use nomad_dcache::DcAccessReq;
+use nomad_dcache::{DcAccessReq, DramQueue};
 use nomad_dram::DramRequest;
 use nomad_types::{
     AccessKind, Cfn, CoreId, Cycle, MemResp, MemTarget, Pfn, ReqId, SubBlockIdx, TrafficClass,
 };
-use std::collections::VecDeque;
 
 /// Back-end sizing and timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,9 +137,9 @@ pub struct Backend {
     buffers_free: usize,
     seq: u64,
     /// Transfers bound for the on-package DRAM.
-    pub to_hbm: VecDeque<DramRequest>,
+    pub to_hbm: DramQueue,
     /// Transfers bound for the off-package DRAM.
-    pub to_ddr: VecDeque<DramRequest>,
+    pub to_ddr: DramQueue,
     /// Demand responses: `(ready_at, arrival, resp, core)`.
     responses: Vec<(Cycle, Cycle, MemResp, CoreId)>,
     completed: Vec<CompletedCopy>,
@@ -168,8 +167,8 @@ impl Backend {
             seqs: vec![0; cfg.pcshrs],
             buffers_free: cfg.buffers,
             seq: 0,
-            to_hbm: VecDeque::new(),
-            to_ddr: VecDeque::new(),
+            to_hbm: DramQueue::new(),
+            to_ddr: DramQueue::new(),
             responses: Vec::new(),
             completed: Vec::new(),
             scratch: Vec::new(),
@@ -294,12 +293,7 @@ impl Backend {
                         self.responses.push((
                             now + buffer_latency,
                             e.arrival,
-                            MemResp {
-                                token: e.payload.token,
-                                addr: e.payload.addr,
-                                kind: e.payload.kind,
-                                core: e.payload.core,
-                            },
+                            e.payload.response(),
                             e.payload.core,
                         ));
                     }
@@ -318,17 +312,8 @@ impl Backend {
             return AccessCheck::Parked;
         }
         if slot.in_buffer & sub.bit() != 0 {
-            self.responses.push((
-                now + buffer_latency,
-                now,
-                MemResp {
-                    token: req.token,
-                    addr: req.addr,
-                    kind: req.kind,
-                    core: req.core,
-                },
-                req.core,
-            ));
+            self.responses
+                .push((now + buffer_latency, now, req.response(), req.core));
             return AccessCheck::Serviced;
         }
         if slot.sub_entries.len() >= max_entries {
@@ -383,12 +368,7 @@ impl Backend {
                     self.responses.push((
                         _now + buffer_latency,
                         e.arrival,
-                        MemResp {
-                            token: e.payload.token,
-                            addr: e.payload.addr,
-                            kind: e.payload.kind,
-                            core: e.payload.core,
-                        },
+                        e.payload.response(),
                         e.payload.core,
                     ));
                 } else {
@@ -520,12 +500,7 @@ impl Backend {
                     self.responses.push((
                         now + buffer_latency,
                         e.arrival,
-                        MemResp {
-                            token: e.payload.token,
-                            addr: e.payload.addr,
-                            kind: e.payload.kind,
-                            core: e.payload.core,
-                        },
+                        e.payload.response(),
                         e.payload.core,
                     ));
                 }
@@ -621,14 +596,19 @@ mod tests {
         }
     }
 
+    /// Take every queued transfer, the HBM's before the DDR's.
+    fn take_all(b: &mut Backend) -> Vec<DramRequest> {
+        let mut reqs: Vec<_> = std::iter::from_fn(|| b.to_hbm.pop_front()).collect();
+        reqs.extend(std::iter::from_fn(|| b.to_ddr.pop_front()));
+        reqs
+    }
+
     /// Run the backend against perfect (instant) DRAM: every queued
     /// transfer completes next cycle.
     fn run_instant(b: &mut Backend, cycles: Cycle) {
         for now in 0..cycles {
             b.tick(now);
-            let mut reqs: Vec<_> = b.to_hbm.drain(..).collect();
-            reqs.extend(b.to_ddr.drain(..));
-            for r in reqs {
+            for r in take_all(b) {
                 let (_, is_write, slot, sub) = decode_copy_token(r.token);
                 b.on_copy_completion(is_write, slot, sub, now);
             }
@@ -691,9 +671,7 @@ mod tests {
         // Let the critical block transfer.
         for now in 0..4 {
             b.tick(now);
-            let mut reqs: Vec<_> = b.to_hbm.drain(..).collect();
-            reqs.extend(b.to_ddr.drain(..));
-            for r in reqs {
+            for r in take_all(&mut b) {
                 let (_, w, s, sub) = decode_copy_token(r.token);
                 if !w {
                     b.on_copy_completion(w, s, sub, now);
@@ -778,7 +756,7 @@ mod tests {
         );
         // Only the first command can transfer until its buffer frees.
         b.tick(0);
-        let first_wave: Vec<_> = b.to_ddr.drain(..).collect();
+        let first_wave: Vec<_> = std::iter::from_fn(|| b.to_ddr.pop_front()).collect();
         assert!(first_wave.iter().all(|r| decode_copy_token(r.token).2 == 0));
         // Deliver the drained reads so the first command can finish.
         for r in first_wave {

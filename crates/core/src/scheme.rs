@@ -10,13 +10,12 @@ use crate::frontend::{BackendCtl, Frontend, FrontendConfig, FrontendEvents};
 use nomad_cache::{FrameKind, TlbEntry};
 use nomad_cpu::OsStallReason;
 use nomad_dcache::{
-    CacheFlush, DcAccessReq, DcScheme, DemandPath, SchemeEvents, SchemeStats, WalkOutcome,
+    CacheFlush, DcAccessReq, DcScheme, DramQueue, SchemeEvents, SchemeStats, WalkOutcome,
 };
-use nomad_dram::Dram;
+use nomad_dram::{Dram, DramCompletion};
 use nomad_obs::{Gauge, Registry, Span, SpanRing, TRACK_EVICT, TRACK_FILL, TRACK_WRITEBACK};
 use nomad_types::{
-    AccessKind, Cfn, CoreId, Cycle, IntMap, IntSet, MemResp, MemTarget, SubBlockIdx, TrafficClass,
-    Vpn, PAGE_SIZE,
+    AccessKind, Cfn, CoreId, Cycle, IntMap, IntSet, MemResp, MemTarget, SubBlockIdx, Vpn, PAGE_SIZE,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -76,8 +75,8 @@ pub struct NomadScheme {
     cfg: NomadConfig,
     frontend: Frontend,
     backends: Vec<Backend>,
-    hbm_demand: DemandPath,
-    ddr_demand: DemandPath,
+    hbm_demand: DramQueue,
+    ddr_demand: DramQueue,
     /// Accesses refused by full PCSHR sub-entries, retried in order.
     retry: VecDeque<(DcAccessReq, Cycle)>,
     /// Cores suspended per faulting VPN (woken at handler completion
@@ -94,7 +93,6 @@ pub struct NomadScheme {
     completed_scratch: Vec<CompletedCopy>,
     evict_scratch: Vec<nomad_dcache::EvictCandidate>,
     resp_scratch: Vec<(Cycle, MemResp)>,
-    dram_scratch: Vec<nomad_dram::DramCompletion>,
     stats: SchemeStats,
     name: &'static str,
     obs: Option<SchemeObs>,
@@ -120,8 +118,8 @@ impl NomadScheme {
         NomadScheme {
             frontend: Frontend::new(FrontendConfig::from(&cfg), cfg.frames()),
             backends,
-            hbm_demand: DemandPath::with_tag(HBM_DEMAND_TAG),
-            ddr_demand: DemandPath::with_tag(DDR_DEMAND_TAG),
+            hbm_demand: DramQueue::with_tag(HBM_DEMAND_TAG),
+            ddr_demand: DramQueue::with_tag(DDR_DEMAND_TAG),
             retry: VecDeque::new(),
             vpn_waiters: IntMap::default(),
             fill_waiters: IntMap::default(),
@@ -131,7 +129,6 @@ impl NomadScheme {
             completed_scratch: Vec::new(),
             evict_scratch: Vec::new(),
             resp_scratch: Vec::new(),
-            dram_scratch: Vec::new(),
             stats: SchemeStats::default(),
             name: if cfg.blocking { "TDC" } else { "NOMAD" },
             obs: None,
@@ -180,12 +177,7 @@ impl NomadScheme {
                 match check {
                     AccessCheck::NoMatch => {
                         self.stats.dc_data_hits.inc();
-                        let class = if req.kind.is_write() {
-                            TrafficClass::DemandWrite
-                        } else {
-                            TrafficClass::DemandRead
-                        };
-                        self.hbm_demand.submit(req, req.addr.base(), class, now);
+                        self.hbm_demand.submit(req, req.addr.base(), now);
                         true
                     }
                     AccessCheck::Serviced => {
@@ -220,12 +212,7 @@ impl NomadScheme {
                 match outcome {
                     AccessCheck::NoMatch => {
                         self.stats.offpkg_demand.inc();
-                        let class = if req.kind.is_write() {
-                            TrafficClass::DemandWrite
-                        } else {
-                            TrafficClass::DemandRead
-                        };
-                        self.ddr_demand.submit(req, req.addr.base(), class, now);
+                        self.ddr_demand.submit(req, req.addr.base(), now);
                         true
                     }
                     AccessCheck::Retry => false,
@@ -346,7 +333,7 @@ impl DcScheme for NomadScheme {
     }
 
     fn can_accept(&self) -> bool {
-        self.retry.len() < 32 && self.hbm_demand.has_room(64) && self.ddr_demand.has_room(64)
+        self.retry.len() < 32 && self.hbm_demand.len() < 64 && self.ddr_demand.len() < 64
     }
 
     fn access(&mut self, req: DcAccessReq, now: Cycle) {
@@ -361,7 +348,7 @@ impl DcScheme for NomadScheme {
         }
     }
 
-    fn tick(
+    fn issue(
         &mut self,
         now: Cycle,
         hbm: &mut Dram,
@@ -430,48 +417,34 @@ impl DcScheme for NomadScheme {
         self.ddr_demand.drain(ddr);
         for b in &mut self.backends {
             b.tick(now);
-            while let Some(r) = b.to_hbm.pop_front() {
-                if let Err(back) = hbm.try_push(r) {
-                    b.to_hbm.push_front(back);
-                    break;
-                }
-            }
-            while let Some(r) = b.to_ddr.pop_front() {
-                if let Err(back) = ddr.try_push(r) {
-                    b.to_ddr.push_front(back);
-                    break;
-                }
-            }
+            b.to_hbm.drain(hbm);
+            b.to_ddr.drain(ddr);
         }
+    }
 
-        // 4. Tick devices and route completions.
-        let mut scratch = std::mem::take(&mut self.dram_scratch);
-        scratch.clear();
-        hbm.tick(&mut scratch);
-        ddr.tick(&mut scratch);
-        for c in scratch.drain(..) {
+    fn complete(
+        &mut self,
+        now: Cycle,
+        from_hbm: &[DramCompletion],
+        from_ddr: &[DramCompletion],
+        events: &mut SchemeEvents,
+    ) {
+        // 4. Route the devices' completions, HBM's first: copy traffic
+        //    to its back-end, demand reads (by their queue's tag) to
+        //    the LLC.
+        for c in from_hbm.iter().chain(from_ddr) {
             if is_copy_token(c.token) {
                 let (be, is_write, slot, sub) = decode_copy_token(c.token);
                 if let Some(b) = self.backends.get_mut(be) {
                     b.on_copy_completion(is_write, slot, sub, now);
                 }
-            } else if let Some((req, arrived)) = self
-                .hbm_demand
-                .complete(c.token)
-                .or_else(|| self.ddr_demand.complete(c.token))
-            {
-                self.stats
-                    .dc_access_time
-                    .record(now.saturating_sub(arrived));
-                events.responses.push(MemResp {
-                    token: req.token,
-                    addr: req.addr,
-                    kind: req.kind,
-                    core: req.core,
-                });
+            } else {
+                self.hbm_demand
+                    .respond(c.token, now, &mut self.stats, events);
+                self.ddr_demand
+                    .respond(c.token, now, &mut self.stats, events);
             }
         }
-        self.dram_scratch = scratch;
 
         // 5. Collect back-end events: serviced data misses and
         //    completed copies.
@@ -507,7 +480,7 @@ impl DcScheme for NomadScheme {
                 CopyKind::Fill => {
                     self.stats.fills.inc();
                     self.stats.fill_bytes.add(PAGE_SIZE);
-                    if blocking {
+                    if self.cfg.blocking {
                         match self.fill_waiters.remove(&c.cfn.raw()) {
                             Some(waiters) => events.wakes.extend(waiters),
                             None => {
@@ -533,7 +506,7 @@ impl DcScheme for NomadScheme {
         // front-end and back-ends report their own timers. Tracked
         // in-flight demand reads are reactive: their completions
         // surface on DRAM device edges the system watches separately.
-        if !self.retry.is_empty() || self.hbm_demand.has_queued() || self.ddr_demand.has_queued() {
+        if !self.retry.is_empty() || !self.hbm_demand.is_empty() || !self.ddr_demand.is_empty() {
             return Some(now + 1);
         }
         let mut next = self.frontend.next_activity_at(now);
@@ -611,7 +584,7 @@ mod tests {
     use super::*;
     use nomad_dcache::NoFlush;
     use nomad_dram::DramConfig;
-    use nomad_types::{BlockAddr, ReqId};
+    use nomad_types::{BlockAddr, ReqId, TrafficClass};
 
     struct Rig {
         scheme: NomadScheme,
@@ -638,13 +611,18 @@ mod tests {
 
         fn run(&mut self, cycles: Cycle) {
             for _ in 0..cycles {
-                self.scheme.tick(
+                self.scheme.issue(
                     self.now,
                     &mut self.hbm,
                     &mut self.ddr,
                     &mut NoFlush,
                     &mut self.ev,
                 );
+                let (mut from_hbm, mut from_ddr) = (Vec::new(), Vec::new());
+                self.hbm.tick(&mut from_hbm);
+                self.ddr.tick(&mut from_ddr);
+                self.scheme
+                    .complete(self.now, &from_hbm, &from_ddr, &mut self.ev);
                 self.responses.append(&mut self.ev.responses);
                 self.wakes.append(&mut self.ev.wakes);
                 self.ev.clear();

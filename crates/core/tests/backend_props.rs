@@ -40,8 +40,8 @@ fn drain(b: &mut Backend, max_cycles: u64) -> (Vec<CompletedCopy>, usize) {
     let mut responses = Vec::new();
     for now in 0..max_cycles {
         b.tick(now);
-        let mut reqs: Vec<_> = b.to_hbm.drain(..).collect();
-        reqs.extend(b.to_ddr.drain(..));
+        let mut reqs: Vec<_> = std::iter::from_fn(|| b.to_hbm.pop_front()).collect();
+        reqs.extend(std::iter::from_fn(|| b.to_ddr.pop_front()));
         for r in reqs {
             let (_, w, slot, sub) = decode_copy_token(r.token);
             b.on_copy_completion(w, slot, sub, now);

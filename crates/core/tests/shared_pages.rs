@@ -30,13 +30,18 @@ impl Rig {
     fn run(&mut self, cycles: u64) -> usize {
         let mut wakes = 0;
         for _ in 0..cycles {
-            self.scheme.tick(
+            self.scheme.issue(
                 self.now,
                 &mut self.hbm,
                 &mut self.ddr,
                 &mut NoFlush,
                 &mut self.ev,
             );
+            let (mut from_hbm, mut from_ddr) = (Vec::new(), Vec::new());
+            self.hbm.tick(&mut from_hbm);
+            self.ddr.tick(&mut from_ddr);
+            self.scheme
+                .complete(self.now, &from_hbm, &from_ddr, &mut self.ev);
             wakes += self.ev.wakes.len();
             self.ev.clear();
             self.now += 1;

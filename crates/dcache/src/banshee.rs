@@ -26,16 +26,16 @@
 //! lands — there is no tag-data decoupled in-transfer window.
 #![warn(missing_docs)]
 
-use crate::demand::DemandPath;
+use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
 use nomad_cache::{FrameKind, PageTable, TlbEntry};
-use nomad_dram::{Dram, DramRequest, Probe};
+use nomad_dram::{Dram, DramCompletion, DramRequest, Probe};
 use nomad_types::{
-    AccessKind, Cfn, CoreId, Cycle, MemResp, Pfn, ReqId, TrafficClass, Vpn, BLOCK_SIZE, PAGE_SIZE,
+    AccessKind, Cfn, CoreId, Cycle, Pfn, ReqId, TrafficClass, Vpn, BLOCK_SIZE, PAGE_SIZE,
     SUB_BLOCKS_PER_PAGE,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Banshee configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +66,8 @@ impl BansheeConfig {
     }
 }
 
-/// Token spaces for fill-engine traffic (demand traffic goes through
-/// tagged [`DemandPath`]s).
+/// Token spaces for fill-engine traffic and (as the demand queues'
+/// tag) demand traffic.
 const TOK_DEMAND: u64 = 1 << 56;
 const TOK_FILL: u64 = 2 << 56;
 const TOK_WB: u64 = 3 << 56;
@@ -116,23 +116,22 @@ pub struct Banshee {
     slots: Vec<Slot>,
     num_sets: u64,
     free_slots: u64,
-    hbm_demand: DemandPath,
-    ddr_demand: DemandPath,
+    hbm_demand: DramQueue,
+    ddr_demand: DramQueue,
     /// Global access counter driving the sampling clock.
     access_count: u64,
     /// Sampled per-page candidate frequency (pages not yet cached).
     cand_freq: HashMap<u64, u32>,
     fills: Vec<Option<Fill>>,
-    /// Fill-engine requests awaiting device room.
-    pending_hbm: VecDeque<DramRequest>,
-    pending_ddr: VecDeque<DramRequest>,
+    /// Fill-engine requests, drained ahead of the demand queues.
+    fill_hbm: DramQueue,
+    fill_ddr: DramQueue,
     /// Buffered tag-table updates not yet written to memory.
     tag_buffer_occupancy: usize,
     pending_flush: Vec<u64>,
     pending_shootdown: Vec<Vpn>,
     stats: SchemeStats,
     queue_limit: usize,
-    scratch: Vec<nomad_dram::DramCompletion>,
 }
 
 impl Banshee {
@@ -151,19 +150,18 @@ impl Banshee {
             slots: vec![Slot::default(); slots as usize],
             num_sets,
             free_slots: slots,
-            hbm_demand: DemandPath::with_tag(TOK_DEMAND),
-            ddr_demand: DemandPath::with_tag(TOK_DEMAND),
+            hbm_demand: DramQueue::with_tag(TOK_DEMAND),
+            ddr_demand: DramQueue::with_tag(TOK_DEMAND),
             access_count: 0,
             cand_freq: HashMap::new(),
             fills: (0..4).map(|_| None).collect(),
-            pending_hbm: VecDeque::new(),
-            pending_ddr: VecDeque::new(),
+            fill_hbm: DramQueue::new(),
+            fill_ddr: DramQueue::new(),
             tag_buffer_occupancy: 0,
             pending_flush: Vec::new(),
             pending_shootdown: Vec::new(),
             stats: SchemeStats::default(),
             queue_limit: 64,
-            scratch: Vec::new(),
             cfg,
         }
     }
@@ -284,7 +282,7 @@ impl Banshee {
                 let block = f.wb_next;
                 f.wb_next += 1;
                 quota -= 1;
-                self.pending_hbm.push_back(DramRequest {
+                self.fill_hbm.push_back(DramRequest {
                     token: ReqId(TOK_WB | ((idx as u64) << 8) | block),
                     addr: f.slot * PAGE_SIZE + block * BLOCK_SIZE,
                     kind: AccessKind::Read,
@@ -300,7 +298,7 @@ impl Banshee {
                 let block = f.next_block;
                 f.next_block += 1;
                 quota -= 1;
-                self.pending_ddr.push_back(DramRequest {
+                self.fill_ddr.push_back(DramRequest {
                     token: ReqId(TOK_FILL | ((idx as u64) << 8) | block),
                     addr: f.pfn.base().raw() + block * BLOCK_SIZE,
                     kind: AccessKind::Read,
@@ -323,7 +321,7 @@ impl Banshee {
             block_addr = slot * PAGE_SIZE + _block * BLOCK_SIZE;
         }
         self.stats.fill_bytes.add(BLOCK_SIZE);
-        self.pending_hbm.push_back(DramRequest {
+        self.fill_hbm.push_back(DramRequest {
             token: ReqId(0),
             addr: block_addr,
             kind: AccessKind::Write,
@@ -343,7 +341,7 @@ impl Banshee {
             f.wb_done += 1;
             victim_addr = f.victim_pfn.base().raw() + block * BLOCK_SIZE;
         }
-        self.pending_ddr.push_back(DramRequest {
+        self.fill_ddr.push_back(DramRequest {
             token: ReqId(0),
             addr: victim_addr,
             kind: AccessKind::Write,
@@ -380,7 +378,7 @@ impl Banshee {
         self.tag_buffer_occupancy += 1;
         if self.tag_buffer_occupancy >= self.cfg.tag_buffer_entries {
             for i in 0..self.tag_buffer_occupancy as u64 {
-                self.pending_ddr.push_back(DramRequest {
+                self.fill_ddr.push_back(DramRequest {
                     token: ReqId(0),
                     addr: TAG_TABLE_BASE + i * 8,
                     kind: AccessKind::Write,
@@ -476,32 +474,30 @@ impl DcScheme for Banshee {
     }
 
     fn can_accept(&self) -> bool {
-        self.hbm_demand.has_room(self.queue_limit) && self.ddr_demand.has_room(self.queue_limit)
+        self.hbm_demand.len() < self.queue_limit && self.ddr_demand.len() < self.queue_limit
     }
 
     fn access(&mut self, req: DcAccessReq, now: Cycle) {
-        let class = if req.kind.is_write() {
+        if req.kind.is_write() {
             self.stats.demand_writes.inc();
-            TrafficClass::DemandWrite
         } else {
             self.stats.demand_reads.inc();
-            TrafficClass::DemandRead
-        };
+        }
         match req.target {
             nomad_types::MemTarget::DramCache => {
                 self.stats.dc_data_hits.inc();
-                self.hbm_demand.submit(req, req.addr.base(), class, now);
+                self.hbm_demand.submit(req, req.addr.base(), now);
             }
             nomad_types::MemTarget::OffPackage => {
                 self.stats.offpkg_demand.inc();
-                self.ddr_demand.submit(req, req.addr.base(), class, now);
+                self.ddr_demand.submit(req, req.addr.base(), now);
             }
         }
     }
 
-    fn tick(
+    fn issue(
         &mut self,
-        now: Cycle,
+        _now: Cycle,
         hbm: &mut Dram,
         ddr: &mut Dram,
         flush: &mut dyn CacheFlush,
@@ -513,58 +509,37 @@ impl DcScheme for Banshee {
         events.shootdowns.append(&mut self.pending_shootdown);
 
         self.pump_fills();
-        while let Some(r) = self.pending_hbm.pop_front() {
-            if let Err(back) = hbm.try_push(r) {
-                self.pending_hbm.push_front(back);
-                break;
-            }
-        }
-        while let Some(r) = self.pending_ddr.pop_front() {
-            if let Err(back) = ddr.try_push(r) {
-                self.pending_ddr.push_front(back);
-                break;
-            }
-        }
+        self.fill_hbm.drain(hbm);
+        self.fill_ddr.drain(ddr);
         self.hbm_demand.drain(hbm);
         self.ddr_demand.drain(ddr);
+    }
 
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        hbm.tick(&mut scratch);
-        for c in scratch.drain(..) {
+    fn complete(
+        &mut self,
+        now: Cycle,
+        from_hbm: &[DramCompletion],
+        from_ddr: &[DramCompletion],
+        events: &mut SchemeEvents,
+    ) {
+        for c in from_hbm {
             if c.token.0 & TOK_MASK == TOK_WB {
                 let idx = ((c.token.0 >> 8) & 0xffff) as usize;
                 self.on_wb_block(idx, c.token.0 & 0xff, now);
-            } else if let Some((req, arrived)) = self.hbm_demand.complete(c.token) {
-                self.stats
-                    .dc_access_time
-                    .record(now.saturating_sub(arrived));
-                events.responses.push(MemResp {
-                    token: req.token,
-                    addr: req.addr,
-                    kind: req.kind,
-                    core: req.core,
-                });
+            } else {
+                self.hbm_demand
+                    .respond(c.token, now, &mut self.stats, events);
             }
         }
-        ddr.tick(&mut scratch);
-        for c in scratch.drain(..) {
+        for c in from_ddr {
             if c.token.0 & TOK_MASK == TOK_FILL {
                 let idx = ((c.token.0 >> 8) & 0xffff) as usize;
                 self.on_fill_block(idx, c.token.0 & 0xff, now);
-            } else if let Some((req, arrived)) = self.ddr_demand.complete(c.token) {
-                self.stats
-                    .dc_access_time
-                    .record(now.saturating_sub(arrived));
-                events.responses.push(MemResp {
-                    token: req.token,
-                    addr: req.addr,
-                    kind: req.kind,
-                    core: req.core,
-                });
+            } else {
+                self.ddr_demand
+                    .respond(c.token, now, &mut self.stats, events);
             }
         }
-        self.scratch = scratch;
     }
 
     fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {
@@ -573,11 +548,11 @@ impl DcScheme for Banshee {
         // device edges the system watches.
         if !self.pending_flush.is_empty()
             || !self.pending_shootdown.is_empty()
-            || !self.pending_hbm.is_empty()
-            || !self.pending_ddr.is_empty()
+            || !self.fill_hbm.is_empty()
+            || !self.fill_ddr.is_empty()
             || self.fills.iter().any(Option::is_some)
-            || self.hbm_demand.has_queued()
-            || self.ddr_demand.has_queued()
+            || !self.hbm_demand.is_empty()
+            || !self.ddr_demand.is_empty()
         {
             Some(now + 1)
         } else {
@@ -613,7 +588,7 @@ impl DcScheme for Banshee {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::NoFlush;
+    use crate::scheme::harness::step;
     use nomad_dram::DramConfig;
     use nomad_types::SubBlockIdx;
 
@@ -627,7 +602,7 @@ mod tests {
     fn run(s: &mut Banshee, hbm: &mut Dram, ddr: &mut Dram, from: Cycle, cycles: Cycle) {
         let mut ev = SchemeEvents::default();
         for now in from..from + cycles {
-            s.tick(now, hbm, ddr, &mut NoFlush, &mut ev);
+            step(s, now, hbm, ddr, &mut ev);
             ev.clear();
         }
     }
@@ -767,7 +742,7 @@ mod tests {
         s.tlb_inserted(0, Vpn(0));
         walk_read(&mut s, 1, 30_000); // evicts the pinned page
         let mut ev = SchemeEvents::default();
-        s.tick(30_001, &mut hbm, &mut ddr, &mut NoFlush, &mut ev);
+        step(&mut s, 30_001, &mut hbm, &mut ddr, &mut ev);
         assert_eq!(ev.shootdowns, vec![Vpn(0)]);
     }
 

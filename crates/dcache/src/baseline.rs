@@ -1,11 +1,11 @@
 //! The off-package-only baseline memory system (Fig. 9's "Baseline").
 
-use crate::demand::DemandPath;
+use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
 use nomad_cache::{PageTable, TlbEntry};
-use nomad_dram::Dram;
-use nomad_types::{AccessKind, CoreId, Cycle, MemResp, TrafficClass, Vpn};
+use nomad_dram::{Dram, DramCompletion};
+use nomad_types::{AccessKind, CoreId, Cycle, Vpn};
 
 /// A conventional memory system: every LLC miss goes to the off-package
 /// DDR4; the on-package DRAM is unused. Serves as the lower performance
@@ -13,11 +13,9 @@ use nomad_types::{AccessKind, CoreId, Cycle, MemResp, TrafficClass, Vpn};
 #[derive(Debug)]
 pub struct Baseline {
     page_table: PageTable,
-    demand: DemandPath,
+    demand: DramQueue,
     stats: SchemeStats,
     queue_limit: usize,
-    /// Reused DRAM completion buffer, so a tick allocates nothing.
-    scratch: Vec<nomad_dram::DramCompletion>,
 }
 
 impl Baseline {
@@ -25,10 +23,9 @@ impl Baseline {
     pub fn new() -> Self {
         Baseline {
             page_table: PageTable::new(),
-            demand: DemandPath::new(),
+            demand: DramQueue::new(),
             stats: SchemeStats::default(),
             queue_limit: 64,
-            scratch: Vec::new(),
         }
     }
 
@@ -76,51 +73,42 @@ impl DcScheme for Baseline {
     }
 
     fn can_accept(&self) -> bool {
-        self.demand.has_room(self.queue_limit)
+        self.demand.len() < self.queue_limit
     }
 
     fn access(&mut self, req: DcAccessReq, now: Cycle) {
         debug_assert!(matches!(req.target, nomad_types::MemTarget::OffPackage));
-        let class = if req.kind.is_write() {
+        if req.kind.is_write() {
             self.stats.demand_writes.inc();
-            TrafficClass::DemandWrite
         } else {
             self.stats.demand_reads.inc();
-            TrafficClass::DemandRead
-        };
+        }
         self.stats.offpkg_demand.inc();
-        self.demand.submit(req, req.addr.base(), class, now);
+        self.demand.submit(req, req.addr.base(), now);
     }
 
-    fn tick(
+    fn issue(
         &mut self,
-        now: Cycle,
-        hbm: &mut Dram,
+        _now: Cycle,
+        _hbm: &mut Dram,
         ddr: &mut Dram,
         _flush: &mut dyn CacheFlush,
-        events: &mut SchemeEvents,
+        _events: &mut SchemeEvents,
     ) {
         self.demand.drain(ddr);
-        let mut done = std::mem::take(&mut self.scratch);
-        done.clear();
-        ddr.tick(&mut done);
-        let from_ddr = done.len();
-        hbm.tick(&mut done);
-        debug_assert_eq!(done.len(), from_ddr, "the baseline never uses the HBM");
-        for c in done.drain(..) {
-            if let Some((req, arrived)) = self.demand.complete(c.token) {
-                self.stats
-                    .dc_access_time
-                    .record(now.saturating_sub(arrived));
-                events.responses.push(MemResp {
-                    token: req.token,
-                    addr: req.addr,
-                    kind: req.kind,
-                    core: req.core,
-                });
-            }
+    }
+
+    fn complete(
+        &mut self,
+        now: Cycle,
+        from_hbm: &[DramCompletion],
+        from_ddr: &[DramCompletion],
+        events: &mut SchemeEvents,
+    ) {
+        debug_assert!(from_hbm.is_empty(), "the baseline never uses the HBM");
+        for c in from_ddr {
+            self.demand.respond(c.token, now, &mut self.stats, events);
         }
-        self.scratch = done;
     }
 
     fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {
@@ -128,7 +116,7 @@ impl DcScheme for Baseline {
         // Tracked in-flight reads are purely reactive: their
         // completions can only surface on a DDR device edge, and the
         // system bounds skips by the device's own next activity.
-        if self.demand.has_queued() {
+        if !self.demand.is_empty() {
             Some(now + 1)
         } else {
             None
@@ -151,7 +139,7 @@ impl DcScheme for Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::NoFlush;
+    use crate::scheme::harness::step;
     use nomad_cache::FrameKind;
     use nomad_dram::DramConfig;
     use nomad_types::{BlockAddr, MemTarget, ReqId};
@@ -185,7 +173,7 @@ mod tests {
             0,
         );
         for now in 0..500 {
-            b.tick(now, &mut hbm, &mut ddr, &mut NoFlush, &mut ev);
+            step(&mut b, now, &mut hbm, &mut ddr, &mut ev);
         }
         assert_eq!(ev.responses.len(), 1);
         assert_eq!(ev.responses[0].token, ReqId(9));

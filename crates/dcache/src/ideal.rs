@@ -1,13 +1,13 @@
 //! The ideal OS-managed DRAM cache (Fig. 9's "Ideal" upper bound, and
 //! the configuration under which Table I's RMHB/MPMS were measured).
 
-use crate::demand::DemandPath;
 use crate::frames::CacheFrames;
+use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
 use nomad_cache::{FrameKind, PageTable, TlbEntry};
-use nomad_dram::Dram;
-use nomad_types::{AccessKind, CoreId, Cycle, MemResp, TrafficClass, Vpn, PAGE_SIZE};
+use nomad_dram::{Dram, DramCompletion};
+use nomad_types::{AccessKind, CoreId, Cycle, Vpn, PAGE_SIZE};
 
 /// An OS-managed DRAM cache with zero miss-handling cost: tag misses
 /// allocate a frame and complete instantaneously, page data appears in
@@ -21,23 +21,21 @@ use nomad_types::{AccessKind, CoreId, Cycle, MemResp, TrafficClass, Vpn, PAGE_SI
 pub struct Ideal {
     page_table: PageTable,
     frames: CacheFrames,
-    hbm_demand: DemandPath,
-    ddr_demand: DemandPath,
+    hbm_demand: DramQueue,
+    ddr_demand: DramQueue,
     stats: SchemeStats,
     queue_limit: usize,
     /// Free-frame threshold triggering (free) batch eviction.
     eviction_threshold: usize,
     eviction_batch: usize,
-    /// Evicted frames whose SRAM lines still need flushing (applied on
-    /// the next tick, when the flusher is available).
+    /// Evicted frames whose SRAM lines still need flushing (applied at
+    /// the next issue, when the flusher is available).
     pending_flush: Vec<u64>,
     /// TLB shootdowns owed for force-evicted frames (reported through
-    /// [`SchemeEvents`] on the next tick).
+    /// [`SchemeEvents`] at the next issue).
     pending_shootdown: Vec<Vpn>,
     /// Reusable eviction-victim buffer for `reclaim_if_needed`.
     evict_scratch: Vec<crate::frames::EvictCandidate>,
-    /// Reused DRAM completion buffer, so a tick allocates nothing.
-    scratch: Vec<nomad_dram::DramCompletion>,
 }
 
 impl Ideal {
@@ -47,8 +45,8 @@ impl Ideal {
         Ideal {
             page_table: PageTable::new(),
             frames: CacheFrames::new(frames),
-            hbm_demand: DemandPath::new(),
-            ddr_demand: DemandPath::new(),
+            hbm_demand: DramQueue::new(),
+            ddr_demand: DramQueue::new(),
             stats: SchemeStats::default(),
             queue_limit: 64,
             eviction_threshold: (frames / 32).max(8),
@@ -56,7 +54,6 @@ impl Ideal {
             pending_flush: Vec::new(),
             pending_shootdown: Vec::new(),
             evict_scratch: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -171,33 +168,31 @@ impl DcScheme for Ideal {
     }
 
     fn can_accept(&self) -> bool {
-        self.hbm_demand.has_room(self.queue_limit) && self.ddr_demand.has_room(self.queue_limit)
+        self.hbm_demand.len() < self.queue_limit && self.ddr_demand.len() < self.queue_limit
     }
 
     fn access(&mut self, req: DcAccessReq, now: Cycle) {
-        let class = if req.kind.is_write() {
+        if req.kind.is_write() {
             self.stats.demand_writes.inc();
-            TrafficClass::DemandWrite
         } else {
             self.stats.demand_reads.inc();
-            TrafficClass::DemandRead
-        };
+        }
         match req.target {
             nomad_types::MemTarget::DramCache => {
                 self.stats.dc_data_hits.inc();
-                self.hbm_demand.submit(req, req.addr.base(), class, now);
+                self.hbm_demand.submit(req, req.addr.base(), now);
             }
             nomad_types::MemTarget::OffPackage => {
                 // Non-cacheable or never-walked page: off-package.
                 self.stats.offpkg_demand.inc();
-                self.ddr_demand.submit(req, req.addr.base(), class, now);
+                self.ddr_demand.submit(req, req.addr.base(), now);
             }
         }
     }
 
-    fn tick(
+    fn issue(
         &mut self,
-        now: Cycle,
+        _now: Cycle,
         hbm: &mut Dram,
         ddr: &mut Dram,
         flush: &mut dyn CacheFlush,
@@ -209,37 +204,23 @@ impl DcScheme for Ideal {
         events.shootdowns.append(&mut self.pending_shootdown);
         self.hbm_demand.drain(hbm);
         self.ddr_demand.drain(ddr);
-        let mut done = std::mem::take(&mut self.scratch);
-        done.clear();
-        hbm.tick(&mut done);
-        for c in done.drain(..) {
-            if let Some((req, arrived)) = self.hbm_demand.complete(c.token) {
-                self.stats
-                    .dc_access_time
-                    .record(now.saturating_sub(arrived));
-                events.responses.push(MemResp {
-                    token: req.token,
-                    addr: req.addr,
-                    kind: req.kind,
-                    core: req.core,
-                });
-            }
+    }
+
+    fn complete(
+        &mut self,
+        now: Cycle,
+        from_hbm: &[DramCompletion],
+        from_ddr: &[DramCompletion],
+        events: &mut SchemeEvents,
+    ) {
+        for c in from_hbm {
+            self.hbm_demand
+                .respond(c.token, now, &mut self.stats, events);
         }
-        ddr.tick(&mut done);
-        for c in done.drain(..) {
-            if let Some((req, arrived)) = self.ddr_demand.complete(c.token) {
-                self.stats
-                    .dc_access_time
-                    .record(now.saturating_sub(arrived));
-                events.responses.push(MemResp {
-                    token: req.token,
-                    addr: req.addr,
-                    kind: req.kind,
-                    core: req.core,
-                });
-            }
+        for c in from_ddr {
+            self.ddr_demand
+                .respond(c.token, now, &mut self.stats, events);
         }
-        self.scratch = done;
     }
 
     fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {
@@ -248,8 +229,8 @@ impl DcScheme for Ideal {
         // watches.
         if !self.pending_flush.is_empty()
             || !self.pending_shootdown.is_empty()
-            || self.hbm_demand.has_queued()
-            || self.ddr_demand.has_queued()
+            || !self.hbm_demand.is_empty()
+            || !self.ddr_demand.is_empty()
         {
             Some(now + 1)
         } else {
@@ -285,7 +266,7 @@ impl DcScheme for Ideal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::NoFlush;
+    use crate::scheme::harness::step;
     use nomad_dram::DramConfig;
     use nomad_types::{BlockAddr, MemTarget, ReqId};
 
@@ -341,7 +322,7 @@ mod tests {
             0,
         );
         for now in 0..500 {
-            s.tick(now, &mut hbm, &mut ddr, &mut NoFlush, &mut ev);
+            step(&mut s, now, &mut hbm, &mut ddr, &mut ev);
         }
         assert_eq!(ev.responses.len(), 1);
         assert!(hbm.stats().total_bytes() > 0);
@@ -376,7 +357,7 @@ mod tests {
         let mut hbm = Dram::new(DramConfig::hbm());
         let mut ddr = Dram::new(DramConfig::ddr4_2ch());
         let mut ev = SchemeEvents::default();
-        s.tick(0, &mut hbm, &mut ddr, &mut NoFlush, &mut ev);
+        step(&mut s, 0, &mut hbm, &mut ddr, &mut ev);
         assert!(!ev.shootdowns.is_empty(), "forced eviction owes shootdowns");
     }
 

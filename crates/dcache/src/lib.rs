@@ -2,8 +2,10 @@
 //!
 //! Everything below the shared LLC is a [`DcScheme`]: it owns the page
 //! table (OS-managed schemes keep DC tags in PTEs), handles page-table
-//! walks including DC tag misses, routes demand traffic to the
-//! on-package HBM or the off-package DDR4, and drives both DRAM devices.
+//! walks including DC tag misses, and queues demand traffic for the
+//! on-package HBM or the off-package DDR4. The system ticks both DRAM
+//! devices between a scheme's [`DcScheme::issue`] and
+//! [`DcScheme::complete`].
 //!
 //! This crate provides the scheme *substrates* the paper compares
 //! NOMAD against:
@@ -25,14 +27,14 @@
 //! The NOMAD scheme itself (and TDC, which shares its front-end) lives
 //! in the `nomad-core` crate; shared machinery — the circular
 //! cache-frame free queue with cache page descriptors ([`CacheFrames`])
-//! and the demand-routing helper ([`DemandPath`]) — lives here so both
-//! crates can use it.
+//! and the one DRAM request queue every scheme feeds its devices
+//! through ([`DramQueue`]) — lives here so both crates can use it.
 
 mod banshee;
 mod baseline;
-mod demand;
 mod frames;
 mod ideal;
+mod queue;
 mod scheme;
 mod stats;
 mod tdram;
@@ -40,9 +42,9 @@ mod tid;
 
 pub use banshee::{Banshee, BansheeConfig};
 pub use baseline::Baseline;
-pub use demand::DemandPath;
 pub use frames::{CacheFrames, Cpd, EvictCandidate};
 pub use ideal::Ideal;
+pub use queue::DramQueue;
 pub use scheme::{CacheFlush, DcAccessReq, DcScheme, NoFlush, SchemeEvents, WalkOutcome};
 pub use stats::{SchemeStats, SchemeStatsObs};
 pub use tdram::{Tdram, TdramConfig};

@@ -4,7 +4,7 @@
 use crate::stats::SchemeStats;
 use nomad_cache::TlbEntry;
 use nomad_cpu::OsStallReason;
-use nomad_dram::Dram;
+use nomad_dram::{Dram, DramCompletion};
 use nomad_types::{
     AccessKind, BlockAddr, CoreId, Cycle, MemResp, MemTarget, ReqId, SubBlockIdx, Vpn,
 };
@@ -26,6 +26,18 @@ pub struct DcAccessReq {
     pub wants_response: bool,
 }
 
+impl DcAccessReq {
+    /// The LLC response answering this access.
+    pub fn response(&self) -> MemResp {
+        MemResp {
+            token: self.token,
+            addr: self.addr,
+            kind: self.kind,
+            core: self.core,
+        }
+    }
+}
+
 /// Outcome of a page-table walk performed by the scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkOutcome {
@@ -43,7 +55,7 @@ pub enum WalkOutcome {
     },
 }
 
-/// Events produced by one scheme tick for the system to apply.
+/// Events produced by one phase 5 of a scheme for the system to apply.
 #[derive(Debug, Default)]
 pub struct SchemeEvents {
     /// Demand responses for the LLC.
@@ -56,7 +68,7 @@ pub struct SchemeEvents {
 }
 
 impl SchemeEvents {
-    /// Clear all event lists (reuse between ticks).
+    /// Clear all event lists (reuse between cycles).
     pub fn clear(&mut self) {
         self.responses.clear();
         self.wakes.clear();
@@ -85,7 +97,9 @@ impl CacheFlush for NoFlush {
 }
 
 /// A DRAM-cache scheme: owns the page table and all memory-side
-/// behaviour below the LLC.
+/// behaviour below the LLC except the DRAM devices, which the system
+/// ticks between a scheme's [`issue`](DcScheme::issue) and
+/// [`complete`](DcScheme::complete).
 pub trait DcScheme {
     /// Scheme name for reports ("Baseline", "TiD", "TDRAM", "Banshee",
     /// "TDC", "NOMAD", "Ideal").
@@ -132,9 +146,12 @@ pub trait DcScheme {
     /// [`can_accept`](DcScheme::can_accept) is `false`.
     fn access(&mut self, req: DcAccessReq, now: Cycle);
 
-    /// Advance one CPU cycle: drive both DRAM devices, progress
-    /// fills/writebacks/OS routines, emit responses and core wakes.
-    fn tick(
+    /// Phase 5, first half, before the system ticks the DRAM devices:
+    /// retry refused accesses, run OS routines and fill engines, and
+    /// drain queued requests into `hbm` and `ddr` (each scheme through
+    /// its [`DramQueue`](crate::DramQueue)s). Owed SRAM flushes go
+    /// through `flush`; wakes and shootdowns go into `events`.
+    fn issue(
         &mut self,
         now: Cycle,
         hbm: &mut Dram,
@@ -143,9 +160,23 @@ pub trait DcScheme {
         events: &mut SchemeEvents,
     );
 
-    /// Earliest cycle strictly after `now` at which a
-    /// [`tick`](DcScheme::tick) could do anything (progress queued
-    /// work, release a delayed response, run an OS routine), or `None`
+    /// Phase 5, second half, after the system ticked both devices:
+    /// route the cycle's completions, the HBM's (`from_hbm`) before the
+    /// DDR's (`from_ddr`), then release delayed and back-end responses
+    /// into `events`. Requests queued here reach a device at the next
+    /// [`issue`](DcScheme::issue).
+    fn complete(
+        &mut self,
+        now: Cycle,
+        from_hbm: &[DramCompletion],
+        from_ddr: &[DramCompletion],
+        events: &mut SchemeEvents,
+    );
+
+    /// Earliest cycle strictly after `now` at which an
+    /// [`issue`](DcScheme::issue) / [`complete`](DcScheme::complete)
+    /// pair could do anything (progress queued work, release a delayed
+    /// response, run an OS routine), or `None`
     /// while the scheme is quiescent and only an external `access` /
     /// `walk` / DRAM completion can create work.
     ///
@@ -188,4 +219,25 @@ pub trait DcScheme {
     /// [`attach_obs`](DcScheme::attach_obs); called at snapshot points.
     /// The default does nothing.
     fn obs_sample(&mut self) {}
+}
+
+#[cfg(test)]
+pub(crate) mod harness {
+    use super::*;
+
+    /// One phase 5 of `scheme` over `hbm` and `ddr`, as the system runs
+    /// it — issue, both device ticks, complete.
+    pub(crate) fn step(
+        scheme: &mut dyn DcScheme,
+        now: Cycle,
+        hbm: &mut Dram,
+        ddr: &mut Dram,
+        events: &mut SchemeEvents,
+    ) {
+        scheme.issue(now, hbm, ddr, &mut NoFlush, events);
+        let (mut from_hbm, mut from_ddr) = (Vec::new(), Vec::new());
+        hbm.tick(&mut from_hbm);
+        ddr.tick(&mut from_ddr);
+        scheme.complete(now, &from_hbm, &from_ddr, events);
+    }
 }

@@ -21,13 +21,12 @@
 //! conventional and the DC is invisible to the OS.
 #![warn(missing_docs)]
 
+use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
 use nomad_cache::{PageTable, TlbEntry};
-use nomad_dram::{Dram, DramRequest, Probe};
-use nomad_types::{
-    AccessKind, CoreId, Cycle, IntMap, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE,
-};
+use nomad_dram::{Dram, DramCompletion, DramRequest, Probe};
+use nomad_types::{AccessKind, CoreId, Cycle, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE};
 use std::collections::VecDeque;
 
 /// TDRAM configuration.
@@ -97,18 +96,16 @@ pub struct Tdram {
     /// Accesses that missed while their slot was busy or all MSHRs
     /// were taken.
     retry: VecDeque<(DcAccessReq, Cycle)>,
-    /// Demand reads in flight to HBM: token-seq → (req, arrival).
-    demand_inflight: IntMap<u64, (DcAccessReq, Cycle)>,
-    next_demand_token: u64,
-    /// Latency-critical HBM traffic (demand reads/writes, miss probes).
-    pending_hbm: VecDeque<DramRequest>,
+    /// Latency-critical HBM traffic (demand reads/writes, miss probes,
+    /// write-allocate installs) in one FIFO, drained first; tracks the
+    /// demand reads.
+    to_hbm: DramQueue,
     /// Background HBM traffic (fill writes, victim read-outs).
-    pending_hbm_bg: VecDeque<DramRequest>,
-    pending_ddr: VecDeque<DramRequest>,
-    /// Responses generated mid-tick (buffer hits, fill arrivals).
+    to_hbm_bg: DramQueue,
+    to_ddr: DramQueue,
+    /// Responses generated mid-cycle (buffer hits, fill arrivals).
     ready_responses: Vec<(Cycle, MemResp)>,
     stats: SchemeStats,
-    scratch: Vec<nomad_dram::DramCompletion>,
 }
 
 impl Tdram {
@@ -126,16 +123,13 @@ impl Tdram {
             num_slots,
             mshrs: (0..cfg.mshrs).map(|_| None).collect(),
             retry: VecDeque::new(),
-            demand_inflight: IntMap::default(),
-            next_demand_token: 0,
-            pending_hbm: VecDeque::new(),
-            pending_hbm_bg: VecDeque::new(),
-            pending_ddr: VecDeque::new(),
+            to_hbm: DramQueue::with_tag(TOK_DEMAND),
+            to_hbm_bg: DramQueue::new(),
+            to_ddr: DramQueue::new(),
             ready_responses: Vec::new(),
             page_table: PageTable::new(),
             stats: SchemeStats::default(),
             cfg,
-            scratch: Vec::new(),
         }
     }
 
@@ -171,31 +165,6 @@ impl Tdram {
             .position(|m| m.as_ref().map(|m| m.slot == slot).unwrap_or(false))
     }
 
-    fn push_demand(&mut self, req: DcAccessReq, slot: u64, now: Cycle) {
-        let kind = req.kind;
-        let wants = req.wants_response && !kind.is_write();
-        let token = if wants {
-            let seq = self.next_demand_token;
-            self.next_demand_token += 1;
-            self.demand_inflight.insert(seq, (req, now));
-            TOK_DEMAND | seq
-        } else {
-            0
-        };
-        self.pending_hbm.push_back(DramRequest {
-            token: ReqId(token),
-            addr: self.slot_addr(slot),
-            kind,
-            class: if kind.is_write() {
-                TrafficClass::DemandWrite
-            } else {
-                TrafficClass::DemandRead
-            },
-            wants_completion: wants,
-            probe: Probe::Data,
-        });
-    }
-
     fn handle_access(&mut self, req: DcAccessReq, now: Cycle) -> bool {
         let block = req.addr.base() / BLOCK_SIZE;
         let slot = self.slot_of(block);
@@ -219,15 +188,8 @@ impl Tdram {
             if m.data_ready {
                 self.stats.buffer_hits.inc();
                 self.stats.dc_access_time.record(buffer_latency);
-                self.ready_responses.push((
-                    now + buffer_latency,
-                    MemResp {
-                        token: req.token,
-                        addr: req.addr,
-                        kind: req.kind,
-                        core: req.core,
-                    },
-                ));
+                self.ready_responses
+                    .push((now + buffer_latency, req.response()));
             } else {
                 m.waiting.push((req, now));
             }
@@ -245,7 +207,7 @@ impl Tdram {
             } else {
                 self.stats.demand_reads.inc();
             }
-            self.push_demand(req, slot, now);
+            self.to_hbm.submit(req, self.slot_addr(slot), now);
             return true;
         }
 
@@ -282,7 +244,7 @@ impl Tdram {
             // writes data and tag in one combined burst — no probe, no
             // fill read.
             mshr.data_ready = true;
-            self.pending_hbm.push_back(DramRequest {
+            self.to_hbm.push_back(DramRequest {
                 token: ReqId(TOK_FILL | idx as u64),
                 addr: self.slot_addr(slot),
                 kind: AccessKind::Write,
@@ -296,7 +258,7 @@ impl Tdram {
             // once it returns.
             mshr.probe_outstanding = true;
             mshr.waiting.push((req, now));
-            self.pending_hbm.push_back(DramRequest {
+            self.to_hbm.push_back(DramRequest {
                 token: ReqId(TOK_PROBE | idx as u64),
                 addr: self.slot_addr(slot),
                 kind: AccessKind::Read,
@@ -308,7 +270,7 @@ impl Tdram {
         if victim_dirty {
             self.stats.writebacks.inc();
             self.stats.writeback_bytes.add(BLOCK_SIZE);
-            self.pending_hbm_bg.push_back(DramRequest {
+            self.to_hbm_bg.push_back(DramRequest {
                 token: ReqId(TOK_WB | idx as u64),
                 addr: self.slot_addr(slot),
                 kind: AccessKind::Read,
@@ -330,7 +292,7 @@ impl Tdram {
         }
         m.probe_outstanding = false;
         let block = m.block;
-        self.pending_ddr.push_back(DramRequest {
+        self.to_ddr.push_back(DramRequest {
             token: ReqId(TOK_FILL | idx as u64),
             addr: block * BLOCK_SIZE,
             kind: AccessKind::Read,
@@ -352,20 +314,12 @@ impl Tdram {
             self.stats
                 .dc_access_time
                 .record(now.saturating_sub(arrival));
-            self.ready_responses.push((
-                now,
-                MemResp {
-                    token: req.token,
-                    addr: req.addr,
-                    kind: req.kind,
-                    core: req.core,
-                },
-            ));
+            self.ready_responses.push((now, req.response()));
         }
         if from_ddr {
             // Stream the block into the cache: one combined tag+data
             // burst, no separate metadata write.
-            self.pending_hbm_bg.push_back(DramRequest {
+            self.to_hbm_bg.push_back(DramRequest {
                 token: ReqId(0),
                 addr: self.slot_addr(slot),
                 kind: AccessKind::Write,
@@ -387,7 +341,7 @@ impl Tdram {
             m.wb_outstanding = false;
             victim_block = m.victim_block;
         }
-        self.pending_ddr.push_back(DramRequest {
+        self.to_ddr.push_back(DramRequest {
             token: ReqId(0),
             addr: victim_block * BLOCK_SIZE,
             kind: AccessKind::Write,
@@ -457,7 +411,7 @@ impl DcScheme for Tdram {
     }
 
     fn can_accept(&self) -> bool {
-        self.retry.len() < 32 && self.pending_hbm.len() < 64 && self.pending_hbm_bg.len() < 256
+        self.retry.len() < 32 && self.to_hbm.len() < 64 && self.to_hbm_bg.len() < 256
     }
 
     fn access(&mut self, req: DcAccessReq, now: Cycle) {
@@ -467,13 +421,13 @@ impl DcScheme for Tdram {
         }
     }
 
-    fn tick(
+    fn issue(
         &mut self,
-        now: Cycle,
+        _now: Cycle,
         hbm: &mut Dram,
         ddr: &mut Dram,
         _flush: &mut dyn CacheFlush,
-        events: &mut SchemeEvents,
+        _events: &mut SchemeEvents,
     ) {
         // Retry accesses stalled on MSHR/slot pressure (in order).
         while let Some((req, arrived)) = self.retry.pop_front() {
@@ -485,61 +439,36 @@ impl DcScheme for Tdram {
 
         // Push pending traffic: latency-critical demand and probes
         // first, background fill/writeback traffic after.
-        while let Some(r) = self.pending_hbm.pop_front() {
-            if let Err(back) = hbm.try_push(r) {
-                self.pending_hbm.push_front(back);
-                break;
-            }
-        }
-        while let Some(r) = self.pending_hbm_bg.pop_front() {
-            if let Err(back) = hbm.try_push(r) {
-                self.pending_hbm_bg.push_front(back);
-                break;
-            }
-        }
-        while let Some(r) = self.pending_ddr.pop_front() {
-            if let Err(back) = ddr.try_push(r) {
-                self.pending_ddr.push_front(back);
-                break;
-            }
-        }
+        self.to_hbm.drain(hbm);
+        self.to_hbm_bg.drain(hbm);
+        self.to_ddr.drain(ddr);
+    }
 
+    fn complete(
+        &mut self,
+        now: Cycle,
+        from_hbm: &[DramCompletion],
+        from_ddr: &[DramCompletion],
+        events: &mut SchemeEvents,
+    ) {
         // HBM completions: demand reads, miss probes, write-allocate
         // installs and victim read-outs.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        hbm.tick(&mut scratch);
-        for c in scratch.drain(..) {
+        for c in from_hbm {
+            let idx = (c.token.0 & !TOK_MASK) as usize;
             match c.token.0 & TOK_MASK {
-                TOK_DEMAND => {
-                    let seq = c.token.0 & !TOK_MASK;
-                    if let Some((req, arrived)) = self.demand_inflight.remove(&seq) {
-                        self.stats
-                            .dc_access_time
-                            .record(now.saturating_sub(arrived));
-                        events.responses.push(MemResp {
-                            token: req.token,
-                            addr: req.addr,
-                            kind: req.kind,
-                            core: req.core,
-                        });
-                    }
-                }
-                TOK_PROBE => self.on_probe_done((c.token.0 & !TOK_MASK) as usize),
-                TOK_FILL => self.on_fill_data((c.token.0 & !TOK_MASK) as usize, false, now),
-                TOK_WB => self.on_wb_read_done((c.token.0 & !TOK_MASK) as usize),
-                _ => {}
+                TOK_PROBE => self.on_probe_done(idx),
+                TOK_FILL => self.on_fill_data(idx, false, now),
+                TOK_WB => self.on_wb_read_done(idx),
+                _ => self.to_hbm.respond(c.token, now, &mut self.stats, events),
             }
         }
 
         // DDR completions: fill reads.
-        ddr.tick(&mut scratch);
-        for c in scratch.drain(..) {
+        for c in from_ddr {
             if c.token.0 & TOK_MASK == TOK_FILL {
                 self.on_fill_data((c.token.0 & !TOK_MASK) as usize, true, now);
             }
         }
-        self.scratch = scratch;
 
         // Release time-delayed responses (fill-buffer hits).
         let mut i = 0;
@@ -559,9 +488,9 @@ impl DcScheme for Tdram {
         // delayed buffer-hit responses are timed; in-flight accesses
         // complete on device edges the system watches separately.
         if !self.retry.is_empty()
-            || !self.pending_hbm.is_empty()
-            || !self.pending_hbm_bg.is_empty()
-            || !self.pending_ddr.is_empty()
+            || !self.to_hbm.is_empty()
+            || !self.to_hbm_bg.is_empty()
+            || !self.to_ddr.is_empty()
             || self.mshrs.iter().any(Option::is_some)
         {
             return Some(now + 1);
@@ -588,7 +517,7 @@ impl DcScheme for Tdram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::NoFlush;
+    use crate::scheme::harness::step;
     use nomad_dram::DramConfig;
     use nomad_types::{BlockAddr, MemTarget};
 
@@ -633,7 +562,7 @@ mod tests {
     ) -> Vec<MemResp> {
         let mut out = Vec::new();
         for now in from..from + cycles {
-            s.tick(now, hbm, ddr, &mut NoFlush, ev);
+            step(s, now, hbm, ddr, ev);
             out.append(&mut ev.responses);
             ev.clear();
         }

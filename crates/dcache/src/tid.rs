@@ -20,13 +20,12 @@
 //! Being HW-managed, TiD leaves the page tables alone: SRAM caches and
 //! the DC operate on physical addresses.
 
+use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
 use nomad_cache::{CacheArray, PageTable, TlbEntry};
-use nomad_dram::{Dram, DramRequest, Probe};
-use nomad_types::{
-    AccessKind, CoreId, Cycle, IntMap, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE,
-};
+use nomad_dram::{Dram, DramCompletion, DramRequest, Probe};
+use nomad_types::{AccessKind, CoreId, Cycle, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE};
 use std::collections::VecDeque;
 
 /// TiD configuration.
@@ -99,18 +98,15 @@ pub struct Tid {
     mshrs: Vec<Option<TidMshr>>,
     /// Accesses that missed while all MSHRs were busy.
     retry: VecDeque<(DcAccessReq, Cycle)>,
-    /// Demand reads in flight to HBM: token-seq → (req, arrival).
-    demand_inflight: IntMap<u64, (DcAccessReq, Cycle)>,
-    next_demand_token: u64,
-    /// Latency-critical HBM traffic (demand reads/writes).
-    pending_hbm: VecDeque<DramRequest>,
+    /// Latency-critical HBM traffic (demand reads/writes), drained
+    /// first; tracks the demand reads.
+    to_hbm: DramQueue,
     /// Background HBM traffic (metadata, fill writes, writeback reads).
-    pending_hbm_bg: VecDeque<DramRequest>,
-    pending_ddr: VecDeque<DramRequest>,
-    /// Responses generated mid-tick (buffer hits, fill arrivals).
+    to_hbm_bg: DramQueue,
+    to_ddr: DramQueue,
+    /// Responses generated mid-cycle (buffer hits, fill arrivals).
     ready_responses: Vec<(Cycle, MemResp)>,
     stats: SchemeStats,
-    scratch: Vec<nomad_dram::DramCompletion>,
 }
 
 impl Tid {
@@ -129,16 +125,13 @@ impl Tid {
             tags: CacheArray::new(sets, cfg.assoc),
             mshrs: (0..cfg.mshrs).map(|_| None).collect(),
             retry: VecDeque::new(),
-            demand_inflight: IntMap::default(),
-            next_demand_token: 0,
-            pending_hbm: VecDeque::new(),
-            pending_hbm_bg: VecDeque::new(),
-            pending_ddr: VecDeque::new(),
+            to_hbm: DramQueue::with_tag(TOK_DEMAND),
+            to_hbm_bg: DramQueue::new(),
+            to_ddr: DramQueue::new(),
             ready_responses: Vec::new(),
             page_table: PageTable::new(),
             stats: SchemeStats::default(),
             cfg,
-            scratch: Vec::new(),
         }
     }
 
@@ -173,7 +166,7 @@ impl Tid {
     }
 
     fn push_metadata_read(&mut self, line: u64) {
-        self.pending_hbm_bg.push_back(DramRequest {
+        self.to_hbm_bg.push_back(DramRequest {
             token: ReqId(0),
             addr: self.tag_addr(line),
             kind: AccessKind::Read,
@@ -184,37 +177,12 @@ impl Tid {
     }
 
     fn push_metadata_write(&mut self, line: u64) {
-        self.pending_hbm_bg.push_back(DramRequest {
+        self.to_hbm_bg.push_back(DramRequest {
             token: ReqId(0),
             addr: self.tag_addr(line),
             kind: AccessKind::Write,
             class: TrafficClass::Metadata,
             wants_completion: false,
-            probe: Probe::Data,
-        });
-    }
-
-    fn submit_demand(&mut self, req: DcAccessReq, line: u64, block: u8, now: Cycle) {
-        let kind = req.kind;
-        let wants = req.wants_response && !kind.is_write();
-        let token = if wants {
-            let seq = self.next_demand_token;
-            self.next_demand_token += 1;
-            self.demand_inflight.insert(seq, (req, now));
-            TOK_DEMAND | seq
-        } else {
-            0
-        };
-        self.pending_hbm.push_back(DramRequest {
-            token: ReqId(token),
-            addr: self.data_addr(line, block),
-            kind,
-            class: if kind.is_write() {
-                TrafficClass::DemandWrite
-            } else {
-                TrafficClass::DemandRead
-            },
-            wants_completion: wants,
             probe: Probe::Data,
         });
     }
@@ -241,15 +209,8 @@ impl Tid {
                 // Serviced straight from the fill buffer.
                 self.stats.buffer_hits.inc();
                 self.stats.dc_access_time.record(buffer_latency);
-                self.ready_responses.push((
-                    now + buffer_latency,
-                    MemResp {
-                        token: req.token,
-                        addr: req.addr,
-                        kind: req.kind,
-                        core: req.core,
-                    },
-                ));
+                self.ready_responses
+                    .push((now + buffer_latency, req.response()));
             } else {
                 m.waiting.push((req, block, now));
             }
@@ -274,7 +235,7 @@ impl Tid {
                     self.push_metadata_write(line);
                 }
             }
-            self.submit_demand(req, line, block, now);
+            self.to_hbm.submit(req, self.data_addr(line, block), now);
             return true;
         }
 
@@ -314,7 +275,7 @@ impl Tid {
         // fill queue so the LLC answer is not serialized behind other
         // lines' fills (stores carry their own data; nothing to jump).
         if !req.kind.is_write() {
-            self.pending_ddr.push_front(DramRequest {
+            self.to_ddr.push_front(DramRequest {
                 token: ReqId(TOK_FILL | ((idx as u64) << 8) | block as u64),
                 addr: line * self.cfg.line_bytes + block as u64 * BLOCK_SIZE,
                 kind: AccessKind::Read,
@@ -330,7 +291,7 @@ impl Tid {
                 mshr.wb_reads_left = self.blocks_per_line();
                 mshr.wb_line = v.key;
                 for b in 0..self.blocks_per_line() as u8 {
-                    self.pending_hbm_bg.push_back(DramRequest {
+                    self.to_hbm_bg.push_back(DramRequest {
                         token: ReqId(TOK_WB | ((idx as u64) << 8) | b as u64),
                         addr: self.data_addr(v.key, b),
                         kind: AccessKind::Read,
@@ -357,7 +318,7 @@ impl Tid {
         let blocks = self.blocks_per_line();
         for idx in 0..self.mshrs.len() {
             // Bound per-MSHR queue pressure.
-            if self.pending_ddr.len() > 64 {
+            if self.to_ddr.len() > 64 {
                 break;
             }
             let Some(m) = self.mshrs[idx].as_mut() else {
@@ -377,7 +338,7 @@ impl Tid {
             }
             let line = m.line;
             for b in to_issue {
-                self.pending_ddr.push_back(DramRequest {
+                self.to_ddr.push_back(DramRequest {
                     token: ReqId(TOK_FILL | ((idx as u64) << 8) | b as u64),
                     addr: line * self.cfg.line_bytes + b as u64 * BLOCK_SIZE,
                     kind: AccessKind::Read,
@@ -405,22 +366,14 @@ impl Tid {
                     self.stats
                         .dc_access_time
                         .record(now.saturating_sub(arrival));
-                    self.ready_responses.push((
-                        now,
-                        MemResp {
-                            token: req.token,
-                            addr: req.addr,
-                            kind: req.kind,
-                            core: req.core,
-                        },
-                    ));
+                    self.ready_responses.push((now, req.response()));
                 } else {
                     i += 1;
                 }
             }
         }
         // Stream the block into the DRAM cache.
-        self.pending_hbm_bg.push_back(DramRequest {
+        self.to_hbm_bg.push_back(DramRequest {
             token: ReqId(0),
             addr: self.data_addr(line, block),
             kind: AccessKind::Write,
@@ -441,7 +394,7 @@ impl Tid {
             m.wb_reads_left = m.wb_reads_left.saturating_sub(1);
             wb_line = m.wb_line;
         }
-        self.pending_ddr.push_back(DramRequest {
+        self.to_ddr.push_back(DramRequest {
             token: ReqId(0),
             addr: wb_line * self.cfg.line_bytes + block as u64 * BLOCK_SIZE,
             kind: AccessKind::Write,
@@ -510,7 +463,7 @@ impl DcScheme for Tid {
     }
 
     fn can_accept(&self) -> bool {
-        self.retry.len() < 32 && self.pending_hbm.len() < 64 && self.pending_hbm_bg.len() < 256
+        self.retry.len() < 32 && self.to_hbm.len() < 64 && self.to_hbm_bg.len() < 256
     }
 
     fn access(&mut self, req: DcAccessReq, now: Cycle) {
@@ -520,13 +473,13 @@ impl DcScheme for Tid {
         }
     }
 
-    fn tick(
+    fn issue(
         &mut self,
-        now: Cycle,
+        _now: Cycle,
         hbm: &mut Dram,
         ddr: &mut Dram,
         _flush: &mut dyn CacheFlush,
-        events: &mut SchemeEvents,
+        _events: &mut SchemeEvents,
     ) {
         // Retry accesses stalled on MSHR pressure (in order).
         while let Some((req, arrived)) = self.retry.pop_front() {
@@ -539,64 +492,35 @@ impl DcScheme for Tid {
 
         // Push pending traffic: latency-critical demand first,
         // background metadata/fill/writeback after.
-        while let Some(r) = self.pending_hbm.pop_front() {
-            if let Err(back) = hbm.try_push(r) {
-                self.pending_hbm.push_front(back);
-                break;
-            }
-        }
-        while let Some(r) = self.pending_hbm_bg.pop_front() {
-            if let Err(back) = hbm.try_push(r) {
-                self.pending_hbm_bg.push_front(back);
-                break;
-            }
-        }
-        while let Some(r) = self.pending_ddr.pop_front() {
-            if let Err(back) = ddr.try_push(r) {
-                self.pending_ddr.push_front(back);
-                break;
-            }
-        }
+        self.to_hbm.drain(hbm);
+        self.to_hbm_bg.drain(hbm);
+        self.to_ddr.drain(ddr);
+    }
 
+    fn complete(
+        &mut self,
+        now: Cycle,
+        from_hbm: &[DramCompletion],
+        from_ddr: &[DramCompletion],
+        events: &mut SchemeEvents,
+    ) {
         // HBM completions: demand reads and writeback reads.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        hbm.tick(&mut scratch);
-        for c in scratch.drain(..) {
-            match c.token.0 & TOK_MASK {
-                TOK_DEMAND => {
-                    let seq = c.token.0 & !TOK_MASK;
-                    if let Some((req, arrived)) = self.demand_inflight.remove(&seq) {
-                        self.stats
-                            .dc_access_time
-                            .record(now.saturating_sub(arrived));
-                        events.responses.push(MemResp {
-                            token: req.token,
-                            addr: req.addr,
-                            kind: req.kind,
-                            core: req.core,
-                        });
-                    }
-                }
-                TOK_WB => {
-                    let idx = ((c.token.0 >> 8) & 0xffff_ffff_ffff) as usize;
-                    let block = (c.token.0 & 0xff) as u8;
-                    self.on_wb_read_done(idx, block);
-                }
-                _ => {}
+        for c in from_hbm {
+            if c.token.0 & TOK_MASK == TOK_WB {
+                let idx = ((c.token.0 >> 8) & 0xffff_ffff_ffff) as usize;
+                self.on_wb_read_done(idx, (c.token.0 & 0xff) as u8);
+            } else {
+                self.to_hbm.respond(c.token, now, &mut self.stats, events);
             }
         }
 
         // DDR completions: fill reads.
-        ddr.tick(&mut scratch);
-        for c in scratch.drain(..) {
+        for c in from_ddr {
             if c.token.0 & TOK_MASK == TOK_FILL {
                 let idx = ((c.token.0 >> 8) & 0xffff_ffff_ffff) as usize;
-                let block = (c.token.0 & 0xff) as u8;
-                self.on_fill_read_done(idx, block, now);
+                self.on_fill_read_done(idx, (c.token.0 & 0xff) as u8, now);
             }
         }
-        self.scratch = scratch;
 
         // Release time-delayed responses (fill-buffer hits).
         let mut i = 0;
@@ -617,9 +541,9 @@ impl DcScheme for Tid {
         // responses are timed; in-flight demand reads complete on HBM
         // device edges the system watches separately.
         if !self.retry.is_empty()
-            || !self.pending_hbm.is_empty()
-            || !self.pending_hbm_bg.is_empty()
-            || !self.pending_ddr.is_empty()
+            || !self.to_hbm.is_empty()
+            || !self.to_hbm_bg.is_empty()
+            || !self.to_ddr.is_empty()
             || self.mshrs.iter().any(Option::is_some)
         {
             return Some(now + 1);
@@ -646,7 +570,7 @@ impl DcScheme for Tid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::NoFlush;
+    use crate::scheme::harness::step;
     use nomad_dram::DramConfig;
     use nomad_types::{BlockAddr, MemTarget};
 
@@ -680,7 +604,7 @@ mod tests {
     ) -> Vec<MemResp> {
         let mut out = Vec::new();
         for now in from..from + cycles {
-            tid.tick(now, hbm, ddr, &mut NoFlush, ev);
+            step(tid, now, hbm, ddr, ev);
             out.append(&mut ev.responses);
             ev.clear();
         }

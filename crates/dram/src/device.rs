@@ -99,13 +99,6 @@ pub struct Dram {
     due: u64,
     scratch: Vec<ChannelCompletion>,
     obs: Option<DramObs>,
-    /// Wall-clock profiling of [`tick`](Self::tick) time, armed by the
-    /// simulator's hot-path profile. Off by default: the only cost then
-    /// is one predictable branch per tick, and the accumulated time
-    /// never feeds back into simulated state.
-    profile: bool,
-    /// Accumulated tick time in [`nomad_types::fastclock`] raw units.
-    profiled_raw: u64,
 }
 
 /// Sampled observability gauges for one DRAM device: traffic totals
@@ -141,31 +134,7 @@ impl Dram {
             queued: 0,
             scratch: Vec::new(),
             obs: None,
-            profile: false,
-            profiled_raw: 0,
         }
-    }
-
-    /// Arm (or disarm) wall-clock profiling of tick time. Purely
-    /// observational — simulated behaviour is identical either way.
-    pub fn set_profile(&mut self, on: bool) {
-        if on {
-            nomad_types::fastclock::init();
-        }
-        self.profile = on;
-    }
-
-    /// Time spent inside [`tick`](Self::tick) since the last
-    /// [`reset_profile`](Self::reset_profile), in
-    /// [`nomad_types::fastclock`] raw units; always 0 while profiling
-    /// is off.
-    pub fn profiled_raw(&self) -> u64 {
-        self.profiled_raw
-    }
-
-    /// Zero the profiled-time accumulator (e.g. at the end of warm-up).
-    pub fn reset_profile(&mut self) {
-        self.profiled_raw = 0;
     }
 
     /// Device configuration.
@@ -259,16 +228,6 @@ impl Dram {
 
     /// Advance one CPU cycle; completed transfers are appended to `out`.
     pub fn tick(&mut self, out: &mut Vec<DramCompletion>) {
-        if self.profile {
-            let t0 = nomad_types::fastclock::now();
-            self.tick_inner(out);
-            self.profiled_raw += nomad_types::fastclock::now().wrapping_sub(t0);
-        } else {
-            self.tick_inner(out);
-        }
-    }
-
-    fn tick_inner(&mut self, out: &mut Vec<DramCompletion>) {
         self.cpu_cycle += 1;
         self.stats.cpu_cycles += 1;
         self.clock_acc += self.cfg.cpu_per_dev_den;

@@ -36,14 +36,16 @@ use std::time::{Duration, Instant};
 
 /// Tuning knobs for the fleet router, heartbeats and ring.
 ///
-/// [`FleetConfig::from_env`] reads each fleet field from an
-/// environment variable (falling back to the default on unset or
+/// [`FleetConfig::from_env`] reads the heartbeat fields from
+/// environment variables (falling back to the default on unset or
 /// garbage) and the per-node transport budgets from the documented
-/// `NOMAD_SERVE_*` variables via [`ClientConfig::from_env`].
+/// `NOMAD_SERVE_*` variables via [`ClientConfig::from_env`]; the ring
+/// and breaker fields keep their defaults unless a caller sets them.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Virtual nodes per member on the hash ring
-    /// (`NOMAD_FLEET_VNODES`, default 64).
+    /// Virtual nodes per member on the hash ring (default 64). Ring
+    /// placement, and so every precomputed cell placement, depends on
+    /// it.
     pub vnodes: usize,
     /// Per-node transport and reconnect budgets (each node's ladder,
     /// [`nomad_serve::submit_ladder`]).
@@ -70,13 +72,12 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// The defaults, overridden by any `NOMAD_FLEET_*` /
+    /// The defaults, overridden by any `NOMAD_FLEET_HB_*` /
     /// `NOMAD_SERVE_*` environment variables that are set and parse.
     pub fn from_env() -> Self {
         use nomad_types::env;
         let d = FleetConfig::default();
         FleetConfig {
-            vnodes: env::usize_clamped("NOMAD_FLEET_VNODES", d.vnodes, 1, 4096),
             client: ClientConfig::from_env(),
             heartbeat_interval: env::ms_clamped(
                 "NOMAD_FLEET_HB_MS",
@@ -90,7 +91,7 @@ impl FleetConfig {
                 1,
                 u32::MAX as u64,
             ) as u32,
-            breaker: BreakerConfig::from_env(),
+            ..d
         }
     }
 }
@@ -107,17 +108,16 @@ impl FleetConfig {
 /// its peers' latency sheds its traffic without ever erroring.
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
-    /// Rolling outcome-window length (`NOMAD_FLEET_BREAKER_WINDOW`,
-    /// default 16, clamped 1..=1024).
+    /// Rolling outcome-window length (default 16; [`Breaker::new`]
+    /// clamps it to 1..=64).
     pub window: u32,
-    /// Failures within the window that trip the breaker
-    /// (`NOMAD_FLEET_BREAKER_FAILS`, default 8, clamped ≥ 1).
+    /// Failures within the window that trip the breaker (default 8).
     pub fail_threshold: u32,
-    /// How long a tripped breaker stays open before probing
-    /// (`NOMAD_FLEET_BREAKER_COOLDOWN_MS`, default 500).
+    /// How long a tripped breaker stays open before probing (default
+    /// 500 ms).
     pub cooldown: Duration,
-    /// Successes slower than this count as failures; zero disables the
-    /// latency rule (`NOMAD_FLEET_BREAKER_LATENCY_MS`, default 0).
+    /// Successes slower than this count as failures; zero (the
+    /// default) disables the latency rule.
     pub latency_threshold: Duration,
 }
 
@@ -128,34 +128,6 @@ impl Default for BreakerConfig {
             fail_threshold: 8,
             cooldown: Duration::from_millis(500),
             latency_threshold: Duration::ZERO,
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// The defaults, overridden by any `NOMAD_FLEET_BREAKER_*`
-    /// environment variables that are set and parse.
-    pub fn from_env() -> Self {
-        use nomad_types::env;
-        let d = BreakerConfig::default();
-        BreakerConfig {
-            window: env::u64_clamped("NOMAD_FLEET_BREAKER_WINDOW", d.window as u64, 1, 1024) as u32,
-            fail_threshold: env::u64_clamped(
-                "NOMAD_FLEET_BREAKER_FAILS",
-                d.fail_threshold as u64,
-                1,
-                1024,
-            ) as u32,
-            cooldown: env::ms_clamped(
-                "NOMAD_FLEET_BREAKER_COOLDOWN_MS",
-                d.cooldown.as_millis() as u64,
-                1,
-                u64::MAX,
-            ),
-            latency_threshold: env::ms_or(
-                "NOMAD_FLEET_BREAKER_LATENCY_MS",
-                d.latency_threshold.as_millis() as u64,
-            ),
         }
     }
 }

@@ -6,7 +6,7 @@ use crate::report::{ObsSeries, RunReport};
 use nomad_cache::{CacheLevel, TlbHierarchy, TlbLookup};
 use nomad_cpu::{per_width, Core, PendingMemOp};
 use nomad_dcache::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, SchemeStatsObs};
-use nomad_dram::Dram;
+use nomad_dram::{Dram, DramCompletion};
 use nomad_obs::{Registry, SnapshotLog, SpanRing, SIM_TRACKS, TRACK_LLC_MSHR};
 use nomad_trace::TraceSource;
 use nomad_types::{
@@ -66,9 +66,8 @@ const TRACE_COUNTERS: &[&str] = &[
     "cache.l3.mshr_occupancy",
 ];
 
-/// Wall-clock split of the dense-tick hot path, armed by the
-/// `NOMAD_HOT_PROFILE` environment variable (or
-/// [`System::enable_hot_profile`]). Purely observational: the counters
+/// Wall-clock split of the dense-tick hot path, armed by
+/// [`System::enable_hot_profile`]. Purely observational: the counters
 /// never feed back into simulated state, so profiled and unprofiled
 /// runs produce byte-identical [`RunReport`]s. Off (the default), the
 /// only residue on the tick path is a handful of `Option::is_some`
@@ -83,11 +82,12 @@ struct HotProfile {
     cpu_raw: u64,
     /// Phase 4: the SRAM hierarchy ([`System::tick_caches`]).
     cache_raw: u64,
-    /// Phase 5: scheme tick (which ticks both DRAM devices internally)
-    /// plus response/shootdown/wake delivery, or on a memory-quiet tick
-    /// the two device ticks alone. The DRAM share is carved out
-    /// afterwards from the devices' own profiled time.
-    scheme_raw: u64,
+    /// Phase 5 outside the device ticks: the scheme's issue and
+    /// complete plus response/shootdown/wake delivery (nothing on a
+    /// memory-quiet tick).
+    dcache_raw: u64,
+    /// Phase 5's two device ticks, lapped between issue and complete.
+    dram_raw: u64,
     /// Steps on which a cluster or the L3 ran, in the profiled window.
     dense_ticks: u64,
     /// Event-kernel bulk advances ([`System::skip`]) in the window.
@@ -108,17 +108,19 @@ struct HotProfile {
 
 /// Snapshot of the hot-path profile ([`System::hot_profile`]),
 /// suitable for JSON artifacts. The dcache/dram split divides phase 5:
-/// `dram_nanos` is wall time inside `Dram::tick` for both devices,
-/// `dcache_nanos` is the rest of the scheme tick.
+/// `dram_nanos` is wall time in the two device ticks, `dcache_nanos`
+/// the rest.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct HotProfileReport {
     /// Wall nanos in the core/translation/issue phases.
     pub cpu_nanos: u64,
     /// Wall nanos in the SRAM hierarchy phase.
     pub cache_nanos: u64,
-    /// Wall nanos in the scheme tick outside the DRAM devices.
+    /// Wall nanos in phase 5 outside the DRAM devices: the scheme's
+    /// issue and complete, and delivering what they emit.
     pub dcache_nanos: u64,
-    /// Wall nanos inside `Dram::tick` (HBM + DDR4).
+    /// Wall nanos in phase 5's `Dram::tick` calls (HBM + DDR4), which
+    /// the system laps between the scheme's issue and complete.
     pub dram_nanos: u64,
     /// Dense ticks in the profiled window: steps on which at least one
     /// cluster or the L3 ran (every step under [`System::run_dense`]).
@@ -181,6 +183,10 @@ pub struct System {
     scheme: Box<dyn DcScheme>,
     hbm: Dram,
     ddr: Dram,
+    /// Completions the last device ticks delivered, handed to the
+    /// scheme's complete (reused every cycle).
+    from_hbm: Vec<DramCompletion>,
+    from_ddr: Vec<DramCompletion>,
     cycle: Cycle,
     /// Page-table walks in flight, per core.
     walking: Vec<Vec<Walk>>,
@@ -291,6 +297,8 @@ impl System {
             scheme,
             hbm: Dram::new(cfg.hbm.clone()),
             ddr: Dram::new(cfg.ddr.clone()),
+            from_hbm: Vec::new(),
+            from_ddr: Vec::new(),
             cycle: 0,
             walking: (0..cfg.cores).map(|_| Vec::new()).collect(),
             blocked: (0..cfg.cores).map(|_| Vec::new()).collect(),
@@ -311,9 +319,6 @@ impl System {
         };
         if nomad_obs::enabled() {
             sys.install_obs();
-        }
-        if std::env::var_os("NOMAD_HOT_PROFILE").is_some() {
-            sys.enable_hot_profile();
         }
         sys
     }
@@ -340,26 +345,22 @@ impl System {
     }
 
     /// Arm the hot-path wall-time profile (see [`HotProfileReport`]).
-    /// Also armed by the `NOMAD_HOT_PROFILE` environment variable.
     /// Counters restart from zero at every [`reset_stats`](Self::reset_stats),
     /// so a warm-up phase never pollutes the measured window.
     pub fn enable_hot_profile(&mut self) {
         nomad_types::fastclock::init();
         self.hot = Some(HotProfile::default());
-        self.hbm.set_profile(true);
-        self.ddr.set_profile(true);
     }
 
     /// Snapshot the hot-path profile, or `None` when it is not armed.
     pub fn hot_profile(&self) -> Option<HotProfileReport> {
         let h = self.hot.as_ref()?;
         let to_nanos = nomad_types::fastclock::span_to_nanos;
-        let dram_raw = self.hbm.profiled_raw() + self.ddr.profiled_raw();
         Some(HotProfileReport {
             cpu_nanos: to_nanos(h.cpu_raw),
             cache_nanos: to_nanos(h.cache_raw),
-            dcache_nanos: to_nanos(h.scheme_raw.saturating_sub(dram_raw)),
-            dram_nanos: to_nanos(dram_raw),
+            dcache_nanos: to_nanos(h.dcache_raw),
+            dram_nanos: to_nanos(h.dram_raw),
             dense_ticks: h.dense_ticks,
             burst_ticks: h.burst_ticks,
             mem_quiet_ticks: h.mem_quiet_ticks,
@@ -575,8 +576,8 @@ impl System {
     /// only when due, and phase 5 runs only when phases 1–4 called into
     /// the scheme or the cycle reached `mem_next`; else the cycle is
     /// memory-quiet and phase 5 reduces to the devices' O(1) clock
-    /// ticks. A step on which every cluster and the L3 slept counts as
-    /// a burst tick, any other as a dense tick.
+    /// ticks, without the scheme. A step on which every cluster and the
+    /// L3 slept counts as a burst tick, any other as a dense tick.
     fn step(&mut self, full: bool) {
         let now = self.cycle;
         let mut mark = self.hot.as_ref().map(|_| nomad_types::fastclock::now());
@@ -602,15 +603,37 @@ impl System {
         let l3_ran = self.tick_caches(now, awake, full);
         self.lap(&mut mark, |h| &mut h.cache_raw);
 
-        // 5. Scheme + DRAM devices.
+        // 5. Scheme + DRAM devices — the system's only device ticks:
+        // the scheme issues, both devices tick, the scheme completes
+        // what they delivered.
         let mem_ran = full || now >= self.mem_next;
         if mem_ran {
-            self.tick_scheme(now);
-            self.deliver(now);
+            self.scheme_issue(now);
         } else {
-            self.tick_quiet_devices(now);
+            // A scheme call from phases 1–4 that forgot to mark the
+            // cycle shows up as a scheme wanting to run before
+            // `mem_next`.
+            debug_assert!(
+                self.scheme
+                    .next_activity_at(now - 1)
+                    .is_none_or(|t| t >= self.mem_next),
+                "scheme activity moved before mem_next {} at cycle {now}",
+                self.mem_next
+            );
         }
-        self.lap(&mut mark, |h| &mut h.scheme_raw);
+        self.lap(&mut mark, |h| &mut h.dcache_raw);
+        self.hbm.tick(&mut self.from_hbm);
+        self.ddr.tick(&mut self.from_ddr);
+        self.lap(&mut mark, |h| &mut h.dram_raw);
+        if mem_ran {
+            self.deliver(now);
+            self.lap(&mut mark, |h| &mut h.dcache_raw);
+        } else {
+            debug_assert!(
+                self.from_hbm.is_empty() && self.from_ddr.is_empty(),
+                "a memory-quiet tick delivered DRAM completions at cycle {now}"
+            );
+        }
         if let Some(h) = self.hot.as_mut() {
             if awake == 0 && !l3_ran {
                 h.burst_ticks += 1;
@@ -699,10 +722,10 @@ impl System {
         self.cluster_due[c] = self.cluster_due[c].min(at);
     }
 
-    /// Phase 5, first half: the scheme tick (which ticks both DRAM
-    /// devices), collecting what it emits for
-    /// [`deliver`](Self::deliver).
-    fn tick_scheme(&mut self, now: Cycle) {
+    /// Phase 5, before the device ticks: the scheme's issue, which
+    /// drains its queued requests into both devices, collecting what
+    /// it emits for [`deliver`](Self::deliver).
+    fn scheme_issue(&mut self, now: Cycle) {
         self.ev.clear();
         let mut flush = HierFlush {
             l1s: &mut self.l1s,
@@ -710,16 +733,21 @@ impl System {
             l3: &mut self.l3,
         };
         self.scheme
-            .tick(now, &mut self.hbm, &mut self.ddr, &mut flush, &mut self.ev);
+            .issue(now, &mut self.hbm, &mut self.ddr, &mut flush, &mut self.ev);
     }
 
-    /// Phase 5, second half: apply what the scheme tick emitted —
-    /// responses into the L3, forced TLB shootdowns, OS wakes with
-    /// their blocked translations re-walked next cycle — then recompute
-    /// `mem_next` from the post-tick state. A woken core's owed stall
-    /// cycles, this one included, are settled before the wake: its
-    /// phase 1 ran (or slept), still stalled, before phase 5.
+    /// Phase 5, after the device ticks: hand their completions to the
+    /// scheme's complete, then apply what its issue and complete
+    /// emitted — responses into the L3, forced TLB shootdowns, OS wakes
+    /// with their blocked translations re-walked next cycle — and
+    /// recompute `mem_next` from the post-tick state. A woken core's
+    /// owed stall cycles, this one included, are settled before the
+    /// wake: its phase 1 ran (or slept), still stalled, before phase 5.
     fn deliver(&mut self, now: Cycle) {
+        self.scheme
+            .complete(now, &self.from_hbm, &self.from_ddr, &mut self.ev);
+        self.from_hbm.clear();
+        self.from_ddr.clear();
         if !self.ev.responses.is_empty() {
             self.l3_due = self.l3_due.min(now + 1);
         }
@@ -756,26 +784,6 @@ impl System {
         self.mem_next = scheme_next
             .min(self.hbm.due_at() - 1)
             .min(self.ddr.due_at() - 1);
-    }
-
-    /// Phase 5 of a memory-quiet cycle: only the device clocks move.
-    fn tick_quiet_devices(&mut self, now: Cycle) {
-        // A scheme call from phases 1–4 that forgot to mark the cycle
-        // shows up as a scheme wanting to run before `mem_next`.
-        debug_assert!(
-            self.scheme
-                .next_activity_at(now - 1)
-                .is_none_or(|t| t >= self.mem_next),
-            "scheme activity moved before mem_next {} at cycle {now}",
-            self.mem_next
-        );
-        let mut delivered = Vec::new();
-        self.hbm.tick(&mut delivered);
-        self.ddr.tick(&mut delivered);
-        debug_assert!(
-            delivered.is_empty(),
-            "a memory-quiet tick delivered DRAM completions at cycle {now}"
-        );
     }
 
     fn process_walks(&mut self, now: Cycle, awake: u64) {
@@ -1250,8 +1258,6 @@ impl System {
         self.measured_cycles = 0;
         if let Some(h) = self.hot.as_mut() {
             *h = HotProfile::default();
-            self.hbm.reset_profile();
-            self.ddr.reset_profile();
         }
         if let Some(obs) = self.obs.as_mut() {
             obs.registry.reset_values();
