@@ -7,9 +7,8 @@
 //! the first, size 2 the first two, …), so later runs also exercise
 //! the shared cache tier: node 0 computed everything during the
 //! size-1 run, and when the size-2/size-4 rings route cells to other
-//! nodes, those nodes' workers probe node 0's cache and fetch instead
-//! of recomputing — observable as `fleet.probe_hits` /
-//! `fleet.remote_fetches`.
+//! nodes, those nodes' workers fetch from node 0's cache instead of
+//! recomputing — observable as `fleet.remote_fetches`.
 //!
 //! Every harness goes through the same executor, so a figure whose
 //! rows are folded from several cells (Fig. 14 here) holds the same
@@ -117,7 +116,6 @@ fn fleet_rows_match_local_at_every_size_and_width() {
 
     let fleet = nomad_obs::fleet();
     let routed_before = fleet.value("fleet.cells_routed").expect("metric");
-    let hits_before = fleet.value("fleet.probe_hits").expect("metric");
     let fetches_before = fleet.value("fleet.remote_fetches").expect("metric");
 
     let mut grids = 0u64;
@@ -138,13 +136,10 @@ fn fleet_rows_match_local_at_every_size_and_width() {
     );
     // Node 0 computed the whole grid during the size-1 runs; the
     // larger rings deterministically place some cells on other nodes,
-    // whose workers then probe node 0's cache and fetch the finished
-    // reports instead of recomputing.
-    let hits = fleet.value("fleet.probe_hits").expect("metric") - hits_before;
+    // whose workers then fetch the finished reports from node 0's
+    // cache instead of recomputing.
     let fetches = fleet.value("fleet.remote_fetches").expect("metric") - fetches_before;
-    assert!(hits > 0, "larger fleets must hit the shared cache tier");
-    assert!(fetches > 0, "every probe hit is followed by a fetch");
-    assert!(fetches <= hits, "fetches only happen after hits");
+    assert!(fetches > 0, "larger fleets must hit the shared cache tier");
 
     for handle in handles {
         handle.shutdown();

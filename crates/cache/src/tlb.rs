@@ -17,7 +17,7 @@
 //! event.
 
 use crate::page_table::FrameKind;
-use nomad_types::{Cycle, IntMap, NextActivity, Vpn};
+use nomad_types::{Cycle, IntMap, Vpn};
 use serde::{Deserialize, Serialize};
 
 /// A cached translation.
@@ -325,15 +325,6 @@ impl TlbHierarchy {
     /// Page-table-walk latency of this hierarchy's walker.
     pub fn walk_latency(&self) -> Cycle {
         self.cfg.walk_latency
-    }
-}
-
-impl NextActivity for TlbHierarchy {
-    /// TLBs have no clocked state at all — every lookup, insert, and
-    /// shootdown happens synchronously inside someone else's cycle —
-    /// so they never request a wake-up.
-    fn next_activity_at(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 

@@ -181,15 +181,12 @@ pub trait DcScheme {
     /// `walk` / DRAM completion can create work.
     ///
     /// The contract matches [`nomad_types::NextActivity`]: answering
-    /// *early* is always safe, answering *late* breaks dense/event
-    /// parity. The conservative default — "tick me every cycle" —
-    /// makes every scheme correct out of the box; implementations
-    /// override it to unlock skipping. DRAM-device activity is the
-    /// system's concern: the devices are queried separately, so a
+    /// *early* is always safe (`Some(now + 1)` ticks the scheme every
+    /// cycle), answering *late* breaks dense/event parity. There is no
+    /// default, so every scheme states its own. DRAM-device activity is
+    /// the system's concern: the devices are queried separately, so a
     /// scheme only reports its own queues and timers here.
-    fn next_activity_at(&self, now: Cycle) -> Option<Cycle> {
-        Some(now + 1)
-    }
+    fn next_activity_at(&self, now: Cycle) -> Option<Cycle>;
 
     /// TLB-residency notification: `vpn`'s translation entered `core`'s
     /// TLB hierarchy (TLB-directory set).

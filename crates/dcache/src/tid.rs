@@ -316,36 +316,34 @@ impl Tid {
     /// sequential.
     fn issue_fill_reads(&mut self) {
         let blocks = self.blocks_per_line();
-        for idx in 0..self.mshrs.len() {
+        let line_bytes = self.cfg.line_bytes;
+        for (idx, slot) in self.mshrs.iter_mut().enumerate() {
             // Bound per-MSHR queue pressure.
             if self.to_ddr.len() > 64 {
                 break;
             }
-            let Some(m) = self.mshrs[idx].as_mut() else {
+            let Some(m) = slot.as_mut() else {
                 continue;
             };
             let order = core::iter::once(m.critical as u32)
                 .chain((0..blocks).filter(|&b| b != m.critical as u32));
-            let mut to_issue = Vec::new();
+            let mut issued = 0;
             for b in order {
                 if m.issued & (1 << b) == 0 && m.fetched & (1 << b) == 0 {
                     m.issued |= 1 << b;
-                    to_issue.push(b as u8);
-                    if to_issue.len() >= 4 {
+                    self.to_ddr.push_back(DramRequest {
+                        token: ReqId(TOK_FILL | ((idx as u64) << 8) | b as u64),
+                        addr: m.line * line_bytes + b as u64 * BLOCK_SIZE,
+                        kind: AccessKind::Read,
+                        class: TrafficClass::Fill,
+                        wants_completion: true,
+                        probe: Probe::Data,
+                    });
+                    issued += 1;
+                    if issued >= 4 {
                         break; // issue throttle per tick
                     }
                 }
-            }
-            let line = m.line;
-            for b in to_issue {
-                self.to_ddr.push_back(DramRequest {
-                    token: ReqId(TOK_FILL | ((idx as u64) << 8) | b as u64),
-                    addr: line * self.cfg.line_bytes + b as u64 * BLOCK_SIZE,
-                    kind: AccessKind::Read,
-                    class: TrafficClass::Fill,
-                    wants_completion: true,
-                    probe: Probe::Data,
-                });
             }
         }
     }

@@ -8,9 +8,9 @@
 //!   labels, so placement is reproducible across runs and ephemeral
 //!   ports, and removing a node remaps only its arc.
 //! * **Shared cache reads** ([`router`]) — before computing, the
-//!   client probes every other node's content-addressed result cache
-//!   (`Probe`/`Fetch` protocol frames); a cell any node already
-//!   finished is fetched, not recomputed.
+//!   client reads every other node's content-addressed result cache
+//!   with one `Fetch` frame each; a cell any node already finished is
+//!   fetched, not recomputed.
 //! * **Cross-node work stealing** — a worker whose home node's queue
 //!   ran dry re-dispatches the tail of the longest straggler queue to
 //!   its idle home node, safe because jobs are idempotent and

@@ -14,9 +14,9 @@
 //! 2. **Breaker gate:** a node whose breaker is open loses the cell to
 //!    the next allowed slot, if there is one (the breaker is advisory;
 //!    death is the ladder's call).
-//! 3. **Probe before compute:** any *other* alive node with a closed
-//!    breaker whose cache holds the report (`Probe`) hands it over
-//!    (`Fetch`), on the heartbeat's short budgets; a transport error or
+//! 3. **Fetch before compute:** any *other* alive node with a closed
+//!    breaker whose cache holds the report hands it over in one `Fetch`
+//!    exchange, on the heartbeat's short budgets; a transport error or
 //!    timeout is a miss, never a node failure.
 //! 4. **The node's ladder** ([`nomad_serve::submit_ladder`]), over a
 //!    connection from the node's idle pool; it stops early once the
@@ -100,7 +100,7 @@ impl FleetClient {
     /// Without a `budget` the answer is a `Report` (from a node, a
     /// peer's cache or an in-process run) or the error of a panicking
     /// local run. With one, no connect, exchange or sleep outlives it
-    /// (peer probes included) and nothing runs in-process: a job no
+    /// (peer fetches included) and nothing runs in-process: a job no
     /// node answered in time comes back `Expired`, `Overloaded`,
     /// `Failed` or as the last node's transport error.
     pub fn submit(&self, job: &JobSpec, budget: Option<Duration>) -> io::Result<Response> {
@@ -191,7 +191,7 @@ impl FleetClient {
             if !self.members.breaker_allows(node) {
                 node = self.members.route_around(node).unwrap_or(node);
             }
-            if let Some(report) = self.probe_peers(key, &canonical, node, deadline) {
+            if let Some(report) = self.fetch_from_peers(key, &canonical, node, deadline) {
                 return Ok(Response::Report {
                     cached: true,
                     report,
@@ -258,11 +258,11 @@ impl FleetClient {
     }
 
     /// Ask every alive node except `target` whose breaker is closed
-    /// whether it holds this job's report; fetch on the first hit.
-    /// Each exchange runs on the control budgets, within `deadline`.
-    /// Transport errors and timeouts are cache misses, not health
-    /// signals.
-    fn probe_peers(
+    /// for this job's report, one `Fetch` each, until one hands it
+    /// over. Each exchange runs on the control budgets, within
+    /// `deadline`. Transport errors and timeouts are cache misses, not
+    /// health signals.
+    fn fetch_from_peers(
         &self,
         key: u64,
         canonical: &str,
@@ -285,14 +285,7 @@ impl FleetClient {
             let Ok(mut client) = client else {
                 continue;
             };
-            let answer = client.probe(key, canonical).and_then(|hit| {
-                if !hit {
-                    return Ok(None);
-                }
-                nomad_obs::fleet().probe_hits.inc();
-                client.fetch(key, canonical)
-            });
-            let Ok(fetched) = answer else {
+            let Ok(fetched) = client.fetch(key, canonical) else {
                 continue;
             };
             self.idle[peer].lock().expect("pool lock").push(client);
@@ -304,8 +297,8 @@ impl FleetClient {
         None
     }
 
-    /// Budgets of the control exchanges (heartbeat pings, cache
-    /// probes), which a healthy node answers at once: a stalled node
+    /// Budgets of the control exchanges (heartbeat pings, peer
+    /// fetches), which a healthy node answers at once: a stalled node
     /// costs each a short wait, never the full transport timeout.
     fn control_cfg(&self) -> ClientConfig {
         let client = &self.cfg.client;

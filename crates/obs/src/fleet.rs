@@ -1,6 +1,6 @@
 //! Process-wide fleet-router counters.
 //!
-//! The fleet tier (consistent-hash routing, shared cache probes,
+//! The fleet tier (consistent-hash routing, shared cache reads,
 //! work stealing, membership failover) spans nomad-fleet, nomad-serve
 //! and nomad-bench, so — exactly like [`crate::resilience()`] — its
 //! counters live in one process-global registry rather than in any
@@ -24,9 +24,6 @@ pub struct Fleet {
     /// Cells assigned to a node's arc by the hash ring
     /// (`fleet.cells_routed`).
     pub cells_routed: Counter,
-    /// Peer-cache probes that found a completed result on a non-owner
-    /// node (`fleet.probe_hits`).
-    pub probe_hits: Counter,
     /// Cells answered by fetching a cached report from a non-owner
     /// node instead of computing (`fleet.remote_fetches`).
     pub remote_fetches: Counter,
@@ -50,12 +47,6 @@ impl Fleet {
                 "cells",
                 "fleet",
                 "Cells assigned to a node's arc by the consistent-hash ring",
-            ),
-            probe_hits: registry.counter(
-                "fleet.probe_hits",
-                "cells",
-                "fleet",
-                "Peer-cache probes that found a completed result on a non-owner node",
             ),
             remote_fetches: registry.counter(
                 "fleet.remote_fetches",
@@ -126,7 +117,6 @@ mod tests {
                 "fleet.cells_routed",
                 "fleet.failovers",
                 "fleet.heartbeat_misses",
-                "fleet.probe_hits",
                 "fleet.remote_fetches",
                 "fleet.steals",
             ]

@@ -42,60 +42,60 @@ pub struct JobFailure {
     pub error: String,
     /// Execution attempts consumed (0 if the job never started).
     pub attempts: u32,
+    /// The job was shed (deadline-expired or CoDel) rather than failed:
+    /// it never ran, and a retry with more budget (or less load) may
+    /// succeed. The server answers a shed with
+    /// [`Response::Expired`](crate::proto::Response::Expired) instead
+    /// of `Failed`.
+    pub shed: bool,
 }
 
 /// The outcome of one job execution.
 pub type JobResult = Result<Arc<RunReport>, JobFailure>;
 
-/// Error prefix marking a deadline-expired shed (see
-/// [`JobFailure::expired`]).
-const EXPIRED_PREFIX: &str = "deadline expired";
-
-/// Error prefix marking a CoDel queue-delay shed (see
-/// [`JobFailure::codel_shed`]).
-const CODEL_PREFIX: &str = "shed by queue-delay controller";
-
 impl JobFailure {
+    /// A job that failed (or never started, with `attempts` 0) for
+    /// a reason other than shedding.
+    pub fn failed(error: impl Into<String>, attempts: u32) -> Self {
+        JobFailure {
+            error: error.into(),
+            attempts,
+            shed: false,
+        }
+    }
+
+    fn shed(error: String) -> Self {
+        JobFailure {
+            error,
+            attempts: 0,
+            shed: true,
+        }
+    }
+
     /// A deadline-expired shed: the job was dropped without running
     /// because its budget could not be (or was not) met. `where_` names
     /// the checkpoint (admission, queue, pre-execute) for the error
     /// text.
     pub fn expired(where_: &str, waited_ms: u64) -> Self {
-        JobFailure {
-            error: format!("{EXPIRED_PREFIX} at {where_} after {waited_ms} ms"),
-            attempts: 0,
-        }
+        Self::shed(format!("deadline expired at {where_} after {waited_ms} ms"))
     }
 
     /// An admission-time shed: the estimated queue wait alone already
     /// exceeds the job's deadline budget, so enqueueing it would only
     /// manufacture expired work.
     pub fn admit_expired(estimated_wait_ms: u64, deadline_ms: u64) -> Self {
-        JobFailure {
-            error: format!(
-                "{EXPIRED_PREFIX} at admission: estimated {estimated_wait_ms} ms wait \
-                 exceeds the {deadline_ms} ms budget"
-            ),
-            attempts: 0,
-        }
+        Self::shed(format!(
+            "deadline expired at admission: estimated {estimated_wait_ms} ms wait \
+             exceeds the {deadline_ms} ms budget"
+        ))
     }
 
     /// A CoDel shed: sojourn time exceeded the queue-delay target while
     /// a backlog remained.
     pub fn codel_shed(sojourn_ms: u64, target_ms: u64) -> Self {
-        JobFailure {
-            error: format!("{CODEL_PREFIX}: {sojourn_ms} ms sojourn over {target_ms} ms target"),
-            attempts: 0,
-        }
-    }
-
-    /// Whether this failure is a shed (deadline-expired or CoDel) —
-    /// i.e. the job never ran and a retry with more budget (or less
-    /// load) may succeed. The server maps shed failures to
-    /// [`Response::Expired`](crate::proto::Response::Expired) instead
-    /// of `Failed`.
-    pub fn is_shed(&self) -> bool {
-        self.error.starts_with(EXPIRED_PREFIX) || self.error.starts_with(CODEL_PREFIX)
+        Self::shed(format!(
+            "shed by queue-delay controller: {sojourn_ms} ms sojourn over {target_ms} ms target"
+        ))
     }
 }
 
@@ -124,43 +124,26 @@ impl Flight {
         }
     }
 
-    /// Block until the result is published.
-    pub fn wait(&self) -> JobResult {
-        let mut slot = self.slot.lock().expect("flight lock");
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
-            }
-            slot = self.done.wait(slot).expect("flight lock");
-        }
-    }
-
-    /// [`wait`](Self::wait) with an optional deadline: returns `None`
-    /// once `deadline` passes with no result published. The flight
-    /// itself stays valid — a coalesced waiter giving up does not
-    /// disturb the runner or other waiters. `deadline: None` waits
-    /// forever, exactly like [`wait`](Self::wait).
+    /// Block until the result is published, or until `deadline`
+    /// passes with none (`None`; `deadline: None` waits forever). The
+    /// flight itself stays valid — a coalesced waiter giving up does
+    /// not disturb the runner or other waiters.
     pub fn wait_until(&self, deadline: Option<std::time::Instant>) -> Option<JobResult> {
-        let Some(deadline) = deadline else {
-            return Some(self.wait());
-        };
         let mut slot = self.slot.lock().expect("flight lock");
         loop {
             if let Some(result) = slot.as_ref() {
                 return Some(result.clone());
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, timeout) = self
-                .done
-                .wait_timeout(slot, deadline - now)
-                .expect("flight lock");
-            slot = guard;
-            if timeout.timed_out() && slot.is_none() {
-                return None;
-            }
+            slot = match deadline {
+                None => self.done.wait(slot).expect("flight lock"),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(std::time::Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.done.wait_timeout(slot, left).expect("flight lock").0
+                }
+            };
         }
     }
 }
@@ -280,13 +263,13 @@ impl ResultCache {
         }
     }
 
-    /// A pure read for the `Probe`/`Fetch` protocol frames: the
-    /// completed report cached under this `(key, canonical)` identity,
-    /// or `None` (in-flight jobs are `None` too — a probe never
-    /// blocks). Unlike [`claim`](Self::claim) this touches neither
-    /// the hit/miss counters nor any in-flight slot, so fleet probes do
-    /// not skew a node's submission statistics; a stored report it
-    /// reads is kept like any other.
+    /// A pure read for the `Fetch` protocol frame: the completed
+    /// report cached under this `(key, canonical)` identity, or `None`
+    /// (in-flight jobs are `None` too — a fetch never blocks). Unlike
+    /// [`claim`](Self::claim) this touches neither the hit/miss
+    /// counters nor any in-flight slot, so fleet fetches do not skew a
+    /// node's submission statistics; a stored report it reads is kept
+    /// like any other.
     pub fn lookup(&self, key: u64, canonical: &str) -> Option<Arc<RunReport>> {
         let map = self.map_with(key, canonical);
         match map.get(&key) {
@@ -374,7 +357,8 @@ mod tests {
             panic!("first claim must run");
         };
         cache.complete(42, Ok(Arc::clone(&r)));
-        assert_eq!(flight.wait().expect("success").cycles, r.cycles);
+        let done = flight.wait_until(None).expect("published");
+        assert_eq!(done.expect("success").cycles, r.cycles);
         let Claim::Hit(hit) = cache.claim(42, "job-a") else {
             panic!("second claim must hit");
         };
@@ -395,7 +379,8 @@ mod tests {
         };
         let r = report();
         cache.complete(7, Ok(Arc::clone(&r)));
-        assert_eq!(waiter.wait().expect("success").cycles, r.cycles);
+        let done = waiter.wait_until(None).expect("published");
+        assert_eq!(done.expect("success").cycles, r.cycles);
         assert_eq!(cache.hits(), 1);
     }
 
@@ -405,14 +390,9 @@ mod tests {
         let Claim::Run(flight) = cache.claim(9, "job") else {
             panic!("runner");
         };
-        cache.complete(
-            9,
-            Err(JobFailure {
-                error: "panicked".into(),
-                attempts: 3,
-            }),
-        );
-        assert_eq!(flight.wait().expect_err("failure").attempts, 3);
+        cache.complete(9, Err(JobFailure::failed("panicked", 3)));
+        let done = flight.wait_until(None).expect("published");
+        assert_eq!(done.expect_err("failure").attempts, 3);
         assert_eq!(cache.entries(), 0);
         // The next identical submission runs again.
         assert!(matches!(cache.claim(9, "job"), Claim::Run(_)));
@@ -456,7 +436,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A `Probe`/`Fetch` lookup reads a stored job too, and keeps it.
+    /// A `Fetch` lookup reads a stored job too, and keeps it.
     #[test]
     fn lookup_reads_a_stored_job() {
         if crate::store::obs_turns_the_store_off() {
@@ -520,13 +500,7 @@ mod tests {
             let Claim::Run(_) = cache.claim(5, "job") else {
                 panic!("runner");
             };
-            cache.complete(
-                5,
-                Err(JobFailure {
-                    error: "boom".into(),
-                    attempts: 1,
-                }),
-            );
+            cache.complete(5, Err(JobFailure::failed("boom", 1)));
         }
         let cache = ResultCache::with_dir(Some(dir.clone()));
         assert!(matches!(cache.claim(5, "job"), Claim::Run(_)));

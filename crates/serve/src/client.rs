@@ -190,7 +190,10 @@ impl Client {
 
     /// Submit one job: one exchange, no retry (see [`submit_ladder`]).
     pub fn submit(&mut self, job: &JobSpec) -> io::Result<Response> {
-        self.request(&Request::Submit(job.clone()))
+        self.request(&Request::Submit {
+            job: job.clone(),
+            deadline_ms: None,
+        })
     }
 
     /// Submit one job with a relative deadline budget (milliseconds
@@ -202,23 +205,10 @@ impl Client {
         job: &JobSpec,
         budget: Duration,
     ) -> io::Result<Response> {
-        self.request(&Request::SubmitDeadline {
+        self.request(&Request::Submit {
             job: job.clone(),
-            deadline_ms: budget.as_millis() as u64,
+            deadline_ms: Some(budget.as_millis() as u64),
         })
-    }
-
-    /// Ask whether the server's cache holds a completed result for
-    /// this `(key, canonical)` identity. A pure read — never executes
-    /// or coalesces (see [`Request::Probe`]).
-    pub fn probe(&mut self, key: u64, canonical: &str) -> io::Result<bool> {
-        match self.request(&Request::Probe {
-            key,
-            canonical: canonical.to_string(),
-        })? {
-            Response::ProbeResult { hit } => Ok(hit),
-            other => Err(unexpected("ProbeResult", &other)),
-        }
     }
 
     /// Fetch the cached report for this `(key, canonical)` identity
@@ -281,9 +271,9 @@ fn unexpected(wanted: &str, got: &Response) -> io::Error {
 ///
 /// With a `deadline`, every connect, exchange and sleep is capped by
 /// the time left when it starts (a connection carries that cap as its
-/// I/O timeout), each `SubmitDeadline` frame carries only the budget
-/// left, and a sleep that would outlive the deadline ends the call at
-/// once with a client-side `Response::Expired`.
+/// I/O timeout), each `Submit` frame carries only the budget left,
+/// and a sleep that would outlive the deadline ends the call at once
+/// with a client-side `Response::Expired`.
 ///
 /// `give_up` is asked before every sleep and every connect; once it
 /// says so (the caller was cancelled, or the node was declared dead
@@ -319,9 +309,11 @@ pub fn submit_ladder(
                 conn.insert(client)
             }),
         };
-        let answer = client.and_then(|client| match deadline {
-            None => client.submit(job),
-            Some(d) => client.submit_with_deadline(job, time_left(d)),
+        let answer = client.and_then(|client| {
+            client.request(&Request::Submit {
+                job: job.clone(),
+                deadline_ms: deadline.map(|d| time_left(d).as_millis() as u64),
+            })
         });
         pause = match answer {
             Ok(Response::Overloaded { retry_after_ms }) => {

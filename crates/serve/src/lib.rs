@@ -13,23 +13,25 @@
 //!   submissions beyond capacity are rejected with a retry-after hint
 //!   instead of queueing unboundedly.
 //! * **Worker pool** ([`worker`]) — shards jobs across OS threads;
-//!   every attempt runs under `catch_unwind` with a wall-clock
-//!   timeout, and panics are retried up to a budget so one poisoned
-//!   job cannot take the service down.
+//!   every attempt runs on its worker thread under `catch_unwind`,
+//!   with a cancel token that expires at the wall-clock timeout, and
+//!   panics are retried up to a budget so one poisoned job cannot take
+//!   the service down.
 //! * **Result cache** ([`cache`]) — content-addressed by the FNV-1a 64
 //!   hash of the job's canonical JSON, with single-flight coalescing:
 //!   identical concurrent submissions ride on one execution. The
-//!   `Probe`/`Fetch` protocol frames expose it read-only over the
-//!   wire, so a fleet router (`nomad-fleet`) can treat every node's
-//!   cache as one shared tier — any node can answer any previously
-//!   computed cell regardless of ring placement.
+//!   `Fetch` protocol frame exposes it read-only over the wire, so a
+//!   fleet router (`nomad-fleet`) can treat every node's cache as one
+//!   shared tier — any node can answer any previously computed cell
+//!   regardless of ring placement.
 //! * **Result store** ([`store`]) — the on-disk side of the cache: one
 //!   `<key>.json` document per finished job, stamped with
 //!   [`nomad_sim::MODEL_EPOCH`]. A node spills to it and reads a
 //!   job's document on the job's first request; the figure harnesses
 //!   record their cells in the same format.
 //! * **Overload protection** ([`overload`]) — per-job deadline
-//!   budgets carried on the wire (`Request::SubmitDeadline`), an
+//!   budgets carried on the wire (`Request::Submit`'s optional
+//!   `deadline_ms`), an
 //!   admission controller that sheds work whose estimated wait exceeds
 //!   its budget, a CoDel-style queue-delay shedder, and dynamic
 //!   `Overloaded { retry_after_ms }` backpressure hints scaled by

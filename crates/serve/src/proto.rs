@@ -98,9 +98,9 @@ impl JobSpec {
 
     /// [`run_local`](Self::run_local) with cooperative cancellation:
     /// the simulation polls `cancel` at event boundaries and returns
-    /// `None` promptly once it is cancelled (used by the worker pool's
-    /// timeout path so an overrunning attempt does not keep burning a
-    /// CPU in the background).
+    /// `None` promptly once it is cancelled (the worker pool runs each
+    /// attempt under a token that expires at its timeout, so an
+    /// overrunning attempt hands its worker back).
     pub fn run_local_cancellable(&self, cancel: &CancelToken) -> Option<RunReport> {
         runner::run_one_cancellable(
             &self.cfg,
@@ -118,48 +118,42 @@ impl JobSpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[allow(clippy::large_enum_variant)]
 pub enum Request {
-    /// Run (or fetch the cached result of) one job.
-    Submit(JobSpec),
-    /// [`Submit`](Request::Submit) with a deadline budget. The budget
-    /// is *relative* (milliseconds from the server receiving the
-    /// frame), so it survives clock skew between client and server.
-    /// The server sheds the job — [`Response::Expired`] — instead of
-    /// executing it once the budget cannot be met: at admission (the
-    /// estimated queue wait already exceeds it), at dequeue, and
-    /// immediately before each execution attempt. Cache hits are
-    /// always served: they cost no queue time.
+    /// Run (or fetch the cached result of) one job, optionally within
+    /// a deadline budget.
+    ///
+    /// The budget is *relative* (milliseconds from the server
+    /// receiving the frame), so it survives clock skew between client
+    /// and server. The server sheds a budgeted job —
+    /// [`Response::Expired`] — instead of executing it once the budget
+    /// cannot be met: at admission (the estimated queue wait already
+    /// exceeds it), at dequeue, and immediately before each execution
+    /// attempt. Cache hits are always served: they cost no queue time.
     ///
     /// The deadline is deliberately **not** part of [`JobSpec`]: the
     /// same experiment submitted with different budgets must keep one
     /// content key, or caching and fleet placement would fracture.
-    SubmitDeadline {
-        /// The job itself (content-addressed exactly like `Submit`).
+    Submit {
+        /// The job itself (content-addressed by
+        /// [`JobSpec::content_key`]).
         job: JobSpec,
-        /// Deadline budget in milliseconds from frame receipt. Zero
-        /// means "already expired" and is shed at admission.
-        deadline_ms: u64,
+        /// Deadline budget in milliseconds from frame receipt; `None`
+        /// (or an absent field) means no deadline. Zero means "already
+        /// expired" and is shed at admission.
+        deadline_ms: Option<u64>,
     },
-    /// Does this node's cache hold a completed result for the job
-    /// with this `(key, canonical)` identity? A pure read: never
-    /// executes, never coalesces, never perturbs the hit/miss
-    /// counters. The fleet router uses this to find which node can
-    /// answer a cell before asking any node to compute it.
-    Probe {
+    /// Return the cached report for this `(key, canonical)` identity
+    /// without executing anything: `Report { cached: true, .. }` on a
+    /// hit, [`Response::NotCached`] otherwise (in-flight jobs also
+    /// answer `NotCached` — a fetch never blocks). A pure read: it
+    /// never coalesces and never perturbs the hit/miss counters. The
+    /// fleet router reads every other node's cache this way before it
+    /// asks any node to compute a cell.
+    Fetch {
         /// FNV-1a 64 of the canonical JSON ([`JobSpec::content_key`]).
         key: u64,
         /// The canonical JSON itself, verified against the cached
         /// entry so a 64-bit collision reads as a miss, never as a
         /// wrong report.
-        canonical: String,
-    },
-    /// Return the cached report for this `(key, canonical)` identity
-    /// without executing anything: `Report { cached: true, .. }` on a
-    /// hit, [`Response::NotCached`] otherwise (in-flight jobs also
-    /// answer `NotCached` — a fetch never blocks).
-    Fetch {
-        /// FNV-1a 64 of the canonical JSON.
-        key: u64,
-        /// The canonical JSON, verified like in `Probe`.
         canonical: String,
     },
     /// Report service statistics.
@@ -208,11 +202,6 @@ pub enum Response {
         error: String,
         /// Execution attempts consumed (0 if the job never started).
         attempts: u32,
-    },
-    /// Answer to a [`Request::Probe`].
-    ProbeResult {
-        /// Whether a completed, identity-verified result is cached.
-        hit: bool,
     },
     /// Answer to a [`Request::Fetch`] whose identity is not in the
     /// cache (or still in flight): the caller should compute the job
@@ -295,7 +284,7 @@ impl StatsSnapshot {
 }
 
 /// Largest request frame, terminator included, that the server reads:
-/// 1 MiB. `JobSpec`, `Probe` and `Fetch` frames are a few KB.
+/// 1 MiB. `Submit` and `Fetch` frames are a few KB.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Write one message as a JSON line, in a single `write_all`, and
@@ -387,14 +376,17 @@ mod tests {
     /// One of each request variant.
     fn every_request() -> Vec<Request> {
         vec![
-            Request::Submit(demo_job()),
-            Request::SubmitDeadline {
+            Request::Submit {
                 job: demo_job(),
-                deadline_ms: 400,
+                deadline_ms: None,
             },
-            Request::Probe {
-                key: demo_job().content_key(),
-                canonical: demo_job().canonical_json(),
+            Request::Submit {
+                job: demo_job(),
+                deadline_ms: Some(0),
+            },
+            Request::Submit {
+                job: demo_job(),
+                deadline_ms: Some(400),
             },
             Request::Fetch {
                 key: demo_job().content_key(),
@@ -421,8 +413,6 @@ mod tests {
                 error: "panicked: boom".into(),
                 attempts: 3,
             },
-            Response::ProbeResult { hit: true },
-            Response::ProbeResult { hit: false },
             Response::NotCached,
             Response::Stats(StatsSnapshot {
                 queue_depth: 1,
@@ -531,14 +521,14 @@ mod tests {
 
     #[test]
     fn request_frames_are_capped_and_responses_are_not() {
-        let probe = |len: usize| Request::Probe {
+        let fetch = |len: usize| Request::Fetch {
             key: 1,
             canonical: "x".repeat(len),
         };
-        let framing = serde_json::to_string(&probe(0)).expect("json").len() + 1;
+        let framing = serde_json::to_string(&fetch(0)).expect("json").len() + 1;
         let frame = |len: usize| {
             let mut buf = Vec::new();
-            write_frame(&mut buf, &probe(len)).expect("write");
+            write_frame(&mut buf, &fetch(len)).expect("write");
             std::io::Cursor::new(buf)
         };
 
@@ -596,6 +586,22 @@ mod tests {
             job.cfg.cores = cores;
             assert_eq!(job.validate().is_ok(), ok, "cores = {cores}");
         }
+    }
+
+    /// A `Submit` frame that leaves `deadline_ms` out carries no
+    /// deadline.
+    #[test]
+    fn submit_without_a_budget_field_has_no_deadline() {
+        let job = serde_json::to_string(&demo_job()).expect("json");
+        let line = format!("{{\"Submit\":{{\"job\":{job}}}}}\n");
+        let got = read_request(&mut std::io::Cursor::new(line)).expect("read");
+        assert_eq!(
+            got,
+            Some(Request::Submit {
+                job: demo_job(),
+                deadline_ms: None,
+            })
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! One thread accepts connections (non-blocking, polling the shutdown
 //! flag); each connection gets a handler thread speaking the
 //! line-delimited JSON protocol of [`crate::proto`]. `Submit`
-//! consults the result cache, enqueues on a miss, and blocks the
+//! consults the result cache, enqueues on a miss (one path for a cache
+//! runner and a content-key collision alike), and blocks the
 //! connection until the job resolves — so a connection is one lane of
 //! synchronous requests, and concurrency comes from opening more
 //! connections.
@@ -16,7 +17,7 @@
 //! queue with "server shutting down", and stops accepting. Blocked
 //! submitters therefore always get an answer.
 
-use crate::cache::{Claim, JobFailure, ResultCache};
+use crate::cache::{Claim, Flight, JobFailure, ResultCache};
 use crate::overload::{self, OverloadConfig};
 use crate::proto::{self, MetricRow, Request, Response, StatsSnapshot};
 use crate::queue::{BoundedQueue, PushError};
@@ -135,14 +136,7 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue.close();
         for job in self.queue.drain_now() {
-            let failure = Err(JobFailure {
-                error: "server shutting down".to_string(),
-                attempts: 0,
-            });
-            match job.resolve {
-                Resolve::Cache(key) => self.cache.complete(key, failure),
-                Resolve::Direct(flight) => flight.complete(failure),
-            }
+            job.complete(Err(JobFailure::failed(SHUTTING_DOWN, 0)));
         }
     }
 }
@@ -221,7 +215,6 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let pool = WorkerPool::spawn(
         cfg.workers,
         Arc::clone(&shared.queue),
-        Arc::clone(&shared.cache),
         Arc::clone(&shared.stats),
         cfg.job_timeout,
         cfg.retry_budget,
@@ -289,13 +282,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
             Err(e) => return Err(e),
         };
         let response = match request {
-            Request::Submit(spec) => handle_submit(spec, None, &shared),
-            Request::SubmitDeadline { job, deadline_ms } => {
-                handle_submit(job, Some(deadline_ms), &shared)
-            }
-            Request::Probe { key, canonical } => Response::ProbeResult {
-                hit: shared.cache.lookup(key, &canonical).is_some(),
-            },
+            Request::Submit { job, deadline_ms } => handle_submit(job, deadline_ms, &shared),
             Request::Fetch { key, canonical } => match shared.cache.lookup(key, &canonical) {
                 Some(report) => Response::Report {
                     cached: true,
@@ -315,10 +302,13 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
     }
 }
 
+/// The answer to a submission the server refuses for shutdown.
+const SHUTTING_DOWN: &str = "server shutting down";
+
 /// Map a resolved job failure to its wire response: sheds (deadline,
 /// CoDel) answer `Expired`, real failures answer `Failed`.
 fn failure_response(failure: JobFailure) -> Response {
-    if failure.is_shed() {
+    if failure.shed {
         Response::Expired {
             error: failure.error,
         }
@@ -326,6 +316,36 @@ fn failure_response(failure: JobFailure) -> Response {
         Response::Failed {
             error: failure.error,
             attempts: failure.attempts,
+        }
+    }
+}
+
+/// Wait on `flight` until it resolves or `deadline` passes, and map
+/// the outcome to the submitter's response. `cached` marks a report
+/// served without running a new simulation for this request; `waiting`
+/// names what the submitter waited on, for the expiry message.
+fn await_flight(
+    flight: &Flight,
+    deadline: Option<Instant>,
+    cached: bool,
+    waiting: &str,
+) -> Response {
+    match flight.wait_until(deadline) {
+        Some(Ok(report)) => Response::Report {
+            cached,
+            report: (*report).clone(),
+        },
+        Some(Err(failure)) => failure_response(failure),
+        None => {
+            // The budget died first. The job itself (queued, running or
+            // coalesced onto) is undisturbed: the dequeue and
+            // pre-execute checkpoints shed or finish it, and whoever
+            // else waits on it still gets its result — this submitter
+            // just stops waiting for an answer that is already late.
+            nomad_obs::overload().queue_shed.inc();
+            Response::Expired {
+                error: format!("deadline expired while {waiting}"),
+            }
         }
     }
 }
@@ -381,141 +401,58 @@ fn handle_submit(
         };
     }
     if shared.shutdown.load(Ordering::SeqCst) {
-        return Response::Failed {
-            error: "server shutting down".to_string(),
-            attempts: 0,
-        };
+        return failure_response(JobFailure::failed(SHUTTING_DOWN, 0));
     }
     // Relative budget → absolute deadline, pinned at frame receipt.
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     let canonical = spec.canonical_json();
     let key = nomad_types::hash::fnv1a(canonical.as_bytes());
-    match shared.cache.claim(key, &canonical) {
+    let (flight, resolve) = match shared.cache.claim(key, &canonical) {
         // Hits always serve: they cost no queue time, so even a zero
         // budget is met.
-        Claim::Hit(report) => Response::Report {
-            cached: true,
-            report: (*report).clone(),
-        },
-        Claim::Wait(flight) => match flight.wait_until(deadline) {
-            Some(Ok(report)) => Response::Report {
+        Claim::Hit(report) => {
+            return Response::Report {
                 cached: true,
                 report: (*report).clone(),
-            },
-            Some(Err(failure)) => failure_response(failure),
-            None => {
-                // The budget died while coalesced behind an identical
-                // in-flight job; give up waiting (the runner and any
-                // other waiters are undisturbed).
-                nomad_obs::overload().queue_shed.inc();
-                Response::Expired {
-                    error: "deadline expired while coalesced onto an in-flight job".to_string(),
-                }
-            }
-        },
-        Claim::Run(flight) => {
-            if let Some(shed) = admission_shed(shared, deadline_ms) {
-                // Un-register the in-flight slot so coalesced waiters
-                // (and future submissions) are not stuck behind a job
-                // that never ran.
-                shared.cache.complete(key, Err(shed.clone()));
-                return failure_response(shed);
-            }
-            let job = Job {
-                spec,
-                resolve: Resolve::Cache(key),
-                submitted: Instant::now(),
-                deadline,
-            };
-            match shared.queue.try_push(job) {
-                Ok(()) => match flight.wait_until(deadline) {
-                    Some(Ok(report)) => Response::Report {
-                        cached: false,
-                        report: (*report).clone(),
-                    },
-                    Some(Err(failure)) => failure_response(failure),
-                    None => {
-                        // The budget ran out while the job sat queued
-                        // (or ran long); the dequeue/pre-execute
-                        // checkpoints will shed or finish it and
-                        // resolve the flight for the cache — this
-                        // submitter just stops waiting for a result
-                        // that is already late.
-                        nomad_obs::overload().queue_shed.inc();
-                        Response::Expired {
-                            error: "deadline expired while the job was queued".to_string(),
-                        }
-                    }
-                },
-                Err(push_err) => {
-                    // Same un-register dance as the admission shed.
-                    let (reason, response) = match &push_err {
-                        PushError::Full(_) => {
-                            shared.stats.rejected.inc();
-                            (
-                                "queue full; job was rejected",
-                                Response::Overloaded {
-                                    retry_after_ms: shared.retry_after_ms(),
-                                },
-                            )
-                        }
-                        PushError::Closed(_) => (
-                            "server shutting down",
-                            Response::Failed {
-                                error: "server shutting down".to_string(),
-                                attempts: 0,
-                            },
-                        ),
-                    };
-                    shared.cache.complete(
-                        key,
-                        Err(JobFailure {
-                            error: reason.to_string(),
-                            attempts: 0,
-                        }),
-                    );
-                    response
-                }
             }
         }
+        Claim::Wait(flight) => {
+            return await_flight(&flight, deadline, true, "coalesced onto an in-flight job")
+        }
+        Claim::Run(flight) => (flight, Resolve::Cache(Arc::clone(&shared.cache), key)),
+        // Content-key collision with a different job: run it without
+        // caching, resolved through a private flight.
         Claim::RunUncached => {
-            // Content-key collision with a different job: run it
-            // without caching, resolved through a private flight.
-            if let Some(shed) = admission_shed(shared, deadline_ms) {
-                return failure_response(shed);
+            let flight = Flight::new();
+            (Arc::clone(&flight), Resolve::Direct(flight))
+        }
+    };
+    let job = Job {
+        spec,
+        resolve,
+        submitted: Instant::now(),
+        deadline,
+    };
+    // Whatever keeps the job from the queue completes it, so coalesced
+    // waiters (and future submissions) are never stuck behind a job
+    // that will not run.
+    if let Some(shed) = admission_shed(shared, deadline_ms) {
+        job.complete(Err(shed.clone()));
+        return failure_response(shed);
+    }
+    match shared.queue.try_push(job) {
+        Ok(()) => await_flight(&flight, deadline, false, "the job was queued"),
+        Err(PushError::Full(job)) => {
+            shared.stats.rejected.inc();
+            job.complete(Err(JobFailure::failed("queue full; job was rejected", 0)));
+            Response::Overloaded {
+                retry_after_ms: shared.retry_after_ms(),
             }
-            let flight = crate::cache::Flight::new();
-            let job = Job {
-                spec,
-                resolve: Resolve::Direct(Arc::clone(&flight)),
-                submitted: Instant::now(),
-                deadline,
-            };
-            match shared.queue.try_push(job) {
-                Ok(()) => match flight.wait_until(deadline) {
-                    Some(Ok(report)) => Response::Report {
-                        cached: false,
-                        report: (*report).clone(),
-                    },
-                    Some(Err(failure)) => failure_response(failure),
-                    None => {
-                        nomad_obs::overload().queue_shed.inc();
-                        Response::Expired {
-                            error: "deadline expired while the job was queued".to_string(),
-                        }
-                    }
-                },
-                Err(PushError::Full(_)) => {
-                    shared.stats.rejected.inc();
-                    Response::Overloaded {
-                        retry_after_ms: shared.retry_after_ms(),
-                    }
-                }
-                Err(PushError::Closed(_)) => Response::Failed {
-                    error: "server shutting down".to_string(),
-                    attempts: 0,
-                },
-            }
+        }
+        Err(PushError::Closed(job)) => {
+            let failure = JobFailure::failed(SHUTTING_DOWN, 0);
+            job.complete(Err(failure.clone()));
+            failure_response(failure)
         }
     }
 }

@@ -1,23 +1,22 @@
 //! Worker pool: shards queued jobs across OS threads.
 //!
-//! Each job attempt runs on a dedicated *attempt thread* so the worker
-//! can enforce a wall-clock timeout: the worker waits on a channel
-//! with `recv_timeout`, and when an attempt overruns the worker cancels
-//! its [`CancelToken`] and *joins* the thread — the simulation polls
-//! the token at event boundaries, so the attempt unwinds promptly
-//! instead of finishing detached in the background. Panics inside the
-//! simulator are caught with `catch_unwind` and retried up to the
-//! configured budget; timeouts are not retried — a deterministic
-//! simulation that exceeded the budget once will exceed it again.
+//! Each job attempt runs on the worker thread itself, under
+//! `catch_unwind` and with a [`CancelToken`] that expires at the
+//! attempt's wall-clock timeout: the simulation polls the token at
+//! event boundaries, so an overrunning attempt unwinds promptly and
+//! the worker is free for the next job. Panics inside the simulator
+//! are caught and retried up to the configured budget; timeouts are
+//! not retried — a deterministic simulation that exceeded the budget
+//! once will exceed it again.
 
-use crate::cache::{JobFailure, JobResult, ResultCache};
+use crate::cache::{Flight, JobFailure, JobResult, ResultCache};
 use crate::overload::{self, OverloadConfig};
 use crate::proto::JobSpec;
 use crate::queue::BoundedQueue;
 use crate::stats::ServiceStats;
 use nomad_types::CancelToken;
 use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -30,7 +29,7 @@ pub struct Job {
     /// When the job was accepted, for latency accounting.
     pub submitted: Instant,
     /// Absolute deadline for deadline-budgeted submissions; `None`
-    /// means no deadline (classic `Submit`).
+    /// means no deadline.
     pub deadline: Option<Instant>,
 }
 
@@ -38,10 +37,21 @@ pub struct Job {
 pub enum Resolve {
     /// Resolve through the cache under this content key (wakes the
     /// flight registered by [`ResultCache::claim`]).
-    Cache(u64),
+    Cache(Arc<ResultCache>, u64),
     /// Content-key collision bypass: complete this unregistered
     /// flight directly, leaving the cache untouched.
-    Direct(Arc<crate::cache::Flight>),
+    Direct(Arc<Flight>),
+}
+
+impl Job {
+    /// Publish the job's outcome to everyone waiting on it — whatever
+    /// became of the job: run, shed, refused or drained at shutdown.
+    pub fn complete(self, result: JobResult) {
+        match self.resolve {
+            Resolve::Cache(cache, key) => cache.complete(key, result),
+            Resolve::Direct(flight) => flight.complete(result),
+        }
+    }
 }
 
 /// The worker threads of one server.
@@ -55,7 +65,6 @@ impl WorkerPool {
     pub fn spawn(
         count: usize,
         queue: Arc<BoundedQueue<Job>>,
-        cache: Arc<ResultCache>,
         stats: Arc<ServiceStats>,
         job_timeout: Duration,
         retry_budget: u32,
@@ -64,7 +73,6 @@ impl WorkerPool {
         let handles = (0..count)
             .map(|id| {
                 let queue = Arc::clone(&queue);
-                let cache = Arc::clone(&cache);
                 let stats = Arc::clone(&stats);
                 let ocfg = overload_cfg.clone();
                 std::thread::Builder::new()
@@ -76,14 +84,11 @@ impl WorkerPool {
                             // queue, or whose sojourn blew the CoDel
                             // target while a backlog waits behind it.
                             if let Some(shed) = dequeue_shed(&job, &ocfg, queue.depth()) {
-                                match job.resolve {
-                                    Resolve::Cache(key) => cache.complete(key, Err(shed)),
-                                    Resolve::Direct(flight) => flight.complete(Err(shed)),
-                                }
+                                job.complete(Err(shed));
                                 continue;
                             }
                             let t0 = Instant::now();
-                            let result = execute_with_deadline(
+                            let result = run_attempts(
                                 &job.spec,
                                 job_timeout,
                                 retry_budget,
@@ -99,14 +104,11 @@ impl WorkerPool {
                                 }
                                 // Sheds are counted by their overload
                                 // counter, not as job failures.
-                                Err(f) if f.is_shed() => {}
+                                Err(f) if f.shed => {}
                                 Err(_) => stats.failed.inc(),
                             };
                             stats.record_latency(job.submitted.elapsed());
-                            match job.resolve {
-                                Resolve::Cache(key) => cache.complete(key, result),
-                                Resolve::Direct(flight) => flight.complete(result),
-                            }
+                            job.complete(result);
                         }
                     })
                     .expect("spawn worker")
@@ -145,22 +147,17 @@ fn dequeue_shed(job: &Job, cfg: &OverloadConfig, backlog: usize) -> Option<JobFa
     None
 }
 
-/// Run one job with retries: panics consume the retry budget, a
-/// timeout cancels the attempt (cooperatively, via its
-/// [`CancelToken`]) and fails immediately. In every outcome the
-/// attempt thread is joined before this function returns — timeouts do
-/// not leak a busy background thread.
-pub fn execute(spec: &JobSpec, timeout: Duration, retry_budget: u32) -> JobResult {
-    execute_with_deadline(spec, timeout, retry_budget, None, true)
-}
-
-/// [`execute`] with the pre-execute deadline checkpoint: immediately
-/// before each attempt (including retries after a panic), an expired
-/// deadline sheds the job (`overload.exec_shed`). With `shed` false
-/// the expired job is **executed anyway** and
-/// `overload.expired_executions` is incremented — the invariant
-/// counter the load generator asserts stays zero under shedding.
-pub fn execute_with_deadline(
+/// Run one job's attempts on the calling thread: a panic consumes the
+/// retry budget, and an attempt still running when its `timeout`
+/// expires is cancelled through its token and fails the job at once.
+///
+/// Immediately before each attempt (retries included) comes the
+/// pre-execute deadline checkpoint: an expired `deadline` sheds the
+/// job (`overload.exec_shed`). With `shed` false the expired job is
+/// **executed anyway** and `overload.expired_executions` is
+/// incremented — the invariant counter the load generator asserts
+/// stays zero under shedding.
+fn run_attempts(
     spec: &JobSpec,
     timeout: Duration,
     retry_budget: u32,
@@ -182,61 +179,32 @@ pub fn execute_with_deadline(
             }
         }
         attempts += 1;
-        let (tx, rx) = mpsc::channel();
-        let job = spec.clone();
-        let cancel = CancelToken::new();
-        let attempt_cancel = cancel.clone();
-        let handle = std::thread::Builder::new()
-            .name("nomad-serve-attempt".into())
-            .spawn(move || {
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    // Fault site `serve.worker.execute`: inside the
-                    // catch_unwind so an injected panic consumes the
-                    // retry budget exactly like a simulator panic.
-                    nomad_faults::panic_point("serve.worker.execute");
-                    job.run_local_cancellable(&attempt_cancel)
-                }));
-                // The worker may have stopped listening; a dead
-                // receiver just drops the result.
-                let _ = tx.send(outcome);
-            })
-            .expect("spawn attempt");
-        let timed_out = |attempts| {
-            Err(JobFailure {
-                error: format!("job timed out after {} ms", timeout.as_millis()),
-                attempts,
-            })
-        };
-        match rx.recv_timeout(timeout) {
-            Ok(Ok(Some(report))) => {
-                let _ = handle.join();
-                return Ok(Arc::new(report));
+        // A timeout past the clock's range (`Duration::MAX`) never
+        // expires.
+        let cancel = Instant::now()
+            .checked_add(timeout)
+            .map_or_else(CancelToken::new, CancelToken::expiring_at);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // Fault site `serve.worker.execute`: inside the
+            // catch_unwind so an injected panic consumes the retry
+            // budget exactly like a simulator panic.
+            nomad_faults::panic_point("serve.worker.execute");
+            spec.run_local_cancellable(&cancel)
+        }));
+        match outcome {
+            Ok(Some(report)) => return Ok(Arc::new(report)),
+            // Only the token's expiry cancels an attempt.
+            Ok(None) => {
+                let error = format!("job timed out after {} ms", timeout.as_millis());
+                return Err(JobFailure::failed(error, attempts));
             }
-            Ok(Ok(None)) => {
-                // The attempt observed cancellation; only the timeout
-                // arm below cancels, so report it as a timeout.
-                let _ = handle.join();
-                return timed_out(attempts);
+            // `&*panic` so the downcast sees the payload, not the
+            // `Box<dyn Any>` itself.
+            Err(panic) if attempts > retry_budget => {
+                let error = format!("job panicked: {}", panic_message(&*panic));
+                return Err(JobFailure::failed(error, attempts));
             }
-            Ok(Err(panic)) => {
-                let _ = handle.join();
-                if attempts > retry_budget {
-                    // `&*panic` so the downcast sees the payload, not
-                    // the `Box<dyn Any>` itself.
-                    return Err(JobFailure {
-                        error: format!("job panicked: {}", panic_message(&*panic)),
-                        attempts,
-                    });
-                }
-            }
-            Err(_) => {
-                // Cancel the attempt and wait for it to actually exit:
-                // the simulation polls the token at event boundaries,
-                // so the join returns promptly.
-                cancel.cancel();
-                let _ = handle.join();
-                return timed_out(attempts);
-            }
+            Err(_) => {}
         }
     }
 }
@@ -278,9 +246,20 @@ mod tests {
         job
     }
 
+    /// [`run_attempts`] without a deadline.
+    fn execute(spec: &JobSpec, timeout: Duration, retry_budget: u32) -> JobResult {
+        run_attempts(spec, timeout, retry_budget, None, true)
+    }
+
     #[test]
     fn healthy_job_succeeds_first_attempt() {
         let r = execute(&tiny_job(), Duration::from_secs(30), 2).expect("success");
+        assert!(r.cycles > 0);
+    }
+
+    #[test]
+    fn an_unbounded_timeout_never_expires() {
+        let r = execute(&tiny_job(), Duration::MAX, 0).expect("success");
         assert!(r.cycles > 0);
     }
 
@@ -311,7 +290,7 @@ mod tests {
             .value("overload.exec_shed")
             .expect("row");
         let already_past = Instant::now() - Duration::from_millis(5);
-        let err = execute_with_deadline(
+        let err = run_attempts(
             &tiny_job(),
             Duration::from_secs(30),
             2,
@@ -319,7 +298,7 @@ mod tests {
             true,
         )
         .expect_err("shed, not executed");
-        assert!(err.is_shed(), "{}", err.error);
+        assert!(err.shed, "{}", err.error);
         assert_eq!(err.attempts, 0, "nothing ran");
         assert!(nomad_obs::overload().value("overload.exec_shed").unwrap() > before);
     }
@@ -330,7 +309,7 @@ mod tests {
             .value("overload.expired_executions")
             .expect("row");
         let already_past = Instant::now() - Duration::from_millis(5);
-        let r = execute_with_deadline(
+        let r = run_attempts(
             &tiny_job(),
             Duration::from_secs(30),
             2,
@@ -352,7 +331,7 @@ mod tests {
     fn dequeue_shed_honors_deadline_codel_and_the_last_job_rule() {
         let job = |deadline, age_ms| Job {
             spec: tiny_job(),
-            resolve: Resolve::Direct(crate::cache::Flight::new()),
+            resolve: Resolve::Direct(Flight::new()),
             submitted: Instant::now() - Duration::from_millis(age_ms),
             deadline,
         };
@@ -374,49 +353,20 @@ mod tests {
         assert!(dequeue_shed(&job(past, 500), &cfg, 3).is_none());
     }
 
-    /// Live threads whose name starts with the attempt-thread prefix
-    /// (`/proc` truncates thread names to 15 bytes, so match on that).
-    #[cfg(target_os = "linux")]
-    fn live_attempt_threads() -> usize {
-        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-            return 0;
-        };
-        tasks
-            .flatten()
-            .filter(|t| {
-                std::fs::read_to_string(t.path().join("comm"))
-                    .map(|comm| comm.trim_end().starts_with("nomad-serve-att"))
-                    .unwrap_or(false)
-            })
-            .count()
-    }
-
-    /// The point of cooperative cancellation: a timed-out attempt's
-    /// simulation thread must exit (be joined), not keep burning a CPU
-    /// detached in the background.
+    /// The point of cooperative cancellation: an attempt runs on the
+    /// caller's thread, so a timed-out one must hand that thread back
+    /// promptly instead of running its simulation to the end.
     #[test]
-    #[cfg(target_os = "linux")]
-    fn timed_out_attempt_thread_is_joined_not_leaked() {
-        let before = live_attempt_threads();
+    fn timed_out_attempt_returns_promptly() {
         let mut job = tiny_job();
         job.instructions = 50_000_000;
+        let start = Instant::now();
         let err = execute(&job, Duration::from_millis(10), 0).expect_err("times out");
+        let took = start.elapsed();
         assert!(err.error.contains("timed out"), "{}", err.error);
-        // Our attempt thread is joined by the time `execute` returns;
-        // sibling tests may spawn their own attempt threads
-        // concurrently, so wait (briefly) for the count to settle
-        // back instead of comparing an instantaneous snapshot.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let now = live_attempt_threads();
-            if now <= before {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "timed-out attempt thread leaked ({now} live, {before} before)"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        assert!(
+            took < Duration::from_secs(1),
+            "a 10 ms timeout held the thread for {took:?}"
+        );
     }
 }

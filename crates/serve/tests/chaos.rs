@@ -467,11 +467,13 @@ fn fleet_mid_sweep_node_kill_fails_over() {
     });
 }
 
-/// Torn/failing protocol frames under a two-node fleet: probes error
-/// out (treated as cache misses, never as node deaths), submissions
-/// ride the reconnect ladder, and the grid recovers byte-identical.
+/// Torn/failing protocol frames under a two-node fleet: every cell
+/// first sends a `Fetch` to the other node, then a `Submit` to its own.
+/// Torn or failed fetches are cache misses (never node deaths),
+/// submissions ride the reconnect ladder, and the grid recovers
+/// byte-identical.
 #[test]
-fn fleet_torn_probe_frames_recover_byte_identical() {
+fn fleet_torn_fetch_and_submit_frames_recover_byte_identical() {
     let cells = grid(&[80, 81, 50, 51]);
     let expected = expected_jsons(&cells);
     let got = with_plan(
@@ -480,7 +482,7 @@ fn fleet_torn_probe_frames_recover_byte_identical() {
             let (handles, addrs) = test_fleet(2);
             let cfg = FleetConfig {
                 // Keep the heartbeat out of the torn-frame blast radius:
-                // this test is about probe/submit recovery, not spurious
+                // this test is about fetch/submit recovery, not spurious
                 // heartbeat deaths (those are fine, just a different test).
                 heartbeat_interval: Duration::from_millis(200),
                 heartbeat_misses: 8,
@@ -826,6 +828,65 @@ fn fleet_submit_fails_over_from_a_node_shut_down_before_the_call() {
         for h in handles {
             h.shutdown();
         }
+    });
+}
+
+/// A peer read is one exchange: a fake peer that answers exactly one
+/// frame — the job's report — and then hangs up serves the cell. The
+/// frame it is sent is a `Fetch`, `fleet.remote_fetches` rises by one,
+/// and nothing is computed: the owner sees no submission and nothing
+/// runs in-process.
+#[test]
+fn fleet_peer_read_is_one_fetch_exchange() {
+    use nomad_serve::proto::{self, Request};
+    with_plan(None, || {
+        let cells = grid(&[60, 100, 110, 130, 150, 40]);
+        let owned = owners(&cells, 2);
+        let at = owned.iter().position(|&o| o == 0);
+        let job = cells[at.expect("seed choice: node 0 owns a cell")].clone();
+        let report = job.run_local();
+        let expected = report.to_json();
+
+        let owner = test_server(None);
+        let fake = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addrs = vec![
+            owner.local_addr().to_string(),
+            fake.local_addr().expect("addr").to_string(),
+        ];
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = fake.accept().expect("accept");
+            let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+            let request: Request = proto::read_frame(&mut reader)
+                .expect("read")
+                .expect("one frame");
+            let answer = Response::Report {
+                cached: true,
+                report,
+            };
+            proto::write_frame(&mut &stream, &answer).expect("write");
+            request
+        });
+
+        let fetches_before = fleet_metric("fleet.remote_fetches");
+        let fallbacks_before = local_fallbacks();
+        let fleet = FleetClient::with_config(&addrs, fast_fleet_cfg());
+        assert_eq!(report_json(fleet.submit(&job, None)), expected);
+        assert_eq!(fleet_metric("fleet.remote_fetches"), fetches_before + 1);
+        assert!(
+            matches!(peer.join().expect("fake peer"), Request::Fetch { key, .. } if key == job.content_key()),
+            "the one frame the peer is sent is a Fetch"
+        );
+        assert_eq!(
+            owner.stats().submitted.get(),
+            0,
+            "the owner computed nothing"
+        );
+        assert_eq!(
+            local_fallbacks(),
+            fallbacks_before,
+            "nothing ran in-process"
+        );
+        owner.shutdown();
     });
 }
 

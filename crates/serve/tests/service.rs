@@ -117,7 +117,7 @@ fn panicking_job_fails_cleanly_and_service_survives() {
     let addr = handle.local_addr();
 
     // An inconsistent profile: `derive()` asserts on it inside
-    // `run_one`, on the worker's attempt thread.
+    // `run_one`, on the worker thread.
     let mut poisoned = job(SchemeSpec::Nomad, WorkloadProfile::tc(), 1);
     poisoned.profile.spatial_run = 1_000_000;
 

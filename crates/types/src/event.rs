@@ -15,6 +15,7 @@
 use crate::Cycle;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// When could this component next make progress on its own?
 ///
@@ -51,10 +52,14 @@ pub trait NextActivity {
 /// at event boundaries (every few thousand cycles at worst), so a
 /// cancelled run returns promptly instead of burning CPU to completion.
 /// Relaxed ordering suffices: the flag is a latch, not a
-/// synchronization edge.
+/// synchronization edge. A token made by
+/// [`expiring_at`](Self::expiring_at) also reads as cancelled once its
+/// deadline passes, so a wall-clock budget needs no second thread to
+/// enforce it.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    expires: Option<Instant>,
 }
 
 impl CancelToken {
@@ -63,14 +68,23 @@ impl CancelToken {
         Self::default()
     }
 
+    /// A fresh token that is also cancelled from `deadline` on.
+    pub fn expiring_at(deadline: Instant) -> Self {
+        CancelToken {
+            expires: Some(deadline),
+            ..Self::default()
+        }
+    }
+
     /// Latch the token; every holder observes cancellation from now on.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`cancel`](Self::cancel) has been called on any clone.
+    /// Whether [`cancel`](Self::cancel) has been called on any clone,
+    /// or the token's deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed) || self.expires.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -95,5 +109,15 @@ mod tests {
         let b = CancelToken::new();
         a.cancel();
         assert!(!b.is_cancelled());
+    }
+
+    #[test]
+    fn expiring_token_cancels_at_its_deadline() {
+        let now = Instant::now();
+        assert!(CancelToken::expiring_at(now).is_cancelled());
+        let later = CancelToken::expiring_at(now + std::time::Duration::from_secs(3600));
+        assert!(!later.is_cancelled());
+        later.cancel();
+        assert!(later.is_cancelled(), "the flag still latches");
     }
 }
