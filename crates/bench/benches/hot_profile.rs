@@ -6,8 +6,9 @@
 // layout pay most) and one high-RMHB workload (`mcf`), with the
 // simulator's hot-path profile armed. Each cell reports simulated
 // cycles per wall-clock second, the kernel's work counters (dense and
-// burst ticks, skips, the commit cycles sleeping cores replayed) and
-// the per-phase split of tick time:
+// burst ticks, skips, the commit cycles sleeping cores replayed, the
+// cores asleep in awake clusters and the device edges that skipped the
+// scheme) and the per-phase split of tick time:
 //
 // * `cpu`    — core commit/dispatch (with the ledger's replay of
 //              sleeping cores), translation, L1 injection;
@@ -87,6 +88,8 @@ struct Row {
     skipped_cycles: u64,
     burst_ticks: u64,
     settled_commit_cycles: u64,
+    core_quiet_ticks: u64,
+    scheme_quiet_ticks: u64,
     cpu_nanos: u64,
     cache_nanos: u64,
     dcache_nanos: u64,
@@ -230,6 +233,8 @@ fn main() {
             skipped_cycles: hot.skipped_cycles,
             burst_ticks: hot.burst_ticks,
             settled_commit_cycles: hot.settled_commit_cycles,
+            core_quiet_ticks: hot.core_quiet_ticks,
+            scheme_quiet_ticks: hot.scheme_quiet_ticks,
             cpu_nanos: hot.cpu_nanos,
             cache_nanos: hot.cache_nanos,
             dcache_nanos: hot.dcache_nanos,

@@ -46,7 +46,7 @@ use nomad_types::CancelToken;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How many `Overloaded` answers a node's ladder absorbs (sleeping the
@@ -109,10 +109,12 @@ impl FleetClient {
         self.run_cell(job, None, deadline, &CancelToken::new())
     }
 
-    /// Run a grid across the fleet; results in input order, first
-    /// unrecoverable cell fails the grid (after latching `cancel` so
-    /// siblings stop submitting). Every cell takes [`submit`]'s path
-    /// (without a budget) from a pool of `jobs` workers.
+    /// Run a grid across the fleet; results in input order. The first
+    /// unrecoverable cell fails the grid with its own error: it stops
+    /// the grid (queued siblings are not submitted) but leaves `cancel`
+    /// alone, which only the caller latches. Every cell takes
+    /// [`submit`]'s path (without a budget) from a pool of `jobs`
+    /// workers.
     ///
     /// [`submit`]: Self::submit
     pub fn run_grid(
@@ -135,6 +137,7 @@ impl FleetClient {
                 .collect(),
             remaining: AtomicUsize::new(total),
             results: Mutex::new((0..total).map(|_| None).collect()),
+            failed: OnceLock::new(),
         };
         // Route every cell to its owner's queue, in submission order
         // (deterministic ring + deterministic keys = deterministic
@@ -160,6 +163,9 @@ impl FleetClient {
             }
         });
 
+        if let Some(error) = state.failed.into_inner() {
+            return Err(io::Error::other(error));
+        }
         let results = state.results.into_inner().expect("threads joined");
         results
             .into_iter()
@@ -353,6 +359,9 @@ struct RunState<'a> {
     remaining: AtomicUsize,
     /// Each cell's outcome, by grid index.
     results: Mutex<Vec<Option<Result<RunReport, String>>>>,
+    /// The first cell failure not caused by the caller's cancel: it
+    /// stops the grid, and the grid fails with it.
+    failed: OnceLock<String>,
 }
 
 impl RunState<'_> {
@@ -362,7 +371,7 @@ impl RunState<'_> {
     }
 
     /// Run one cell through the fleet client's per-cell path and record
-    /// its outcome; an unrecoverable cell latches `cancel` so sibling
+    /// its outcome; an unrecoverable cell stops the grid, so sibling
     /// workers stop feeding a doomed grid.
     fn run(&self, item: WorkItem, home: Option<usize>, cancel: &CancelToken) {
         let outcome = match self.fleet.run_cell(&item.job, home, None, cancel) {
@@ -370,8 +379,10 @@ impl RunState<'_> {
             Ok(other) => Err(format!("unexpected response: {other:?}")),
             Err(e) => Err(e.to_string()),
         };
-        if outcome.is_err() {
-            cancel.cancel();
+        if let Err(e) = &outcome {
+            if !cancel.is_cancelled() {
+                let _ = self.failed.set(e.clone());
+            }
         }
         self.push_result(item.idx, outcome);
     }
@@ -408,9 +419,10 @@ fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
         if state.remaining.load(Ordering::SeqCst) == 0 {
             return;
         }
-        if cancel.is_cancelled() {
-            // Flush everything still queued as cancelled; in-flight
-            // cells on sibling workers resolve themselves.
+        if cancel.is_cancelled() || state.failed.get().is_some() {
+            // The caller cancelled or a cell failed: flush everything
+            // still queued as cancelled; in-flight cells on sibling
+            // workers resolve themselves.
             let mut flushed = false;
             for q in &state.queues {
                 while let Some(item) = q.lock().expect("queue lock").pop_front() {

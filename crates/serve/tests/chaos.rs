@@ -1029,3 +1029,57 @@ fn fleet_cancel_stops_a_ladder_mid_backoff() {
         assert_eq!(local_fallbacks(), before, "nothing ran in-process");
     });
 }
+
+/// A grid whose node answers every frame with an error (say, a stale
+/// binary that cannot parse the frame) fails with that cell's own
+/// error, not as an interrupt, and leaves the caller's token alone, so
+/// a harness reports the failure instead of a Ctrl-C.
+#[test]
+fn fleet_failed_cell_reports_its_error() {
+    use nomad_serve::proto::{self, Request};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    with_plan(None, || {
+        let fake = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        fake.set_nonblocking(true).expect("nonblocking");
+        let addr = fake.local_addr().expect("addr").to_string();
+        let stop = AtomicBool::new(false);
+        let cancel = CancelToken::new();
+        let result = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    let Ok((stream, _)) = fake.accept() else {
+                        std::thread::sleep(Duration::from_millis(1));
+                        continue;
+                    };
+                    stream.set_nonblocking(false).expect("blocking");
+                    scope.spawn(move || {
+                        let mut reader =
+                            std::io::BufReader::new(stream.try_clone().expect("clone"));
+                        while let Ok(Some(_)) = proto::read_frame::<Request, _>(&mut reader) {
+                            let answer = Response::Error("missing field cfg".into());
+                            if proto::write_frame(&mut &stream, &answer).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                }
+            });
+            let fleet = fleet_of_one(addr, fast_cfg());
+            let result = fleet.run_grid(grid(&[440, 450, 460]), 3, &cancel);
+            // Dropping the client closes its pooled connections, which
+            // ends the fake node's connection threads.
+            drop(fleet);
+            stop.store(true, Ordering::SeqCst);
+            result
+        });
+        let error = result.expect_err("every cell fails").to_string();
+        assert!(
+            error.contains("missing field cfg"),
+            "the grid fails with the cell's error, got {error:?}"
+        );
+        assert!(
+            !cancel.is_cancelled(),
+            "the caller's token stays uncancelled"
+        );
+    });
+}

@@ -35,6 +35,46 @@ struct IssueEntry {
     target: MemTarget,
 }
 
+/// The event kernel's scalars for one cluster — a core, its pending
+/// dispatch, walks and translated issues, its L1 and L2: two dues, two
+/// stall-ledger entries and the run target.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClusterClock {
+    /// First cycle at which the cluster may do more than stall
+    /// accounting: at most `core_due`, recomputed from post-tick state
+    /// for every cluster that ran, and lowered to the next cycle when
+    /// the L3 hands its L2 a fill or phase 5 wakes its core. Exact or
+    /// early; the gated step runs phases 1–4 for a cluster only once it
+    /// is due.
+    due: Cycle,
+    /// First cycle at which the core may act outside itself
+    /// ([`System::core_next`]). Recomputed for a cluster that ran when
+    /// its core's ledger is current, and right after a wake; capped at
+    /// the run target. Exact or early; phase 1 ticks the core only once
+    /// it has come, so an awake cluster's core may sleep.
+    core_due: Cycle,
+    /// The core's stall-ledger entry: the first cycle not yet in its
+    /// state and counters. Cycles the core sleeps through — in a
+    /// sleeping cluster, in an awake one before its own due, or in a
+    /// skip — are owed here and replayed through [`Core::advance`] (its
+    /// ALU work, OS stalls and memory stalls) by
+    /// [`settle_core`](System::settle_core): before its next tick,
+    /// before the system hands it a completion, an OS stall or a wake,
+    /// before an obs sample, at [`reset_stats`](System::reset_stats),
+    /// when a run returns and when the deadlock check needs the last
+    /// commit.
+    core_from: Cycle,
+    /// The L1's and L2's ledger entry: cycles the cluster sleeps
+    /// through are owed here and paid through
+    /// [`CacheLevel::idle_advance`] before its next tick and wherever
+    /// every ledger is paid.
+    caches_from: Cycle,
+    /// The instruction count the current run ends at (0 outside a
+    /// run): the core's due is capped at the first cycle on which it
+    /// could reach it, so the run ends on the dense loop's cycle.
+    target: u64,
+}
+
 /// Hierarchy-wide flush view handed to the scheme (Algorithm 2's
 /// `flush_cache_range`).
 struct HierFlush<'a> {
@@ -84,7 +124,7 @@ struct HotProfile {
     cache_raw: u64,
     /// Phase 5 outside the device ticks: the scheme's issue and
     /// complete plus response/shootdown/wake delivery (nothing on a
-    /// memory-quiet tick).
+    /// step that skipped the scheme).
     dcache_raw: u64,
     /// Phase 5's two device ticks, lapped between issue and complete.
     dram_raw: u64,
@@ -102,6 +142,10 @@ struct HotProfile {
     cluster_quiet_ticks: u64,
     /// Dense ticks on which the L3 slept.
     l3_quiet_ticks: u64,
+    /// Awake clusters whose core slept.
+    core_quiet_ticks: u64,
+    /// Steps that reached a DRAM device edge but skipped the scheme.
+    scheme_quiet_ticks: u64,
     /// Core cycles with a commit that the stall ledger replayed.
     settled_commit_cycles: u64,
 }
@@ -145,6 +189,12 @@ pub struct HotProfileReport {
     /// nor a DRAM device had anything due (memory-quiet ticks). A
     /// deterministic work counter: 0 under [`System::run_dense`].
     pub mem_quiet_ticks: u64,
+    /// Steps, dense or burst, on which a DRAM device reached a due edge
+    /// but delivered nothing while the scheme was not due, so only the
+    /// devices ticked: the scheme's issue and complete were both
+    /// skipped. A deterministic work counter: 0 under
+    /// [`System::run_dense`].
+    pub scheme_quiet_ticks: u64,
     /// Core-cluster ticks slept through on dense ticks: per dense tick,
     /// the clusters (core, walks, dispatch and issue queues, L1, L2)
     /// with nothing due. A deterministic work counter: 0 under
@@ -153,6 +203,11 @@ pub struct HotProfileReport {
     /// Dense ticks on which the L3 had nothing due and slept. A
     /// deterministic work counter: 0 under [`System::run_dense`].
     pub l3_quiet_ticks: u64,
+    /// Core ticks slept through in awake clusters: per dense tick, the
+    /// clusters that ran phases 1–4 while their core, not yet at its
+    /// own due, slept with its cycles owed in its ledger. A
+    /// deterministic work counter: 0 under [`System::run_dense`].
+    pub core_quiet_ticks: u64,
 }
 
 /// Observability state of one system: the per-system [`Registry`] every
@@ -203,43 +258,31 @@ pub struct System {
     /// Hot-path wall-time profile; `None` (the common case) keeps the
     /// tick loop free of any clock reads.
     hot: Option<HotProfile>,
-    /// First cycle whose phase 5 may do anything: the minimum of the
-    /// scheme's next activity and both devices' due edges, recomputed
-    /// at the end of every phase 5 and lowered to the current cycle
-    /// whenever phases 1–4 call into the scheme. Exact or early.
-    mem_next: Cycle,
-    /// Per core, the first cycle at which its cluster — the core, its
-    /// pending dispatch, walks and translated issues, its L1 and L2 —
-    /// may do more than stall accounting: recomputed from post-tick
-    /// state for every cluster that ran, and lowered to the next cycle
-    /// when the L3 hands its L2 a fill or phase 5 wakes its core. Exact
-    /// or early; the gated step runs a cluster only once it is due.
-    cluster_due: Vec<Cycle>,
-    /// Per core, the instruction count the current run ends at (0
-    /// outside a run): a core's due is capped at the first cycle on
-    /// which it could reach it, so the run ends on the dense loop's
-    /// cycle.
-    targets: Vec<u64>,
+    /// First cycle at which the scheme's issue/complete pair may do
+    /// anything: its [`DcScheme::next_activity_at`] after its last
+    /// complete, lowered to the current cycle whenever phases 1–4 call
+    /// into the scheme. Exact or early; phase 5 calls the scheme only
+    /// once it has come, or to complete what a device delivered.
+    scheme_due: Cycle,
+    /// First cycle on which either DRAM device reaches a due edge:
+    /// recomputed after every phase 5 that ran the scheme (its issue
+    /// feeds the devices) or reached an edge. Phase 5 is memory-quiet
+    /// before both this and `scheme_due`.
+    dram_due: Cycle,
+    /// Per cluster, the event kernel's dues, ledger entries and run
+    /// target.
+    clocks: Vec<ClusterClock>,
     /// Bit-mask of the clusters that ran on the last dense step: their
-    /// `cluster_due` is recomputed at the start of the next one, or by
+    /// dues are recomputed at the start of the next one, or by
     /// [`next_due`](Self::next_due) before a skip.
     ran: u64,
     /// First cycle at which the L3 may do anything, kept the same way:
     /// recomputed after every L3 tick, lowered by L2 → L3 pushes and by
     /// phase-5 responses.
     l3_due: Cycle,
-    /// The stall ledger: per cluster, the first cycle not yet in the
-    /// state and counters of its core, L1 and L2. Cycles a cluster
-    /// sleeps through — in a sleeping cluster or a skip — are owed here
-    /// and replayed through [`Core::advance`] (a sleeping core's ALU
-    /// work, OS stalls and memory stalls) and
-    /// [`CacheLevel::idle_advance`] by [`settle`](Self::settle) before
-    /// the cluster's next tick, before a wake, before an obs sample, at
-    /// [`reset_stats`](Self::reset_stats), when a run returns and when
-    /// the deadlock check needs the last commit.
-    idle_from: Vec<Cycle>,
-    /// The L3's ledger entry, kept the same way: paid before its next
-    /// tick and wherever the clusters' are.
+    /// The L3's stall-ledger entry (the clusters' are in `clocks`): the
+    /// first cycle not yet in its counters, paid before its next tick
+    /// and wherever the clusters' are.
     l3_idle_from: Cycle,
 }
 
@@ -307,12 +350,11 @@ impl System {
             measured_cycles: 0,
             obs: None,
             hot: None,
-            mem_next: 0,
-            cluster_due: vec![0; cfg.cores],
-            targets: vec![0; cfg.cores],
+            scheme_due: 0,
+            dram_due: 0,
+            clocks: vec![ClusterClock::default(); cfg.cores],
             ran: 0,
             l3_due: 0,
-            idle_from: vec![0; cfg.cores],
             l3_idle_from: 0,
             cores,
             cfg,
@@ -366,6 +408,8 @@ impl System {
             mem_quiet_ticks: h.mem_quiet_ticks,
             cluster_quiet_ticks: h.cluster_quiet_ticks,
             l3_quiet_ticks: h.l3_quiet_ticks,
+            core_quiet_ticks: h.core_quiet_ticks,
+            scheme_quiet_ticks: h.scheme_quiet_ticks,
             settled_commit_cycles: h.settled_commit_cycles,
             skips: h.skips,
             skipped_cycles: h.skipped_cycles,
@@ -572,23 +616,36 @@ impl System {
     /// One dense cycle. With `full`, every phase runs for every
     /// cluster. Otherwise phases 1–4 run only for the clusters due this
     /// cycle (a sleeping cluster's tick would be its core's own work or
-    /// stall accounting, which the stall ledger replays), the L3 ticks
-    /// only when due, and phase 5 runs only when phases 1–4 called into
-    /// the scheme or the cycle reached `mem_next`; else the cycle is
-    /// memory-quiet and phase 5 reduces to the devices' O(1) clock
-    /// ticks, without the scheme. A step on which every cluster and the
-    /// L3 slept counts as a burst tick, any other as a dense tick.
+    /// stall accounting, which the stall ledgers replay), and in them a
+    /// core ticks only once its own due has come; the L3 ticks only
+    /// when due. Phase 5 calls the scheme only when phases 1–4 called
+    /// into it or its own due came, and to complete what a device
+    /// delivered; otherwise it is the devices' ticks alone, O(1) clock
+    /// ticks unless a device reached a due edge. A step on which every
+    /// cluster and the L3 slept counts as a burst tick, any other as a
+    /// dense tick.
     fn step(&mut self, full: bool) {
         let now = self.cycle;
         let mut mark = self.hot.as_ref().map(|_| nomad_types::fastclock::now());
         let awake = self.awake_clusters(now, full);
 
-        // 1. Cores: pay each cluster's ledger, then commit +
-        // fetch/dispatch.
+        // 1. Cores: each awake cluster pays its caches' ledger; its core
+        // pays its own and commits + fetches/dispatches only once due.
+        let mut core_quiet = 0;
         for c in bits(awake) {
-            self.settle(c, now);
-            self.cores[c].tick(now);
-            self.idle_from[c] = now + 1;
+            self.settle_caches(c, now);
+            self.clocks[c].caches_from = now + 1;
+            if full || self.clocks[c].core_due <= now {
+                self.settle_core(c, now);
+                self.cores[c].tick(now);
+                self.clocks[c].core_from = now + 1;
+            } else {
+                debug_assert!(
+                    self.core_next(c) > now,
+                    "core {c} sleeps through due work at cycle {now}"
+                );
+                core_quiet += 1;
+            }
         }
 
         // 2. Translation: finish ready walks, start new ones.
@@ -605,64 +662,80 @@ impl System {
 
         // 5. Scheme + DRAM devices — the system's only device ticks:
         // the scheme issues, both devices tick, the scheme completes
-        // what they delivered.
-        let mem_ran = full || now >= self.mem_next;
-        if mem_ran {
+        // what they delivered. A scheme not yet due is skipped: its
+        // issue and complete would do nothing (the `DcScheme`
+        // contract), unless a device delivered something to complete.
+        let scheme_ran = full || now >= self.scheme_due;
+        let edge = full || now >= self.dram_due;
+        if scheme_ran {
             self.scheme_issue(now);
         } else {
             // A scheme call from phases 1–4 that forgot to mark the
-            // cycle shows up as a scheme wanting to run before
-            // `mem_next`.
+            // cycle shows up as a scheme wanting to run before its due.
             debug_assert!(
                 self.scheme
                     .next_activity_at(now - 1)
-                    .is_none_or(|t| t >= self.mem_next),
-                "scheme activity moved before mem_next {} at cycle {now}",
-                self.mem_next
+                    .is_none_or(|t| t >= self.scheme_due),
+                "scheme activity moved before its due {} at cycle {now}",
+                self.scheme_due
             );
         }
         self.lap(&mut mark, |h| &mut h.dcache_raw);
         self.hbm.tick(&mut self.from_hbm);
         self.ddr.tick(&mut self.from_ddr);
         self.lap(&mut mark, |h| &mut h.dram_raw);
-        if mem_ran {
-            self.deliver(now);
-            self.lap(&mut mark, |h| &mut h.dcache_raw);
-        } else {
+        let delivered = !self.from_hbm.is_empty() || !self.from_ddr.is_empty();
+        if scheme_ran || delivered {
             debug_assert!(
-                self.from_hbm.is_empty() && self.from_ddr.is_empty(),
-                "a memory-quiet tick delivered DRAM completions at cycle {now}"
+                edge || !delivered,
+                "a device delivered before its due edge {} at cycle {now}",
+                self.dram_due
             );
+            self.deliver(now);
+            debug_assert!(
+                self.scheme_due > now,
+                "the scheme is due again at cycle {now}, which it just ran"
+            );
+            self.lap(&mut mark, |h| &mut h.dcache_raw);
+        }
+        // An edge that delivered nothing left the scheme as it was.
+        let scheme_quiet = edge && !scheme_ran && !delivered;
+        if scheme_ran || edge {
+            // Devices count tick invocations: post-tick their
+            // `cpu_cycle` is `now + 1`, and a due edge at count `k`
+            // comes during the tick of system cycle `k - 1`.
+            self.dram_due = self.hbm.due_at().min(self.ddr.due_at()) - 1;
         }
         if let Some(h) = self.hot.as_mut() {
+            h.scheme_quiet_ticks += u64::from(scheme_quiet);
             if awake == 0 && !l3_ran {
                 h.burst_ticks += 1;
             } else {
                 h.dense_ticks += 1;
                 h.cluster_quiet_ticks += (self.cores.len() - awake.count_ones() as usize) as u64;
+                h.core_quiet_ticks += core_quiet;
                 h.l3_quiet_ticks += u64::from(!l3_ran);
-                h.mem_quiet_ticks += u64::from(!mem_ran);
+                h.mem_quiet_ticks += u64::from(!scheme_ran && !edge);
             }
         }
         self.end_cycle(now);
     }
 
     /// Bit-mask of the clusters that run phases 1–4 at `now`: every
-    /// cluster when `full`, else those whose `cluster_due` has come.
-    /// The clusters that ran last step first get their due from the
-    /// state they left — here rather than at the end of that step, so
-    /// the bookkeeping sits in the profile's cpu lap without a clock
-    /// read of its own. Debug builds check that each sleeping cluster
-    /// has nothing due.
+    /// cluster when `full`, else those whose due has come. The clusters
+    /// that ran last step first get their dues from the state they left
+    /// — here rather than at the end of that step, so the bookkeeping
+    /// sits in the profile's cpu lap without a clock read of its own.
+    /// Debug builds check that each sleeping cluster has nothing due.
     fn awake_clusters(&mut self, now: Cycle, full: bool) -> u64 {
         self.refresh_ran_dues();
         let mut awake = 0;
-        for (c, &due) in self.cluster_due.iter().enumerate() {
-            if full || due <= now {
+        for (c, k) in self.clocks.iter().enumerate() {
+            if full || k.due <= now {
                 awake |= 1 << c;
             } else {
                 debug_assert!(
-                    self.cluster_next(c, now - 1) > now,
+                    self.cluster_next(c, now - 1, self.core_next(c)) > now,
                     "cluster {c} sleeps through due work at cycle {now}"
                 );
             }
@@ -681,21 +754,28 @@ impl System {
         }
     }
 
-    /// Replay the cycles cluster `c` owes from its ledger entry up to
-    /// `to` (exclusive): cycles its core and caches slept through, which
-    /// its core replays as ticks would (ALU work included) and each
-    /// cache holding a refused head counts as stall cycles.
-    fn settle(&mut self, c: usize, to: Cycle) {
-        let from = self.idle_from[c];
+    /// Replay the cycles core `c` owes from its ledger entry up to `to`
+    /// (exclusive) as ticks would, ALU work included.
+    fn settle_core(&mut self, c: usize, to: Cycle) {
+        let from = self.clocks[c].core_from;
         if to > from {
             let busy = self.cores[c].stats().busy.get();
             self.cores[c].advance(from, to - from);
-            self.l1s[c].idle_advance(to - from);
-            self.l2s[c].idle_advance(to - from);
-            self.idle_from[c] = to;
+            self.clocks[c].core_from = to;
             if let Some(h) = self.hot.as_mut() {
                 h.settled_commit_cycles += self.cores[c].stats().busy.get() - busy;
             }
+        }
+    }
+
+    /// Apply the stall cycles cluster `c`'s L1 and L2 owe up to `to`
+    /// (exclusive): each holding a refused head counts them.
+    fn settle_caches(&mut self, c: usize, to: Cycle) {
+        let from = self.clocks[c].caches_from;
+        if to > from {
+            self.l1s[c].idle_advance(to - from);
+            self.l2s[c].idle_advance(to - from);
+            self.clocks[c].caches_from = to;
         }
     }
 
@@ -711,7 +791,8 @@ impl System {
     fn settle_all(&mut self) {
         let to = self.cycle;
         for c in 0..self.cores.len() {
-            self.settle(c, to);
+            self.settle_core(c, to);
+            self.settle_caches(c, to);
         }
         self.settle_l3(to);
     }
@@ -719,7 +800,7 @@ impl System {
     /// Lower cluster `c`'s due to `at`: something outside it handed
     /// its L2 a fill or woke its core.
     fn lower_cluster_due(&mut self, c: usize, at: Cycle) {
-        self.cluster_due[c] = self.cluster_due[c].min(at);
+        self.clocks[c].due = self.clocks[c].due.min(at);
     }
 
     /// Phase 5, before the device ticks: the scheme's issue, which
@@ -740,9 +821,10 @@ impl System {
     /// scheme's complete, then apply what its issue and complete
     /// emitted — responses into the L3, forced TLB shootdowns, OS wakes
     /// with their blocked translations re-walked next cycle — and
-    /// recompute `mem_next` from the post-tick state. A woken core's
-    /// owed stall cycles, this one included, are settled before the
-    /// wake: its phase 1 ran (or slept), still stalled, before phase 5.
+    /// recompute the scheme's due from the post-tick state. A woken
+    /// core's owed cycles, this one included, are settled before the
+    /// wake (its phase 1 ran or slept, still stalled, before phase 5),
+    /// and its due is recomputed from the woken state.
     fn deliver(&mut self, now: Cycle) {
         self.scheme
             .complete(now, &self.from_hbm, &self.from_ddr, &mut self.ev);
@@ -766,8 +848,9 @@ impl System {
         }
         for i in 0..self.ev.wakes.len() {
             let core_id = self.ev.wakes[i];
-            self.settle(core_id, now + 1);
+            self.settle_core(core_id, now + 1);
             self.cores[core_id].wake_os();
+            self.clocks[core_id].core_due = self.core_next(core_id);
             self.lower_cluster_due(core_id, now + 1);
             // Blocked translations retry the walk next cycle.
             let retry = self.blocked[core_id].drain(..).map(|op| Walk {
@@ -777,13 +860,7 @@ impl System {
             self.walking[core_id].extend(retry);
         }
         self.ev.wakes.clear();
-        // Devices count tick invocations: post-tick their `cpu_cycle`
-        // is `now + 1`, and a due edge at count `k` comes during the
-        // tick of system cycle `k - 1`.
-        let scheme_next = self.scheme.next_activity_at(now).unwrap_or(Cycle::MAX);
-        self.mem_next = scheme_next
-            .min(self.hbm.due_at() - 1)
-            .min(self.ddr.due_at() - 1);
+        self.scheme_due = self.scheme.next_activity_at(now).unwrap_or(Cycle::MAX);
     }
 
     fn process_walks(&mut self, now: Cycle, awake: u64) {
@@ -798,8 +875,8 @@ impl System {
                 let vaddr = namespaced(walk.op.vaddr, c);
                 let vpn = vaddr.frame();
                 // Walks and TLB notifications reach the scheme: phase 5
-                // must run this cycle.
-                self.mem_next = now;
+                // must run it this cycle.
+                self.scheme_due = now;
                 match self
                     .scheme
                     .walk(c, vpn, vaddr.sub_block(), walk.op.kind, now)
@@ -819,6 +896,9 @@ impl System {
                         });
                     }
                     nomad_dcache::WalkOutcome::Blocked { reason } => {
+                        // The core's own phase 1 came first: pay its
+                        // ledger through this cycle before the stall.
+                        self.settle_core(c, now + 1);
                         self.cores[c].stall_os(Cycle::MAX, reason);
                         self.blocked[c].push(walk.op);
                     }
@@ -934,7 +1014,7 @@ impl System {
                 let Some(req) = self.l3.pop_to_lower() else {
                     break;
                 };
-                self.mem_next = now;
+                self.scheme_due = now;
                 self.scheme.access(
                     DcAccessReq {
                         token: req.token,
@@ -960,13 +1040,15 @@ impl System {
                 "the L3 sleeps through due work at cycle {now}"
             );
         }
-        // Responses upward: L2 → L1 → core.
+        // Responses upward: L2 → L1 → core, whose ledger is paid
+        // through this cycle first (its phase 1 came before).
         for c in bits(awake) {
             while let Some(resp) = self.l2s[c].pop_to_upper(now) {
                 self.l1s[c].push_resp(resp);
             }
             while let Some(resp) = self.l1s[c].pop_to_upper(now) {
                 if resp.kind == AccessKind::Read {
+                    self.settle_core(c, now + 1);
                     self.cores[c].mem_done(resp.token.0);
                 }
             }
@@ -975,23 +1057,28 @@ impl System {
     }
 
     /// Recompute the dues of every cluster that ran on the last step
-    /// from the state it left, and clear `ran`.
+    /// from the state it left, and clear `ran`. A core's due is
+    /// recomputed only when its ledger is current — it ticked, or was
+    /// settled to take a completion or an OS stall; a core that slept
+    /// through the step keeps its due, as its state has not moved.
     fn refresh_ran_dues(&mut self) {
         for c in bits(self.ran) {
-            self.cluster_due[c] = self.cluster_next(c, self.cycle - 1);
+            if self.clocks[c].core_from == self.cycle {
+                self.clocks[c].core_due = self.core_next(c);
+            }
+            self.clocks[c].due = self.cluster_next(c, self.cycle - 1, self.clocks[c].core_due);
         }
         self.ran = 0;
     }
 
     /// Earliest cycle after `now` at which core `c`'s cluster — its
-    /// core ([`core_next`](Self::core_next)), then its pending
-    /// dispatch, walks and translated issues, its L1 and L2 — can act,
-    /// from post-tick state, or `Cycle::MAX` when only a fill or a wake
-    /// can end its stall. Any value up to `now + 1` (below it for a
-    /// translated issue the L1 could not take yet) means the next
-    /// cycle.
-    fn cluster_next(&self, c: usize, now: Cycle) -> Cycle {
-        let mut t = self.core_next(c);
+    /// core, due at `core_due`, then its pending dispatch, walks and
+    /// translated issues, its L1 and L2 — can act, from post-tick
+    /// state, or `Cycle::MAX` when only a fill or a wake can end its
+    /// stall. Any value up to `now + 1` (below it for a translated
+    /// issue the L1 could not take yet) means the next cycle.
+    fn cluster_next(&self, c: usize, now: Cycle, core_due: Cycle) -> Cycle {
+        let mut t = core_due;
         if t <= now + 1 || self.cores[c].dispatch_pending() {
             return t.min(now + 1);
         }
@@ -1011,10 +1098,10 @@ impl System {
     }
 
     /// First cycle at which core `c` may act outside itself, from the
-    /// state its ledger left after cycle `idle_from - 1`: its next
+    /// state its ledger left after cycle `core_from - 1`: its next
     /// possible dispatch, capped at [`target_cap`](Self::target_cap).
     fn core_next(&self, c: usize) -> Cycle {
-        let due = self.cores[c].next_activity_at(self.idle_from[c] - 1);
+        let due = self.cores[c].next_activity_at(self.clocks[c].core_from - 1);
         due.unwrap_or(Cycle::MAX).min(self.target_cap(c))
     }
 
@@ -1022,25 +1109,29 @@ impl System {
     /// at `commit_width` a cycle, from the state its ledger left, or
     /// `Cycle::MAX` once it has: the cycle on which the run may end.
     fn target_cap(&self, c: usize) -> Cycle {
-        let left = self.targets[c].saturating_sub(self.cores[c].stats().instructions.get());
+        let k = &self.clocks[c];
+        let left = k
+            .target
+            .saturating_sub(self.cores[c].stats().instructions.get());
         if left == 0 {
             return Cycle::MAX;
         }
-        self.idle_from[c] + per_width(left - 1, self.cfg.core.commit_width)
+        k.core_from + per_width(left - 1, self.cfg.core.commit_width)
     }
 
     /// First cycle at which a gated step can do more than stall
     /// accounting and the devices' quiet clocks, given the state the
     /// last step left: the minimum of every cluster's due (the clusters
-    /// that ran first get theirs from that state), the L3's, `mem_next`
-    /// and the next obs snapshot. Exact or early, so the kernel may
-    /// skip straight to it.
+    /// that ran first get theirs from that state), the L3's, the
+    /// scheme's, the devices' next edge and the next obs snapshot.
+    /// Exact or early, so the kernel may skip straight to it.
     fn next_due(&mut self) -> Cycle {
         self.refresh_ran_dues();
         let sample = self.obs.as_ref().map_or(Cycle::MAX, |o| o.next_sample);
-        self.cluster_due
+        let memory = self.scheme_due.min(self.dram_due);
+        self.clocks
             .iter()
-            .fold(self.l3_due.min(self.mem_next).min(sample), |t, &d| t.min(d))
+            .fold(self.l3_due.min(memory).min(sample), |t, k| t.min(k.due))
     }
 
     /// Earliest cycle at which ticking the system again could do more
@@ -1090,8 +1181,8 @@ impl System {
 
     /// Jump over `delta` cycles in which no component has anything due:
     /// the devices advance in bulk (never past their due edges, which
-    /// bound `mem_next`), and the cores' stall cycles stay owed in the
-    /// stall ledger.
+    /// `dram_due` bounds), and the clusters' cycles stay owed in their
+    /// stall ledgers.
     fn skip(&mut self, delta: Cycle) {
         self.hbm.advance(delta);
         self.ddr.advance(delta);
@@ -1131,12 +1222,18 @@ impl System {
     /// return so the cores' counters are current.
     fn run_inner(&mut self, instructions_per_core: u64, cancel: Option<&CancelToken>) -> bool {
         for c in 0..self.cores.len() {
-            self.targets[c] = self.cores[c].stats().instructions.get() + instructions_per_core;
-            self.cluster_due[c] = self.cluster_due[c].min(self.target_cap(c));
+            self.clocks[c].target =
+                self.cores[c].stats().instructions.get() + instructions_per_core;
+            let cap = self.target_cap(c);
+            let k = &mut self.clocks[c];
+            k.core_due = k.core_due.min(cap);
+            k.due = k.due.min(cap);
         }
         let finished = self.run_events(cancel);
         self.settle_all();
-        self.targets.fill(0);
+        for k in &mut self.clocks {
+            k.target = 0;
+        }
         finished
     }
 
@@ -1146,7 +1243,7 @@ impl System {
         // check settles them before it trusts it.
         let mut progress = self.cycle;
         let mut iters: u64 = 0;
-        if reached(&self.cores, &self.targets) {
+        if reached(&self.cores, &self.clocks) {
             return true;
         }
         loop {
@@ -1157,9 +1254,9 @@ impl System {
                 }
             }
             self.step(false);
-            // A core is awake on the cycle it reaches its target (its
-            // due is capped there), so its count is current here.
-            if reached(&self.cores, &self.targets) {
+            // A core ticks on the cycle it reaches its target (its due
+            // is capped there), so its count is current here.
+            if reached(&self.cores, &self.clocks) {
                 return true;
             }
             if self.cycle - progress > DEADLOCK_CYCLES {
@@ -1298,12 +1395,12 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Whether every core has committed up to its target.
-fn reached(cores: &[Core], targets: &[u64]) -> bool {
+/// Whether every core has committed up to its run target.
+fn reached(cores: &[Core], clocks: &[ClusterClock]) -> bool {
     cores
         .iter()
-        .zip(targets)
-        .all(|(c, t)| c.stats().instructions.get() >= *t)
+        .zip(clocks)
+        .all(|(c, k)| c.stats().instructions.get() >= k.target)
 }
 
 /// Resolve a TLB frame mapping plus page offset into a device block
@@ -1403,6 +1500,7 @@ mod tests {
     /// The quiet-tick, burst-tick and settled-commit counters are
     /// deterministic work counters: two runs of one cell count the same
     /// memory-quiet ticks, sleeping cluster ticks, sleeping L3 ticks,
+    /// sleeping cores in awake clusters, scheme-quiet device edges,
     /// burst ticks and settled commit cycles, a stats reset zeroes them
     /// like the other kernel counters, and the ungated reference loop
     /// skips no phase 5 and sleeps nothing. Dense and burst ticks are
@@ -1411,20 +1509,22 @@ mod tests {
     #[test]
     fn quiet_tick_counters_repeat_exactly_and_are_zero_under_run_dense() {
         let quiet = |h: HotProfileReport| {
-            (
+            [
                 h.mem_quiet_ticks,
                 h.cluster_quiet_ticks,
                 h.l3_quiet_ticks,
+                h.core_quiet_ticks,
+                h.scheme_quiet_ticks,
                 h.burst_ticks,
                 h.settled_commit_cycles,
-            )
+            ]
         };
         let profiled = |dense: bool| {
             let mut sys = build(&SchemeSpec::Nomad, &WorkloadProfile::tc(), 42);
             sys.enable_hot_profile();
             sys.run(2_000);
             sys.reset_stats();
-            assert_eq!(quiet(sys.hot_profile().expect("armed")), (0, 0, 0, 0, 0));
+            assert_eq!(quiet(sys.hot_profile().expect("armed")), [0; 7]);
             if dense {
                 sys.run_dense(20_000);
             } else {
@@ -1439,25 +1539,29 @@ mod tests {
         };
         let first = profiled(false);
         let second = profiled(false);
-        let (mem, clusters, l3, burst, settled) = quiet(first);
+        let [mem, clusters, l3, cores, scheme, burst, settled] = quiet(first);
         assert!(mem > 0, "tc must have memory-quiet ticks");
         assert!(clusters > 0, "tc must have sleeping clusters");
         assert!(l3 > 0, "tc must have a sleeping L3");
+        assert!(cores > 0, "tc must have cores asleep in awake clusters");
+        assert!(scheme > 0, "tc must have device edges without the scheme");
         assert!(burst > 0, "tc must have steps with everything asleep");
         assert!(settled > 0, "tc must have cores committing while asleep");
-        assert!(mem.max(clusters).max(l3) <= first.dense_ticks);
+        assert!(mem.max(clusters).max(l3).max(cores) <= first.dense_ticks);
+        assert!(scheme <= first.dense_ticks + burst);
         assert_eq!(quiet(first), quiet(second));
         assert_eq!(first.dense_ticks, second.dense_ticks);
-        assert_eq!(quiet(profiled(true)), (0, 0, 0, 0, 0));
+        assert_eq!(quiet(profiled(true)), [0; 7]);
     }
 
     /// Per-cycle differential for the gated step: on the 8-core Fig. 9
     /// shape, for every Fig. 9 scheme on a memory-bound and a
     /// cache-resident workload, a system stepped with sleeping
-    /// clusters, a sleeping L3 and memory-quiet ticks and one ticked
-    /// ungated advance side by side, and their reports — the gated
-    /// one's stall ledger settled — must serialize identically every
-    /// 1 000 cycles.
+    /// clusters, sleeping cores in awake clusters, a sleeping L3,
+    /// memory-quiet ticks and device edges without the scheme, and one
+    /// ticked ungated, advance side by side, and their reports — the
+    /// gated one's stall ledgers settled — must serialize identically
+    /// every 1 000 cycles.
     #[test]
     fn gated_steps_match_ungated_ticks_on_the_fig9_shape() {
         let cfg = SystemConfig::scaled(8);
@@ -1485,7 +1589,10 @@ mod tests {
                 }
                 let hot = gated.hot_profile().expect("armed");
                 assert!(
-                    hot.cluster_quiet_ticks > 0 && hot.l3_quiet_ticks > 0,
+                    hot.cluster_quiet_ticks > 0
+                        && hot.l3_quiet_ticks > 0
+                        && hot.core_quiet_ticks > 0
+                        && hot.scheme_quiet_ticks > 0,
                     "nothing slept: scheme {} workload {}",
                     spec.label(),
                     profile.name
