@@ -1382,7 +1382,7 @@ pub mod ablations {
                     fifo_miss += 1;
                     if fifo.num_free() == 0 {
                         fifo_victims.clear();
-                        fifo.evict_batch_into(64, &mut fifo_victims);
+                        fifo.evict_batch(64, false, |_| false, &mut fifo_victims);
                         for e in &fifo_victims {
                             fifo_map.retain(|_, v| *v != e.cfn);
                         }

@@ -6,9 +6,10 @@
 //! The fleet sizes share one pool of four running nodes (size 1 uses
 //! the first, size 2 the first two, …), so later runs also exercise
 //! the shared cache tier: node 0 computed everything during the
-//! size-1 run, and when the size-2/size-4 rings route cells to other
-//! nodes, those nodes' workers fetch from node 0's cache instead of
-//! recomputing — observable as `fleet.remote_fetches`.
+//! size-1 run, and when a size-2/size-4 grid's workers start cells at
+//! the other nodes (worker `t` starts at node `t`), those cells are
+//! fetched from node 0's cache instead of recomputed — observable as
+//! `fleet.remote_fetches`.
 //!
 //! Every harness goes through the same executor, so a figure whose
 //! rows are folded from several cells (Fig. 14 here) holds the same
@@ -134,10 +135,10 @@ fn fleet_rows_match_local_at_every_size_and_width() {
         grids * oracle.len() as u64,
         "every cell of every grid goes through the router"
     );
-    // Node 0 computed the whole grid during the size-1 runs; the
-    // larger rings deterministically place some cells on other nodes,
-    // whose workers then fetch the finished reports from node 0's
-    // cache instead of recomputing.
+    // Node 0 computed the whole grid during the size-1 runs; in the
+    // larger fleets at jobs 4, workers 1–3 start their cells at other
+    // nodes, which fetch the finished reports from node 0's cache
+    // instead of recomputing.
     let fetches = fleet.value("fleet.remote_fetches").expect("metric") - fetches_before;
     assert!(fetches > 0, "larger fleets must hit the shared cache tier");
 

@@ -11,6 +11,7 @@
 //! performs first-touch physical-frame allocation for the synthetic
 //! workloads.
 
+use crate::tlb::TlbEntry;
 use nomad_types::{Cfn, IntMap, Pfn, Vpn};
 use serde::{Deserialize, Serialize};
 
@@ -43,6 +44,15 @@ impl Pte {
     /// A DC *tag miss* in the paper's sense: cacheable but not cached.
     pub fn tag_miss(&self) -> bool {
         !self.noncacheable && !self.cached()
+    }
+
+    /// The TLB entry this PTE fills for `vpn`.
+    pub fn tlb_entry(&self, vpn: Vpn) -> TlbEntry {
+        TlbEntry {
+            vpn,
+            frame: self.frame,
+            noncacheable: self.noncacheable,
+        }
     }
 }
 
@@ -92,6 +102,14 @@ impl PageTable {
                 dirty: false,
             }
         })
+    }
+
+    /// A conventional page walk: `vpn`'s PTE (allocated on first
+    /// touch), marked dirty on a write, as the TLB entry it fills.
+    pub fn walk(&mut self, vpn: Vpn, write: bool) -> TlbEntry {
+        let pte = self.pte_mut(vpn);
+        pte.dirty |= write;
+        pte.tlb_entry(vpn)
     }
 
     /// Read-only PTE lookup (no allocation).

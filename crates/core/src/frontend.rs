@@ -242,7 +242,7 @@ impl Frontend {
         let mut victims = std::mem::take(&mut self.evict_scratch);
         victims.clear();
         self.frames
-            .evict_batch_filtered_into(n, |cfn| backends.busy_cfn(cfn), &mut victims);
+            .evict_batch(n, false, |cfn| backends.busy_cfn(cfn), &mut victims);
         let mut dirty_count = 0;
         for v in &victims {
             let (_, dirty_lines) = flush.flush_dc_page(v.cfn.raw());
@@ -313,8 +313,9 @@ impl Frontend {
                         None => {
                             let mut victims = std::mem::take(&mut self.evict_scratch);
                             victims.clear();
-                            self.frames.evict_batch_force_into(
+                            self.frames.evict_batch(
                                 self.cfg.eviction_batch,
+                                true,
                                 |cfn| backends.busy_cfn(cfn),
                                 &mut victims,
                             );

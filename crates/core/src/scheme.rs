@@ -7,7 +7,7 @@ use crate::backend::{
 };
 use crate::config::{CachingPolicy, NomadConfig};
 use crate::frontend::{BackendCtl, Frontend, FrontendConfig, FrontendEvents};
-use nomad_cache::{FrameKind, TlbEntry};
+use nomad_cache::FrameKind;
 use nomad_cpu::OsStallReason;
 use nomad_dcache::{
     CacheFlush, DcAccessReq, DcScheme, DramQueue, SchemeEvents, SchemeStats, WalkOutcome,
@@ -246,20 +246,13 @@ impl DcScheme for NomadScheme {
     ) -> WalkOutcome {
         let pte = *self.frontend.page_table_mut().pte_mut(vpn);
         if pte.noncacheable || pte.cached() {
+            let entry = self.frontend.page_table_mut().walk(vpn, kind.is_write());
             if kind.is_write() {
-                let pte_mut = self.frontend.page_table_mut().pte_mut(vpn);
-                pte_mut.dirty = true;
-                if let FrameKind::Cache(cfn) = pte_mut.frame {
+                if let FrameKind::Cache(cfn) = entry.frame {
                     self.frontend.frames_mut().set_dirty(cfn);
                 }
             }
-            return WalkOutcome::Ready {
-                entry: TlbEntry {
-                    vpn,
-                    frame: pte.frame,
-                    noncacheable: pte.noncacheable,
-                },
-            };
+            return WalkOutcome::Ready { entry };
         }
         // DC tag miss: cacheable but not cached.
         let pfn = match pte.frame {
@@ -278,11 +271,7 @@ impl DcScheme for NomadScheme {
             }
             self.stats.policy_bypasses.inc();
             return WalkOutcome::Ready {
-                entry: TlbEntry {
-                    vpn,
-                    frame: pte.frame,
-                    noncacheable: pte.noncacheable,
-                },
+                entry: pte.tlb_entry(vpn),
             };
         }
         if self
@@ -314,7 +303,7 @@ impl DcScheme for NomadScheme {
             evicted.clear();
             self.frontend
                 .frames_mut()
-                .evict_batch_into(64, &mut evicted);
+                .evict_batch(64, false, |_| false, &mut evicted);
             for e in &evicted {
                 self.frontend.page_table_mut().uncache_all(e.cpd.pfn);
             }

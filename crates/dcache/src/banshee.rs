@@ -29,7 +29,7 @@
 use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
-use nomad_cache::{FrameKind, PageTable, TlbEntry};
+use nomad_cache::{FrameKind, PageTable};
 use nomad_dram::{Dram, DramCompletion, DramRequest, Probe};
 use nomad_types::{
     AccessKind, Cfn, CoreId, Cycle, Pfn, ReqId, TrafficClass, Vpn, BLOCK_SIZE, PAGE_SIZE,
@@ -425,20 +425,13 @@ impl DcScheme for Banshee {
         }
         // Walks never block: until a fill retires and its mapping is
         // installed, the page is simply served from off-package memory.
-        let pte = self.page_table.pte_mut(vpn);
+        let entry = self.page_table.walk(vpn, kind.is_write());
         if kind.is_write() {
-            pte.dirty = true;
-            if let FrameKind::Cache(cfn) = pte.frame {
+            if let FrameKind::Cache(cfn) = entry.frame {
                 self.slots[cfn.raw() as usize].dirty = true;
             }
         }
-        WalkOutcome::Ready {
-            entry: TlbEntry {
-                vpn,
-                frame: pte.frame,
-                noncacheable: pte.noncacheable,
-            },
-        }
+        WalkOutcome::Ready { entry }
     }
 
     fn prewarm(&mut self, _core: CoreId, vpn: Vpn, dirty: bool) {

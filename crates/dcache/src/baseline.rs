@@ -3,7 +3,7 @@
 use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
-use nomad_cache::{PageTable, TlbEntry};
+use nomad_cache::PageTable;
 use nomad_dram::{Dram, DramCompletion};
 use nomad_types::{AccessKind, CoreId, Cycle, Vpn};
 
@@ -55,16 +55,8 @@ impl DcScheme for Baseline {
         kind: AccessKind,
         _now: Cycle,
     ) -> WalkOutcome {
-        let pte = self.page_table.pte_mut(vpn);
-        if kind.is_write() {
-            pte.dirty = true;
-        }
         WalkOutcome::Ready {
-            entry: TlbEntry {
-                vpn,
-                frame: pte.frame,
-                noncacheable: pte.noncacheable,
-            },
+            entry: self.page_table.walk(vpn, kind.is_write()),
         }
     }
 

@@ -186,74 +186,6 @@ impl CacheFrames {
         Some((Cfn(idx as u64), probes))
     }
 
-    /// Reclaim up to `n` frames from the tail (Algorithm 2): frames
-    /// whose translations are TLB-resident are *skipped* (they stay
-    /// valid and the tail passes over them, avoiding shootdowns);
-    /// already-free frames are passed over without consuming an
-    /// iteration.
-    pub fn evict_batch(&mut self, n: usize) -> Vec<EvictCandidate> {
-        let mut out = Vec::new();
-        self.evict_batch_into(n, &mut out);
-        out
-    }
-
-    /// [`evict_batch`](CacheFrames::evict_batch) into a caller-owned
-    /// buffer, so a per-tick eviction daemon can reuse one allocation.
-    pub fn evict_batch_into(&mut self, n: usize, out: &mut Vec<EvictCandidate>) {
-        self.evict_batch_inner(n, |_| false, false, out)
-    }
-
-    /// Like [`evict_batch`](CacheFrames::evict_batch), additionally
-    /// skipping frames for which `busy` returns `true` (e.g. frames
-    /// with an in-flight page copy traced by a PCSHR).
-    pub fn evict_batch_filtered(
-        &mut self,
-        n: usize,
-        busy: impl FnMut(Cfn) -> bool,
-    ) -> Vec<EvictCandidate> {
-        let mut out = Vec::new();
-        self.evict_batch_inner(n, busy, false, &mut out);
-        out
-    }
-
-    /// [`evict_batch_filtered`](CacheFrames::evict_batch_filtered) into
-    /// a caller-owned buffer.
-    pub fn evict_batch_filtered_into(
-        &mut self,
-        n: usize,
-        busy: impl FnMut(Cfn) -> bool,
-        out: &mut Vec<EvictCandidate>,
-    ) {
-        self.evict_batch_inner(n, busy, false, out)
-    }
-
-    /// Forced reclamation: evicts TLB-resident frames too (the caller
-    /// must issue TLB shootdowns for them — check `cpd.tlb_dir` of the
-    /// returned candidates). Frames with in-flight copies are still
-    /// skipped. Last-resort path for when the DRAM cache is smaller
-    /// than the combined TLB reach and shootdown avoidance would
-    /// deadlock allocation.
-    pub fn evict_batch_force(
-        &mut self,
-        n: usize,
-        busy: impl FnMut(Cfn) -> bool,
-    ) -> Vec<EvictCandidate> {
-        let mut out = Vec::new();
-        self.evict_batch_inner(n, busy, true, &mut out);
-        out
-    }
-
-    /// [`evict_batch_force`](CacheFrames::evict_batch_force) into a
-    /// caller-owned buffer.
-    pub fn evict_batch_force_into(
-        &mut self,
-        n: usize,
-        busy: impl FnMut(Cfn) -> bool,
-        out: &mut Vec<EvictCandidate>,
-    ) {
-        self.evict_batch_inner(n, busy, true, out)
-    }
-
     /// Distance from `from` (exclusive of nothing — `from` itself may
     /// match) to the next valid frame, wrapping; `None` when no frame
     /// is valid.
@@ -295,11 +227,24 @@ impl CacheFrames {
         }
     }
 
-    fn evict_batch_inner(
+    /// Reclaim up to `n` frames from the tail (Algorithm 2), appending
+    /// them to `out` so a per-tick eviction daemon can reuse one
+    /// buffer. A frame whose translation is TLB-resident is *skipped*
+    /// (it stays valid and the tail passes over it, avoiding a
+    /// shootdown) unless `force_tlb`, and a frame for which `busy`
+    /// returns `true` (e.g. one with an in-flight page copy traced by a
+    /// PCSHR) is always skipped; a skip consumes an iteration, while
+    /// already-free frames are passed over without consuming one.
+    ///
+    /// `force_tlb` is the last-resort path for when the DRAM cache is
+    /// smaller than the combined TLB reach and shootdown avoidance
+    /// would deadlock allocation: the caller must then issue TLB
+    /// shootdowns for the candidates whose `cpd.tlb_dir` is set.
+    pub fn evict_batch(
         &mut self,
         n: usize,
-        mut busy: impl FnMut(Cfn) -> bool,
         force_tlb: bool,
+        mut busy: impl FnMut(Cfn) -> bool,
         out: &mut Vec<EvictCandidate>,
     ) {
         let len = self.frames;
@@ -386,6 +331,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A plain batch: TLB-resident frames skipped, nothing busy.
+    fn evict(f: &mut CacheFrames, n: usize) -> Vec<EvictCandidate> {
+        let mut out = Vec::new();
+        f.evict_batch(n, false, |_| false, &mut out);
+        out
+    }
+
     #[test]
     fn fifo_allocation_order() {
         let mut f = CacheFrames::new(4);
@@ -405,7 +357,7 @@ mod tests {
             f.allocate(Pfn(i)).unwrap();
         }
         assert!(f.allocate(Pfn(99)).is_none(), "cache full");
-        let evicted = f.evict_batch(2);
+        let evicted = evict(&mut f, 2);
         assert_eq!(evicted.len(), 2);
         assert_eq!(evicted[0].cfn, Cfn(0));
         assert_eq!(evicted[0].cpd.pfn, Pfn(0));
@@ -423,14 +375,14 @@ mod tests {
             f.allocate(Pfn(i)).unwrap();
         }
         f.tlb_set(Cfn(0), 2);
-        let evicted = f.evict_batch(2);
+        let evicted = evict(&mut f, 2);
         // Frame 0 skipped (consumes an iteration), frame 1 evicted.
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].cfn, Cfn(1));
         assert!(f.cpd(Cfn(0)).valid, "skipped frame stays valid");
         // Clearing the directory makes it reclaimable on a later pass.
         f.tlb_clear(Cfn(0), 2);
-        let evicted = f.evict_batch(4);
+        let evicted = evict(&mut f, 4);
         assert!(evicted.iter().any(|e| e.cfn == Cfn(0)));
     }
 
@@ -441,7 +393,7 @@ mod tests {
             f.allocate(Pfn(i)).unwrap();
         }
         f.tlb_set(Cfn(0), 0);
-        f.evict_batch(4); // evicts 1,2,3; skips 0
+        evict(&mut f, 4); // evicts 1,2,3; skips 0
         assert_eq!(f.num_free(), 3);
         // Head is at 0 (wrapped): allocation must skip the valid frame 0.
         let (c, probes) = f.allocate(Pfn(50)).unwrap();
@@ -456,14 +408,14 @@ mod tests {
         assert!(!f.cpd(a).dirty);
         f.set_dirty(a);
         assert!(f.cpd(a).dirty);
-        let e = f.evict_batch(1);
+        let e = evict(&mut f, 1);
         assert!(e[0].cpd.dirty);
     }
 
     #[test]
     fn evict_on_empty_cache_returns_nothing() {
         let mut f = CacheFrames::new(4);
-        assert!(f.evict_batch(4).is_empty());
+        assert!(evict(&mut f, 4).is_empty());
     }
 
     #[test]
@@ -473,10 +425,10 @@ mod tests {
             f.allocate(Pfn(i)).unwrap();
         }
         let mut scratch = Vec::new();
-        f.evict_batch_into(2, &mut scratch);
+        f.evict_batch(2, false, |_| false, &mut scratch);
         assert_eq!(scratch.len(), 2);
         scratch.clear();
-        f.evict_batch_into(3, &mut scratch);
+        f.evict_batch(3, false, |_| false, &mut scratch);
         assert_eq!(scratch.len(), 3);
         assert_eq!(scratch[0].cfn, Cfn(2), "tail resumed where it left off");
     }
@@ -581,11 +533,8 @@ mod tests {
                     3 => {
                         let batch = (rng() % 4 + 1) as usize;
                         let force = rng() % 8 == 0;
-                        let got = if force {
-                            arena.evict_batch_force(batch, |_| false)
-                        } else {
-                            arena.evict_batch(batch)
-                        };
+                        let mut got = Vec::new();
+                        arena.evict_batch(batch, force, |_| false, &mut got);
                         let want = naive.evict_batch(batch, force);
                         assert_eq!(got, want, "evict diverged at op {op}");
                         assert_eq!(arena.num_free(), naive.num_free);
@@ -629,11 +578,11 @@ mod tests {
                         }
                     }
                     1 => {
-                        let evicted = f.evict_batch(3);
+                        let evicted = evict(&mut f, 3);
                         allocated -= evicted.len();
                     }
                     _ => {
-                        let evicted = f.evict_batch(1);
+                        let evicted = evict(&mut f, 1);
                         allocated -= evicted.len();
                     }
                 }

@@ -5,7 +5,7 @@ use crate::frames::CacheFrames;
 use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
-use nomad_cache::{FrameKind, PageTable, TlbEntry};
+use nomad_cache::{FrameKind, PageTable};
 use nomad_dram::{Dram, DramCompletion};
 use nomad_types::{AccessKind, CoreId, Cycle, Vpn, PAGE_SIZE};
 
@@ -67,7 +67,7 @@ impl Ideal {
         while self.frames.num_free() < self.eviction_threshold {
             evicted.clear();
             self.frames
-                .evict_batch_into(self.eviction_batch, &mut evicted);
+                .evict_batch(self.eviction_batch, false, |_| false, &mut evicted);
             if evicted.is_empty() {
                 break;
             }
@@ -85,7 +85,7 @@ impl Ideal {
         if self.frames.num_free() == 0 {
             evicted.clear();
             self.frames
-                .evict_batch_force_into(self.eviction_batch, |_| false, &mut evicted);
+                .evict_batch(self.eviction_batch, true, |_| false, &mut evicted);
             for e in &evicted {
                 for vpn in self.page_table.reverse_map(e.cpd.pfn) {
                     self.pending_shootdown.push(Vpn(vpn));
@@ -128,23 +128,16 @@ impl DcScheme for Ideal {
             self.page_table.cache_all(pfn, cfn);
             self.stats.tag_misses.inc();
         }
-        let pte = self.page_table.pte_mut(vpn);
+        let entry = self.page_table.walk(vpn, kind.is_write());
         if kind.is_write() {
-            pte.dirty = true;
-            if let FrameKind::Cache(cfn) = pte.frame {
+            if let FrameKind::Cache(cfn) = entry.frame {
                 self.frames.set_dirty(cfn);
             }
         }
         // TLB directory: the system reports insertions via
         // `tlb_inserted`, so nothing more to do here.
         let _ = core;
-        WalkOutcome::Ready {
-            entry: TlbEntry {
-                vpn,
-                frame: pte.frame,
-                noncacheable: pte.noncacheable,
-            },
-        }
+        WalkOutcome::Ready { entry }
     }
 
     fn prewarm(&mut self, _core: CoreId, vpn: Vpn, dirty: bool) {

@@ -24,7 +24,7 @@
 use crate::queue::DramQueue;
 use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome};
 use crate::stats::SchemeStats;
-use nomad_cache::{PageTable, TlbEntry};
+use nomad_cache::PageTable;
 use nomad_dram::{Dram, DramCompletion, DramRequest, Probe};
 use nomad_types::{AccessKind, CoreId, Cycle, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE};
 use std::collections::VecDeque;
@@ -383,16 +383,8 @@ impl DcScheme for Tdram {
     ) -> WalkOutcome {
         // HW-managed: translation is conventional; the DC is invisible
         // to the OS.
-        let pte = self.page_table.pte_mut(vpn);
-        if kind.is_write() {
-            pte.dirty = true;
-        }
         WalkOutcome::Ready {
-            entry: TlbEntry {
-                vpn,
-                frame: pte.frame,
-                noncacheable: pte.noncacheable,
-            },
+            entry: self.page_table.walk(vpn, kind.is_write()),
         }
     }
 

@@ -3,18 +3,17 @@
 //! One `nomad-serve` process turns sweeps into jobs against a single
 //! cache-backed worker pool; this crate coordinates **N** of them:
 //!
-//! * **Consistent-hash routing** ([`ring`]) — every cell's
+//! * **Consistent-hash routing** ([`ring`]) — every submitted job's
 //!   content key places it on a 64-vnode hash ring over stable slot
 //!   labels, so placement is reproducible across runs and ephemeral
 //!   ports, and removing a node remaps only its arc.
-//! * **Shared cache reads** ([`router`]) — before computing, the
-//!   client reads every other node's content-addressed result cache
-//!   with one `Fetch` frame each; a cell any node already finished is
-//!   fetched, not recomputed.
-//! * **Cross-node work stealing** — a worker whose home node's queue
-//!   ran dry re-dispatches the tail of the longest straggler queue to
-//!   its idle home node, safe because jobs are idempotent and
-//!   content-keyed.
+//! * **One grid cursor** ([`router`]) — a grid's workers claim cells
+//!   in grid order, and each worker starts the cells it claims at its
+//!   own node, so in-flight cells spread over the nodes the way the
+//!   workers do; the ring re-places a cell whose node dies.
+//! * **Shared cache reads** — before computing, the client reads every
+//!   other node's content-addressed result cache with one `Fetch` frame
+//!   each; a cell any node already finished is fetched, not recomputed.
 //! * **Membership and failover** ([`member`]) — per-node health from
 //!   heartbeats plus the per-node ladder
 //!   ([`nomad_serve::submit_ladder`]); a dead node's arc is reassigned
@@ -40,9 +39,9 @@
 //! the chaos suite hold this).
 //!
 //! Fault sites (see `nomad-faults`): `fleet.route` (placement falls
-//! back to the first alive node), `fleet.steal` (a steal attempt is
-//! abandoned), `fleet.member` (a heartbeat probe counts as missed),
-//! `fleet.breaker` (a submit outcome is recorded as a failure).
+//! back to the first alive node), `fleet.member` (a heartbeat probe
+//! counts as missed), `fleet.breaker` (a submit outcome is recorded as
+//! a failure).
 //! Fleet metrics are registered under `fleet.*` (breaker activity
 //! under `overload.*`) in `nomad-obs` and documented in `METRICS.md`.
 

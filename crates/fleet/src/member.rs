@@ -421,8 +421,8 @@ impl Membership {
 
     /// Declare slot `idx` dead and rebuild the ring from the
     /// survivors, so only the dead node's arc is reassigned. Returns
-    /// `true` for exactly one caller per node (that caller counts the
-    /// `fleet.failovers` and re-routes the dead node's queue); later
+    /// `true` for exactly one caller per node (its call counts the
+    /// `fleet.failovers`, and the caller announces the death); later
     /// callers see `false` and do nothing.
     pub fn mark_dead(&self, idx: usize) -> bool {
         if self.nodes[idx]

@@ -1,5 +1,5 @@
 //! The fleet client: route each job to its node, read every node's
-//! cache, fail over dead arcs — and, for grids, steal from stragglers.
+//! cache, fail over dead arcs, and run grids from one shared cursor.
 //!
 //! [`FleetClient::submit`] is the one way a job leaves a process, and
 //! [`FleetClient::run_grid`] runs a grid's cells over the same per-cell
@@ -8,9 +8,8 @@
 //! computes one: rows are **byte-identical at any fleet size, any
 //! `jobs` width, with or without injected faults**. Per cell:
 //!
-//! 1. **Route** by the content key on the ring ([`Membership::route`]);
-//!    a grid worker starts at its home node (the cell's owner, or the
-//!    idle node that stole it).
+//! 1. **Route:** a `submit` job goes to its content key's ring owner
+//!    ([`Membership::route`]); a grid cell starts at its worker's node.
 //! 2. **Breaker gate:** a node whose breaker is open loses the cell to
 //!    the next allowed slot, if there is one (the breaker is advisory;
 //!    death is the ladder's call).
@@ -31,21 +30,21 @@
 //!    as the fleet left it: `Expired`, `Overloaded`, `Failed`, or the
 //!    last node's transport error.
 //!
-//! **Grids** queue each cell at its ring owner. A worker whose home
-//! queue is empty steals the *tail* of the longest alive peer queue
-//! for its idle home node (harmless duplicate work: jobs are idempotent
-//! and content-keyed), and a dead node's queue moves to the survivors.
-//! Fault site `fleet.steal` abandons a steal attempt; `fleet.member`
-//! turns a heartbeat probe into a miss.
+//! **Grids** run from one shared cursor, as `par::run_cells` runs them
+//! in-process: `jobs` workers claim cells in grid order, and worker `t`
+//! starts each cell it claims at the `t`-th alive node, so in-flight
+//! cells spread over the nodes the way the workers do. The ring still
+//! re-places a cell whose node dies (step 5). A heartbeat thread pings
+//! the nodes while the workers run; fault site `fleet.member` turns a
+//! heartbeat probe into a miss.
 
 use crate::member::{BreakerState, FleetConfig, Membership};
 use nomad_serve::proto::{JobSpec, Response};
 use nomad_serve::{submit_ladder, Client, ClientConfig};
 use nomad_sim::RunReport;
 use nomad_types::CancelToken;
-use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -104,17 +103,18 @@ impl FleetClient {
     /// node answered in time comes back `Expired`, `Overloaded`,
     /// `Failed` or as the last node's transport error.
     pub fn submit(&self, job: &JobSpec, budget: Option<Duration>) -> io::Result<Response> {
-        nomad_obs::fleet().cells_routed.inc();
         let deadline = budget.map(|budget| Instant::now() + budget);
         self.run_cell(job, None, deadline, &CancelToken::new())
     }
 
-    /// Run a grid across the fleet; results in input order. The first
+    /// Run a grid across the fleet; results in input order. `jobs`
+    /// workers claim cells in grid order from one shared cursor, and
+    /// each cell takes [`submit`]'s path (without a budget), starting
+    /// at its worker's node: worker `t` starts at the `t`-th alive node
+    /// (modulo the alive count, read at each claim). The first
     /// unrecoverable cell fails the grid with its own error: it stops
-    /// the grid (queued siblings are not submitted) but leaves `cancel`
-    /// alone, which only the caller latches. Every cell takes
-    /// [`submit`]'s path (without a budget) from a pool of `jobs`
-    /// workers.
+    /// the grid (unclaimed cells are not submitted) but leaves `cancel`
+    /// alone, which only the caller latches.
     ///
     /// [`submit`]: Self::submit
     pub fn run_grid(
@@ -129,48 +129,57 @@ impl FleetClient {
                 "fleet has no nodes (empty address list)",
             ));
         }
-        let total = cells.len();
-        let state = RunState {
-            fleet: self,
-            queues: (0..self.members.len())
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            remaining: AtomicUsize::new(total),
-            results: Mutex::new((0..total).map(|_| None).collect()),
-            failed: OnceLock::new(),
-        };
-        // Route every cell to its owner's queue, in submission order
-        // (deterministic ring + deterministic keys = deterministic
-        // placement). A fleet already dead queues everything at slot 0
-        // for the degraded path.
-        for (idx, job) in cells.into_iter().enumerate() {
-            let owner = self.members.route(job.content_key()).unwrap_or(0);
-            nomad_obs::fleet().cells_routed.inc();
-            state.queues[owner]
-                .lock()
-                .expect("queue lock")
-                .push_back(WorkItem { idx, job });
-        }
-
-        let workers = jobs.max(1).min(total.max(1));
-        std::thread::scope(|scope| {
-            let state = &state;
-            if self.members.len() > 1 {
-                scope.spawn(move || heartbeat_loop(state));
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<RunReport>> = cells.iter().map(|_| OnceLock::new()).collect();
+        let failed = OnceLock::new();
+        let worker = |t: usize| {
+            while !cancel.is_cancelled() && failed.get().is_none() {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = cells.get(idx) else { return };
+                let alive = self.members.alive_slots();
+                let home = (!alive.is_empty()).then(|| alive[t % alive.len()]);
+                match self.run_cell(job, home, None, cancel) {
+                    Ok(Response::Report { report, .. }) => {
+                        let _ = slots[idx].set(report);
+                    }
+                    // A cancel fails no cell: it is the caller's to report.
+                    Err(_) if cancel.is_cancelled() => return,
+                    Ok(other) => {
+                        let _ =
+                            failed.set(io::Error::other(format!("unexpected response: {other:?}")));
+                    }
+                    Err(e) => {
+                        let _ = failed.set(e);
+                    }
+                }
             }
-            for t in 0..workers {
-                scope.spawn(move || worker_loop(t, state, cancel));
+        };
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            if self.members.len() > 1 {
+                scope.spawn(|| heartbeat_loop(self, &done));
+            }
+            let workers: Vec<_> = (0..jobs.max(1).min(cells.len().max(1)))
+                .map(|t| scope.spawn(move || worker(t)))
+                .collect();
+            // The heartbeat stops once every worker has joined, and only
+            // then does a worker's panic re-raise, or the scope would
+            // wait on the heartbeat forever.
+            let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+            done.store(true, Ordering::Relaxed);
+            if let Some(panic) = joined.into_iter().find_map(Result::err) {
+                std::panic::resume_unwind(panic);
             }
         });
-
-        if let Some(error) = state.failed.into_inner() {
-            return Err(io::Error::other(error));
+        if let Some(error) = failed.into_inner() {
+            return Err(error);
         }
-        let results = state.results.into_inner().expect("threads joined");
-        results
+        // Only a cancel leaves a slot empty.
+        slots
             .into_iter()
-            .map(|r| r.expect("every cell resolved").map_err(io::Error::other))
-            .collect()
+            .map(OnceLock::into_inner)
+            .collect::<Option<_>>()
+            .ok_or_else(|| io::ErrorKind::Interrupted.into())
     }
 
     /// The per-cell path (module docs, steps 1–6), starting at `home`
@@ -182,6 +191,7 @@ impl FleetClient {
         deadline: Option<Instant>,
         cancel: &CancelToken,
     ) -> io::Result<Response> {
+        nomad_obs::fleet().cells_routed.inc();
         let key = job.content_key();
         let canonical = job.canonical_json();
         let mut target = home.or_else(|| self.members.route(key));
@@ -317,7 +327,8 @@ impl FleetClient {
 
     /// Declare node `idx` dead: one `fleet.failovers` total, whichever
     /// of a ladder or the heartbeat gets here first. Its arc goes to
-    /// the survivors, and a running grid moves its queue after it.
+    /// the survivors, and a cell in flight there re-routes once its
+    /// ladder stops.
     fn fail_node(&self, idx: usize, why: &str) {
         if self.members.mark_dead(idx) {
             eprintln!(
@@ -343,161 +354,15 @@ fn run_locally(job: &JobSpec, cancel: &CancelToken) -> io::Result<Response> {
     })
 }
 
-/// One routed cell: the grid index it must answer under, plus the job.
-struct WorkItem {
-    idx: usize,
-    job: JobSpec,
-}
-
-/// Shared state of one in-flight grid run.
-struct RunState<'a> {
-    fleet: &'a FleetClient,
-    /// One queue per configured slot (a dead slot's queue moves to the
-    /// survivors; with none left the degraded path drains it).
-    queues: Vec<Mutex<VecDeque<WorkItem>>>,
-    /// Cells not yet resolved into `results`.
-    remaining: AtomicUsize,
-    /// Each cell's outcome, by grid index.
-    results: Mutex<Vec<Option<Result<RunReport, String>>>>,
-    /// The first cell failure not caused by the caller's cancel: it
-    /// stops the grid, and the grid fails with it.
-    failed: OnceLock<String>,
-}
-
-impl RunState<'_> {
-    fn push_result(&self, idx: usize, outcome: Result<RunReport, String>) {
-        self.results.lock().expect("results lock")[idx] = Some(outcome);
-        self.remaining.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Run one cell through the fleet client's per-cell path and record
-    /// its outcome; an unrecoverable cell stops the grid, so sibling
-    /// workers stop feeding a doomed grid.
-    fn run(&self, item: WorkItem, home: Option<usize>, cancel: &CancelToken) {
-        let outcome = match self.fleet.run_cell(&item.job, home, None, cancel) {
-            Ok(Response::Report { report, .. }) => Ok(report),
-            Ok(other) => Err(format!("unexpected response: {other:?}")),
-            Err(e) => Err(e.to_string()),
-        };
-        if let Err(e) = &outcome {
-            if !cancel.is_cancelled() {
-                let _ = self.failed.set(e.clone());
-            }
-        }
-        self.push_result(item.idx, outcome);
-    }
-
-    /// Move the cells queued at dead nodes to their owners among the
-    /// survivors. With no survivor they stay queued, and the degraded
-    /// path drains them.
-    fn reroute_orphans(&self) {
-        let members = &self.fleet.members;
-        if members.alive_count() == 0 {
-            return;
-        }
-        for (idx, queue) in self.queues.iter().enumerate() {
-            if members.is_alive(idx) {
-                continue;
-            }
-            let orphans: Vec<WorkItem> = queue.lock().expect("queue lock").drain(..).collect();
-            for item in orphans {
-                let owner = members.route(item.job.content_key()).unwrap_or(idx);
-                self.queues[owner]
-                    .lock()
-                    .expect("queue lock")
-                    .push_back(item);
-            }
-        }
-    }
-}
-
-/// One grid worker: drain the home queue, steal from stragglers,
-/// degrade to local execution once the fleet is gone.
-fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
-    let members = &state.fleet.members;
-    loop {
-        if state.remaining.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        if cancel.is_cancelled() || state.failed.get().is_some() {
-            // The caller cancelled or a cell failed: flush everything
-            // still queued as cancelled; in-flight cells on sibling
-            // workers resolve themselves.
-            let mut flushed = false;
-            for q in &state.queues {
-                while let Some(item) = q.lock().expect("queue lock").pop_front() {
-                    state.push_result(item.idx, Err("cancelled before submission".to_string()));
-                    flushed = true;
-                }
-            }
-            if !flushed {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            continue;
-        }
-        state.reroute_orphans();
-        let alive = members.alive_slots();
-        if alive.is_empty() {
-            // Degraded: the whole fleet is gone; drain any queue (each
-            // cell's path runs it locally).
-            let item = state
-                .queues
-                .iter()
-                .find_map(|q| q.lock().expect("queue lock").pop_front());
-            match item {
-                Some(item) => state.run(item, None, cancel),
-                None => std::thread::sleep(Duration::from_millis(1)),
-            }
-            continue;
-        }
-        let home = alive[t % alive.len()];
-        // Home work first… (popped in its own statement: the queue
-        // lock must not be held while the cell runs, or workers sharing
-        // this node serialize and moving a dead home's queue
-        // self-deadlocks.)
-        let item = state.queues[home].lock().expect("queue lock").pop_front();
-        if let Some(item) = item {
-            state.run(item, Some(home), cancel);
-            continue;
-        }
-        // …then steal the tail of the longest alive peer queue for the
-        // idle home node. Fault site `fleet.steal`: an injected fault
-        // abandons this attempt (the owner keeps the cell).
-        let victim = alive
-            .iter()
-            .copied()
-            .filter(|&n| n != home)
-            .map(|n| (state.queues[n].lock().expect("queue lock").len(), n))
-            .filter(|&(len, _)| len > 0)
-            .max();
-        if let Some((_, victim)) = victim {
-            if nomad_faults::inject("fleet.steal").is_some() {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            let stolen = state.queues[victim].lock().expect("queue lock").pop_back();
-            if let Some(item) = stolen {
-                nomad_obs::fleet().steals.inc();
-                state.run(item, Some(home), cancel);
-            }
-            continue;
-        }
-        // Queues empty but cells still in flight elsewhere: wait for
-        // either new work (a failover re-route) or completion.
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// Ping every alive node each interval until the grid is done;
+/// Ping every alive node each interval until `done`;
 /// `fleet.heartbeat_misses` consecutive failures (or injected
 /// `fleet.member` faults) past the threshold fail the node over — so
 /// even a node nobody is currently submitting to loses its arc
 /// promptly.
-fn heartbeat_loop(state: &RunState) {
-    let fleet = state.fleet;
+fn heartbeat_loop(fleet: &FleetClient, done: &AtomicBool) {
     let interval = fleet.cfg.heartbeat_interval;
     let threshold = fleet.cfg.heartbeat_misses;
-    let running = || state.remaining.load(Ordering::SeqCst) > 0;
+    let running = || !done.load(Ordering::Relaxed);
     let hb_cfg = fleet.control_cfg();
     while running() {
         // Sleep in small slices so the grid's end is noticed promptly

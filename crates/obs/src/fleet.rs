@@ -1,16 +1,16 @@
 //! Process-wide fleet-router counters.
 //!
 //! The fleet tier (consistent-hash routing, shared cache reads,
-//! work stealing, membership failover) spans nomad-fleet, nomad-serve
-//! and nomad-bench, so — exactly like [`crate::resilience()`] — its
+//! membership failover) spans nomad-fleet, nomad-serve and
+//! nomad-bench, so — exactly like [`crate::resilience()`] — its
 //! counters live in one process-global registry rather than in any
 //! per-router instance: a sweep wants one answer to "how many cells
-//! were stolen / nodes failed over this run", no matter which router
-//! call absorbed the event.
+//! were fetched from a peer / nodes failed over this run", no matter
+//! which router call absorbed the event.
 //!
 //! Like the resilience counters these are **not** gated on
-//! [`enabled`](crate::enabled): the events are rare (a steal, a node
-//! death) and each is one relaxed atomic add, so they always count.
+//! [`enabled`](crate::enabled): the events are rare (a peer fetch, a
+//! node death) and each is one relaxed atomic add, so they always count.
 //! They are documented in `METRICS.md` and held against this registry
 //! by the two-way `metrics_doc` test.
 
@@ -21,15 +21,13 @@ use std::sync::OnceLock;
 /// Handles to the process-wide fleet counters.
 pub struct Fleet {
     registry: Registry,
-    /// Cells assigned to a node's arc by the hash ring
+    /// Jobs sent down the fleet client's per-cell path
     /// (`fleet.cells_routed`).
     pub cells_routed: Counter,
-    /// Cells answered by fetching a cached report from a non-owner
-    /// node instead of computing (`fleet.remote_fetches`).
+    /// Cells answered by fetching a cached report from a node other
+    /// than the one they were sent to, instead of computing
+    /// (`fleet.remote_fetches`).
     pub remote_fetches: Counter,
-    /// Cells re-dispatched from a straggler node's queue tail to an
-    /// idle peer (`fleet.steals`).
-    pub steals: Counter,
     /// Nodes declared dead with their ring arc reassigned live
     /// (`fleet.failovers`).
     pub failovers: Counter,
@@ -46,19 +44,13 @@ impl Fleet {
                 "fleet.cells_routed",
                 "cells",
                 "fleet",
-                "Cells assigned to a node's arc by the consistent-hash ring",
+                "Jobs sent down the fleet client's per-cell path",
             ),
             remote_fetches: registry.counter(
                 "fleet.remote_fetches",
                 "cells",
                 "fleet",
-                "Cells answered from a non-owner node's cache instead of computing",
-            ),
-            steals: registry.counter(
-                "fleet.steals",
-                "cells",
-                "fleet",
-                "Cells re-dispatched from a straggler's queue tail to an idle peer",
+                "Cells answered from another node's cache instead of computing",
             ),
             failovers: registry.counter(
                 "fleet.failovers",
@@ -118,16 +110,15 @@ mod tests {
                 "fleet.failovers",
                 "fleet.heartbeat_misses",
                 "fleet.remote_fetches",
-                "fleet.steals",
             ]
         );
     }
 
     #[test]
     fn rows_track_increments() {
-        let before = fleet().value("fleet.steals").expect("row present");
-        fleet().steals.inc();
-        let after = fleet().value("fleet.steals").expect("row present");
+        let before = fleet().value("fleet.failovers").expect("row present");
+        fleet().failovers.inc();
+        let after = fleet().value("fleet.failovers").expect("row present");
         assert_eq!(after, before + 1);
     }
 }

@@ -12,10 +12,10 @@
 //! slept and retried a bounded number of times, and an optional
 //! deadline caps every step by the time left. Policy lives above it:
 //! the fleet client (`nomad_fleet::FleetClient::submit`, and
-//! `run_grid` on top of it) routes each job, gates it on the node's
-//! breaker, fails a node over once its ladder gives up, and past the
-//! last node degrades to in-process execution. A single server is a
-//! fleet of one.
+//! `run_grid` on top of it) routes each job (a grid cell starts at its
+//! worker's node), gates it on the node's breaker, fails a node over
+//! once its ladder gives up, and past the last node degrades to
+//! in-process execution. A single server is a fleet of one.
 //!
 //! All budgets come from [`ClientConfig`] (environment-overridable;
 //! see its field docs).

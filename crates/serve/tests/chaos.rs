@@ -146,22 +146,23 @@ fn mid_frame_drops_recover_byte_identical() {
     let cells = grid(&[10, 11, 12, 13]);
     let expected = expected_jsons(&cells);
     for jobs in [1usize, 4] {
-        let got = with_plan(
+        let (got, injected) = with_plan(
             Some("42:serve.proto.write_frame=torn@0.2,serve.proto.read_frame=io@0.1"),
             || {
+                let before = nomad_faults::injected_total();
                 let handle = test_server(None);
                 let addr = handle.local_addr().to_string();
                 let reports = fleet_of_one(addr, fast_cfg())
                     .run_grid(cells.clone(), jobs, &CancelToken::new())
                     .expect("grid recovers");
                 handle.shutdown();
-                jsons(&reports)
+                (jsons(&reports), nomad_faults::injected_total() - before)
             },
         );
         assert_eq!(got, expected, "jobs={jobs} must recover byte-identical");
         assert!(
-            nomad_faults::injected_total() > 0,
-            "the plan must actually have fired"
+            injected > 0,
+            "jobs={jobs}: the plan must actually have fired"
         );
     }
 }
@@ -382,20 +383,15 @@ fn run_grid_within(
     }
 }
 
-/// A node dead before the sweep even starts: the router's per-node
-/// ladder declares it dead, its arc reassigns to the survivors, and
-/// the grid completes byte-identical — with the failover observable.
+/// A node dead before the sweep even starts: the heartbeat, or the
+/// ladder of the worker that starts at it (worker 1 starts at node 1),
+/// declares it dead, its arc reassigns to the survivors, and the grid
+/// completes byte-identical — with the failover observable.
 #[test]
 fn fleet_dead_node_arc_reassigned() {
     with_plan(None, || {
         let cells = grid(&[60, 100, 110, 130, 150, 40]);
         let expected = expected_jsons(&cells);
-        // Deterministic placement guard: the node we kill must own at
-        // least one cell, or the test would prove nothing.
-        assert!(
-            owners(&cells, 3).contains(&1),
-            "seed choice: node 1 must own part of this grid"
-        );
         let (mut handles, addrs) = test_fleet(3);
         handles.remove(1).shutdown();
         let failovers_before = fleet_metric("fleet.failovers");
@@ -406,10 +402,12 @@ fn fleet_dead_node_arc_reassigned() {
             },
             ..fast_fleet_cfg()
         };
-        let reports = FleetClient::with_config(&addrs, cfg)
+        let fleet = FleetClient::with_config(&addrs, cfg);
+        let reports = fleet
             .run_grid(cells, 3, &CancelToken::new())
             .expect("failover saves the grid");
         assert_eq!(jsons(&reports), expected, "failover must be byte-identical");
+        assert!(!fleet.members().is_alive(1), "node 1 was declared dead");
         assert!(
             fleet_metric("fleet.failovers") > failovers_before,
             "the dead node's arc was reassigned exactly through mark_dead"
@@ -421,29 +419,26 @@ fn fleet_dead_node_arc_reassigned() {
 }
 
 /// A node killed *mid-sweep* (after it completed at least one job):
-/// heartbeats and the ladder race to declare it dead, its remaining
-/// cells re-route, and the rows still come back byte-identical.
+/// heartbeats and the ladder race to declare it dead, the cells sent
+/// there re-route, and the rows still come back byte-identical. The
+/// victim is node 1, where worker 1 starts each cell it claims.
 #[test]
 fn fleet_mid_sweep_node_kill_fails_over() {
     with_plan(None, || {
         let cells = grid(&[70, 100, 110, 130, 150, 90, 20, 160]);
         let expected = expected_jsons(&cells);
-        assert!(
-            owners(&cells, 3).iter().filter(|&&o| o == 1).count() >= 2,
-            "seed choice: node 1 must own at least two cells so some are \
-             still pending when it dies"
-        );
         let (mut handles, addrs) = test_fleet(3);
         let failovers_before = fleet_metric("fleet.failovers");
         let victim = handles.remove(1);
         let victim_stats = victim.stats();
+        let killer_stats = victim.stats();
         std::thread::scope(|scope| {
             // Killer: wait for the victim to finish one job, then pull
             // the plug under the rest of the sweep (bounded wait, so a
             // starved victim cannot deadlock the test).
             scope.spawn(move || {
                 let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                while victim_stats.completed.get() == 0 && std::time::Instant::now() < deadline {
+                while killer_stats.completed.get() == 0 && std::time::Instant::now() < deadline {
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 victim.shutdown();
@@ -457,6 +452,10 @@ fn fleet_mid_sweep_node_kill_fails_over() {
                 "mid-sweep failover must be byte-identical"
             );
         });
+        assert!(
+            victim_stats.completed.get() > 0,
+            "the victim ran a cell before it died"
+        );
         assert!(
             fleet_metric("fleet.failovers") > failovers_before,
             "killing a node mid-sweep must register a failover"
@@ -476,9 +475,10 @@ fn fleet_mid_sweep_node_kill_fails_over() {
 fn fleet_torn_fetch_and_submit_frames_recover_byte_identical() {
     let cells = grid(&[80, 81, 50, 51]);
     let expected = expected_jsons(&cells);
-    let got = with_plan(
+    let (got, injected) = with_plan(
         Some("21:serve.proto.write_frame=torn@0.15,serve.proto.read_frame=io@0.1"),
         || {
+            let before = nomad_faults::injected_total();
             let (handles, addrs) = test_fleet(2);
             let cfg = FleetConfig {
                 // Keep the heartbeat out of the torn-frame blast radius:
@@ -495,50 +495,47 @@ fn fleet_torn_fetch_and_submit_frames_recover_byte_identical() {
             for h in handles {
                 h.shutdown();
             }
-            jsons(&reports)
+            (jsons(&reports), nomad_faults::injected_total() - before)
         },
     );
     assert_eq!(
         got, expected,
         "torn fleet frames must recover byte-identical"
     );
-    assert!(
-        nomad_faults::injected_total() > 0,
-        "the plan must have fired"
-    );
+    assert!(injected > 0, "the plan must have fired");
 }
 
-/// Faults at the fleet's own sites — corrupted routing decisions and
-/// abandoned steal attempts — are harmless by construction (jobs are
-/// content-addressed; any node computes the same bytes), and the rows
-/// prove it.
+/// Corrupted routing decisions (`fleet.route`) are harmless by
+/// construction: jobs are content-addressed, so any node computes the
+/// same bytes, and the rows prove it. The cells go through
+/// `FleetClient::submit`, which routes every job on the ring.
 #[test]
-fn fleet_route_and_steal_faults_stay_byte_identical() {
+fn fleet_route_faults_stay_byte_identical() {
     let cells = grid(&[90, 91, 100, 101, 160, 161]);
     let expected = expected_jsons(&cells);
-    let got = with_plan(Some("33:fleet.route=io@0.5,fleet.steal=io@0.5"), || {
+    let (got, injected) = with_plan(Some("33:fleet.route=io@0.5"), || {
+        let before = nomad_faults::injected_total();
         let (handles, addrs) = test_fleet(3);
-        let reports = FleetClient::with_config(&addrs, fast_fleet_cfg())
-            .run_grid(cells, 4, &CancelToken::new())
-            .expect("fleet-site faults are harmless");
+        let fleet = FleetClient::with_config(&addrs, fast_fleet_cfg());
+        let got: Vec<String> = cells
+            .iter()
+            .map(|job| report_json(fleet.submit(job, None)))
+            .collect();
         for h in handles {
             h.shutdown();
         }
-        jsons(&reports)
+        (got, nomad_faults::injected_total() - before)
     });
-    assert_eq!(got, expected, "fleet-site faults must not change the rows");
-    assert!(
-        nomad_faults::injected_total() > 0,
-        "the plan must have fired"
-    );
+    assert_eq!(got, expected, "route faults must not change the rows");
+    assert!(injected > 0, "the plan must have fired");
 }
 
-/// Router workers that share a home node run their cells at the same
-/// time: a worker must not hold its home queue's lock while its cell
-/// runs remotely. Eight cells, each pinned 500 ms inside a server
-/// worker, finish in about one delay on eight router workers — not in
-/// eight delays back to back (4 s) — at one node and at two. The limit
-/// sits halfway, with room for the cells' own compute in debug builds.
+/// Router workers that share a node run their cells at the same time:
+/// no lock is held while a cell runs remotely. Eight cells, each pinned
+/// 500 ms inside a server worker, finish in about one delay on eight
+/// router workers — not in eight delays back to back (4 s) — at one
+/// node and at two. The limit sits halfway, with room for the cells'
+/// own compute in debug builds.
 #[test]
 fn fleet_workers_sharing_a_node_run_concurrently() {
     let cells = grid(&[300, 301, 302, 303, 304, 305, 306, 307]);
@@ -572,20 +569,63 @@ fn fleet_workers_sharing_a_node_run_concurrently() {
     }
 }
 
-/// The per-node ladder declares a worker's home node dead before any
+/// A grid spreads its cells over the nodes its workers start at, not
+/// over the ring: six cells that the ring gives to node 0, each pinned
+/// 400 ms inside the only server worker of its node, finish in about
+/// three delays on two router workers over two nodes — both nodes get
+/// cells — not in six delays back to back on node 0 (2.4 s).
+#[test]
+fn fleet_grid_spreads_cells_over_every_worker_node() {
+    let cells = grid(&[0, 1, 2, 3, 4, 5]);
+    assert_eq!(
+        owners(&cells, 2),
+        vec![0; cells.len()],
+        "seed choice: the ring gives node 0 every cell"
+    );
+    let expected = expected_jsons(&cells);
+    let (got, elapsed, submitted) = with_plan(Some("29:serve.worker.execute=delay:400"), || {
+        let handles: Vec<_> = (0..2).map(|_| test_server_with(1, None)).collect();
+        let addrs: Vec<String> = handles.iter().map(|h| h.local_addr().to_string()).collect();
+        let cfg = FleetConfig {
+            client: fast_cfg(),
+            ..FleetConfig::default()
+        };
+        let start = Instant::now();
+        let got = run_grid_within(
+            FleetClient::with_config(&addrs, cfg),
+            cells.clone(),
+            2,
+            Duration::from_secs(30),
+        );
+        let elapsed = start.elapsed();
+        let submitted: Vec<u64> = handles.iter().map(|h| h.stats().submitted.get()).collect();
+        for h in handles {
+            h.shutdown();
+        }
+        (got, elapsed, submitted)
+    });
+    assert_eq!(got, expected, "rows must be byte-identical");
+    assert!(
+        submitted.iter().all(|&n| n > 0),
+        "every worker's node gets cells, got {submitted:?} submits per node"
+    );
+    assert!(
+        elapsed < Duration::from_millis(2_000),
+        "6 cells of 400 ms over two 1-worker nodes took {elapsed:?}"
+    );
+}
+
+/// The per-node ladder declares a worker's own node dead before any
 /// heartbeat notices (a 30 s cadence here, and a fleet of one has no
-/// heartbeat at all). Failover then locks that node's queue to re-route
-/// its cells, which must not be the lock the worker took to pop the
-/// cell it is running — or the grid deadlocks.
+/// heartbeat at all): worker 1 starts its first cell at node 1, which
+/// is down. The cell then re-routes to the survivor while the other
+/// worker keeps claiming cells, and the grid finishes instead of
+/// hanging.
 #[test]
 fn fleet_ladder_kills_home_node_without_hanging() {
     with_plan(None, || {
         let cells = grid(&[60, 100, 110, 130, 150, 40]);
         let expected = expected_jsons(&cells);
-        assert!(
-            owners(&cells, 2).iter().filter(|&&o| o == 1).count() >= 2,
-            "seed choice: node 1 must own at least two cells"
-        );
         let (mut handles, addrs) = test_fleet(2);
         handles.remove(1).shutdown();
         let failovers_before = fleet_metric("fleet.failovers");

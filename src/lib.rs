@@ -19,8 +19,8 @@
 //! * [`sim`] — full-system assembly and the experiment runner.
 //! * [`serve`] — sharded simulation service: TCP job queue, worker
 //!   pool, content-addressed result cache.
-//! * [`fleet`] — multi-node serve tier: consistent-hash routing,
-//!   shared cache reads, work stealing, node failover.
+//! * [`fleet`] — multi-node serve tier: one grid cursor,
+//!   consistent-hash routing, shared cache reads, node failover.
 //! * [`obs`] — observability: metric registries, snapshot logs,
 //!   Chrome-trace export.
 //! * [`faults`] — seeded deterministic fault injection driving the
